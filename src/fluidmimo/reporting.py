@@ -7,9 +7,11 @@ records.csv: one row per (point, trial, algorithm), sorted by
 
 summary.csv: one row per (point, algorithm):
 
-    sweep_var,point_value,algorithm,mean_capacity,stddev,ci95,mean_ratio,mean_ao_iterations
+    sweep_var,point_value,algorithm,mean_capacity,stddev,ci95,mean_ratio,mean_ao_iterations,trials,excluded_trials
 
-Floats are written with Python's shortest round-trip representation (full
+trials is the number of trials at the point; excluded_trials counts those
+left out of mean_ratio because their exhaustive optimum is zero. Floats
+are written with Python's shortest round-trip representation (full
 precision); mean_ratio is "nan" when exhaustive search was not part of the
 run. Files use "\n" newlines so identical runs produce identical bytes.
 """
@@ -21,7 +23,7 @@ from .harness import PointSummary, TrialRecord
 RECORDS_HEADER = ("sweep_var,point_value,trial,algorithm,capacity_bits,"
                   "ao_iterations,evaluations,wall_time_ms")
 SUMMARY_HEADER = ("sweep_var,point_value,algorithm,mean_capacity,stddev,"
-                  "ci95,mean_ratio,mean_ao_iterations")
+                  "ci95,mean_ratio,mean_ao_iterations,trials,excluded_trials")
 
 
 def _fmt(value):
@@ -43,7 +45,8 @@ def write_summary_csv(path, sweep_var, summaries):
         for s in summaries:
             fh.write(f"{sweep_var},{_fmt(s.point_value)},{s.algorithm},"
                      f"{_fmt(s.mean_capacity)},{_fmt(s.stddev)},{_fmt(s.ci95)},"
-                     f"{_fmt(s.mean_ratio)},{_fmt(s.mean_ao_iterations)}\n")
+                     f"{_fmt(s.mean_ratio)},{_fmt(s.mean_ao_iterations)},"
+                     f"{s.trials},{s.excluded_trials}\n")
 
 
 def read_records_csv(path):
@@ -82,16 +85,17 @@ def read_summary_csv(path):
     for line in lines[1:]:
         if not line:
             continue
-        var, value, algo, mean, std, ci, ratio, aoit = line.split(",")
+        var, value, algo, mean, std, ci, ratio, aoit, trials, excluded = line.split(",")
         sweep_var = var
         summaries.append(PointSummary(
             point_value=float(value),
             algorithm=algo,
-            trials=0,
+            trials=int(trials),
             mean_capacity=float(mean),
             stddev=float(std),
             ci95=float(ci),
             mean_ratio=float(ratio),
             mean_ao_iterations=float(aoit),
+            excluded_trials=int(excluded),
         ))
     return sweep_var, summaries

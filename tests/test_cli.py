@@ -5,7 +5,8 @@ import pytest
 
 from fluidmimo import load_channel
 from fluidmimo.cli import main
-from fluidmimo.reporting import read_records_csv, read_summary_csv
+from fluidmimo.harness import PointSummary, summarize
+from fluidmimo.reporting import read_records_csv, read_summary_csv, write_summary_csv
 
 
 def run_cli(*argv):
@@ -144,6 +145,22 @@ class TestSweep:
             ratio = np.mean([r.capacity_bits / optimal[r.trial_index] for r in group])
             assert abs(s.mean_ratio - ratio) <= 1e-9
             assert abs(s.mean_ao_iterations - np.mean([r.ao_iterations for r in group])) <= 1e-9
+
+    def test_summary_csv_roundtrip_is_lossless(self, tmp_path, capsys):
+        run_cli("sweep", "--m", "1", "--n", "3", "--values", "2,3", "--trials", "3",
+                "--algos", "exhaustive,conventional", "--out-dir", str(tmp_path),
+                "--threads", "1")
+        _, records = read_records_csv(tmp_path / "records.csv")
+        _, summaries = read_summary_csv(tmp_path / "summary.csv")
+        assert summaries == summarize(records)
+        assert all(s.trials == 3 for s in summaries)
+
+        written = [PointSummary(point_value=2.0, algorithm="jcr-ao", trials=7,
+                                mean_capacity=1.5, stddev=0.25, ci95=0.1,
+                                mean_ratio=0.9, mean_ao_iterations=2.0,
+                                excluded_trials=2)]
+        write_summary_csv(tmp_path / "hand.csv", "ports", written)
+        assert read_summary_csv(tmp_path / "hand.csv") == ("ports", written)
 
     def test_empty_algorithms_exits_2(self, tmp_path, capsys):
         code = run_cli("sweep", "--algos", " ", "--values", "2", "--trials", "1",

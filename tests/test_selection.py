@@ -3,6 +3,7 @@ import pytest
 
 from fluidmimo import (
     CombinationCapError,
+    FluidMimoConfig,
     PortSelection,
     RelaxedSolution,
     ao_round,
@@ -11,13 +12,22 @@ from fluidmimo import (
     conventional_mimo,
     exhaustive_search,
     extract_effective,
+    generate_channel,
     jcr_ao,
     jcr_res,
     random_selection,
     solve_jcr,
 )
 from fluidmimo.ipm import SolverStats
-from fluidmimo.selection import combination_count, default_random_samples, reduced_port_count
+from fluidmimo.selection import (
+    _batch_capacities,
+    _decode_mixed_radix,
+    _paired_capacities,
+    _top_ports,
+    combination_count,
+    default_random_samples,
+    reduced_port_count,
+)
 
 from conftest import make_channel, random_instance
 from oracles import loop_exhaustive
@@ -47,8 +57,10 @@ class TestExhaustive:
         assert res.capacity_bits == 0.0
 
     def test_matches_loop_oracle(self, rng):
+        # m_max = 3 reaches the Cholesky branch (Gram size 3) and the
+        # m_t < m_r Gram side as well as the closed forms
         for _ in range(25):
-            ch = random_instance(rng, m_max=2, n_max=3)
+            ch = random_instance(rng, m_max=3, n_max=3)
             rho = ch.config.rho
 
             def eval_sel(rx, tx):
@@ -57,6 +69,52 @@ class TestExhaustive:
             _val, rx, tx = loop_exhaustive(ch, rho, eval_sel)
             res = exhaustive_search(ch, rho)
             assert res.selection == PortSelection(rx, tx)
+
+    def test_equal_ports_tie_on_first_combination(self):
+        # W = 0 puts every port of an antenna on the same coefficient, so
+        # all combinations tie at one nonzero capacity
+        base = np.array([[1.0 + 0.5j, -0.3j, 0.2],
+                         [0.7, 1.1 - 0.2j, -0.4 + 0.1j]])
+        ch = make_channel(np.kron(base, np.ones((3, 4))), 2, 3, 3, 4, w=0.0)
+        rho = ch.config.rho
+        res = exhaustive_search(ch, rho)
+        assert res.selection == PortSelection((1, 1), (1, 1, 1))
+        assert res.capacity_bits == pytest.approx(capacity(base, rho), rel=1e-12)
+        assert res.capacity_bits > 1.0
+
+    def test_generated_zero_width_channel_ties(self):
+        cfg = FluidMimoConfig(m_r=2, m_t=2, n_r=5, n_t=4, snr_db=5.0, w=0.0)
+        ch = generate_channel(cfg, 17)
+        first = ch.entries[np.ix_([0, 5], [0, 4])]
+        assert np.array_equal(ch.entries, np.kron(first, np.ones((5, 4))))
+        res = exhaustive_search(ch, cfg.rho)
+        assert res.selection == PortSelection((1, 1), (1, 1))
+        assert res.capacity_bits > 0.0
+
+        relaxed = solve_jcr(ch)
+        kept_rx = [_top_ports(relaxed.x_hat[i * 5:(i + 1) * 5], reduced_port_count(5))
+                   for i in range(2)]
+        kept_tx = [_top_ports(relaxed.y_hat[j * 4:(j + 1) * 4], reduced_port_count(4))
+                   for j in range(2)]
+        assert jcr_res(ch, cfg.rho).selection == PortSelection(
+            tuple(int(k[0]) + 1 for k in kept_rx), tuple(int(k[0]) + 1 for k in kept_tx))
+
+    @pytest.mark.parametrize("m_r", [1, 2, 3])
+    @pytest.mark.parametrize("m_t", [1, 2, 3])
+    def test_batch_kernel_matches_scalar_capacity(self, rng, m_r, m_t):
+        for snr_db in (-5.0, 5.0, 15.0):
+            cfg = FluidMimoConfig(m_r=m_r, m_t=m_t, n_r=3, n_t=2, snr_db=snr_db, w=0.5)
+            ch = generate_channel(cfg, int(rng.integers(0, 2 ** 63)))
+            rx = _decode_mixed_radix(np.arange(3 ** m_r), 3, m_r)
+            tx = _decode_mixed_radix(np.arange(2 ** m_t), 2, m_t)
+            caps = _batch_capacities(ch, rx, tx, cfg.rho)
+            assert caps.shape == (len(rx), len(tx))
+            expected = np.array([[capacity(extract_effective(ch, PortSelection(r + 1, t + 1)),
+                                           cfg.rho) for t in tx] for r in rx])
+            np.testing.assert_allclose(caps, expected, rtol=1e-12, atol=0.0)
+            paired = _paired_capacities(ch, np.repeat(rx, len(tx), axis=0),
+                                        np.tile(tx, (len(rx), 1)), cfg.rho)
+            np.testing.assert_allclose(paired, expected.ravel(), rtol=1e-12, atol=0.0)
 
     def test_matches_loop_oracle_m2_n3(self, rng):
         cfg_channel = random_instance(rng, m_max=2, n_max=3)
@@ -86,6 +144,7 @@ class TestExhaustive:
         ch = random_instance(rng, m_max=2, n_max=4)
         res_full = exhaustive_search(ch, 1.0)
         monkeypatch.setattr(sel_mod, "_BATCH_LIMIT", 7)
+        monkeypatch.setattr(sel_mod, "_BLOCK_ENTRIES", 1)
         res_chunked = exhaustive_search(ch, 1.0)
         assert res_full.selection == res_chunked.selection
         assert res_full.capacity_bits == res_chunked.capacity_bits
