@@ -242,13 +242,14 @@ def cmd_generate(opt):
     return EXIT_OK
 
 
-def _solve_one(channel, rho, algo, opt):
+def _solve_one(channel, rho, algo, opt, relaxed):
     if algo == "exhaustive":
         return exhaustive_search(channel, rho, cap=opt.cap)
     if algo == "jcr-res":
-        return jcr_res(channel, rho)
+        return jcr_res(channel, rho, relaxed=relaxed)
     if algo == "jcr-ao":
-        return jcr_ao(channel, rho, epsilon=opt.epsilon, max_iters=opt.max_iters)
+        return jcr_ao(channel, rho, epsilon=opt.epsilon, max_iters=opt.max_iters,
+                      relaxed=relaxed)
     if algo == "random":
         return random_selection(channel, rho, samples=opt.samples,
                                 seed=_check_seed(opt.baseline_seed, "baseline-seed"))
@@ -270,8 +271,12 @@ def cmd_solve(opt):
 
     algos = ALGORITHMS if opt.algo == "all" else (opt.algo,)
     outputs = []
+    relaxed = None  # the JCR relaxation, solved once and shared
     for algo in algos:
-        res = _solve_one(channel, rho, algo, opt)
+        res = _solve_one(channel, rho, algo, opt, relaxed)
+        stats = res.relaxation.solver_stats if res.relaxation is not None else None
+        if relaxed is None:
+            relaxed = res.relaxation
         outputs.append({
             "algorithm": algo,
             "rx_ports": list(res.selection.rx_ports),
@@ -279,6 +284,8 @@ def cmd_solve(opt):
             "capacity_bits": res.capacity_bits,
             "iterations": res.iterations,
             "evaluations": res.evaluations,
+            "lp_iterations": None if stats is None else stats.iterations,
+            "lp_duality_gap": None if stats is None else stats.duality_gap,
         })
     if opt.json:
         print(json.dumps(outputs, indent=2))

@@ -15,10 +15,20 @@ SNR sweeps where it is 0: the channel law does not depend on the SNR, so
 all SNR points of a trial share one realization, making per-trial capacity
 curves monotone in the SNR by construction.
 
+Task unit and the shared relaxation: a sweep runs as tasks of one trial
+each. For an SNR sweep a task covers all points of its trial: the channel
+is drawn once and each point reuses its entries under that point's
+config. Otherwise a task is one (point, trial). The JCR linear program
+depends only on |entries|^2 and is deterministic, so within a task it is
+solved once, by the first of jcr-res / jcr-ao to run, and its solution is
+handed to every later JCR run: one LP per channel realization, with
+records identical to solving it on every run.
+
 Timing: records carry wall_time_ms = 0.0 unless measure_time=True is
 requested. Measured times would differ between reruns, and the records of
 a (SweepSpec, master_seed) pair are required to be byte-reproducible, so
-timing is an opt-in diagnostic.
+timing is an opt-in diagnostic. The shared LP's time is charged to the
+first JCR algorithm run on the channel; later JCR runs on it exclude it.
 """
 
 import math
@@ -142,44 +152,57 @@ def validate_spec(spec):
                 raise CombinationCapError(combos, spec.exhaustive_cap)
 
 
-def run_trial(spec, point_index, trial_index, measure_time=False):
-    """All algorithm records for one (point, trial); order follows spec.algorithms."""
-    value = spec.values[point_index]
-    config = config_at(spec, value)
-    key = _point_key(spec, point_index)
-    channel = generate_channel(config, derive_seed(spec.master_seed, 0, key, trial_index))
-    rho = config.rho
+def run_trial(spec, point_indices, trial_index, measure_time=False):
+    """Records of one trial at points that share a channel realization (all
+    points of an SNR sweep, else a single point), in point order and then
+    spec.algorithms order.
+
+    The channel is drawn once and carries each point's config in turn. The
+    first JCR algorithm to run solves the relaxation; every later JCR run
+    in the trial, at any of the points, reuses it.
+    """
+    key = _point_key(spec, point_indices[0])
+    channel = generate_channel(config_at(spec, spec.values[point_indices[0]]),
+                               derive_seed(spec.master_seed, 0, key, trial_index))
+    relaxed = None
     records = []
-    for algo in spec.algorithms:
-        start = time.perf_counter()
-        if algo == "exhaustive":
-            res = exhaustive_search(channel, rho, cap=spec.exhaustive_cap)
-        elif algo == "jcr-res":
-            res = jcr_res(channel, rho)
-        elif algo == "jcr-ao":
-            res = jcr_ao(channel, rho, epsilon=spec.ao_epsilon, max_iters=spec.ao_max_iters)
-        elif algo == "random":
-            res = random_selection(
-                channel, rho, samples=spec.random_samples,
-                seed=derive_seed(spec.master_seed, 1, key, trial_index))
-        else:
-            res = conventional_mimo(channel, rho)
-        elapsed = (time.perf_counter() - start) * 1000.0 if measure_time else 0.0
-        records.append(TrialRecord(
-            point_value=value,
-            trial_index=trial_index,
-            algorithm=algo,
-            capacity_bits=res.capacity_bits,
-            ao_iterations=res.iterations,
-            capacity_evaluations=res.evaluations,
-            wall_time_ms=elapsed,
-        ))
+    for point_index in point_indices:
+        value = spec.values[point_index]
+        config = config_at(spec, value)
+        channel = replace(channel, config=config)
+        rho = config.rho
+        for algo in spec.algorithms:
+            start = time.perf_counter()
+            if algo == "exhaustive":
+                res = exhaustive_search(channel, rho, cap=spec.exhaustive_cap)
+            elif algo == "jcr-res":
+                res = jcr_res(channel, rho, relaxed=relaxed)
+            elif algo == "jcr-ao":
+                res = jcr_ao(channel, rho, epsilon=spec.ao_epsilon,
+                             max_iters=spec.ao_max_iters, relaxed=relaxed)
+            elif algo == "random":
+                res = random_selection(
+                    channel, rho, samples=spec.random_samples,
+                    seed=derive_seed(spec.master_seed, 1, key, trial_index))
+            else:
+                res = conventional_mimo(channel, rho)
+            elapsed = (time.perf_counter() - start) * 1000.0 if measure_time else 0.0
+            if relaxed is None:
+                relaxed = res.relaxation
+            records.append(TrialRecord(
+                point_value=value,
+                trial_index=trial_index,
+                algorithm=algo,
+                capacity_bits=res.capacity_bits,
+                ao_iterations=res.iterations,
+                capacity_evaluations=res.evaluations,
+                wall_time_ms=elapsed,
+            ))
     return records
 
 
 def _trial_task(args):
-    spec, point_index, trial_index, measure_time = args
-    return run_trial(spec, point_index, trial_index, measure_time)
+    return run_trial(*args)
 
 
 def run_sweep(spec, threads=1, measure_time=False):
@@ -189,11 +212,16 @@ def run_sweep(spec, threads=1, measure_time=False):
     of `threads`; sorting is (point value, trial, algorithm name).
     """
     validate_spec(spec)
-    tasks = [(spec, p, t, measure_time)
-             for p in range(len(spec.values)) for t in range(spec.trials)]
+    points = range(len(spec.values))
+    if spec.variable == "snr_db":  # one task per trial: its points share a channel
+        tasks = [(spec, tuple(points), t, measure_time) for t in range(spec.trials)]
+    else:
+        tasks = [(spec, (p,), t, measure_time) for p in points for t in range(spec.trials)]
     if threads > 1 and len(tasks) > 1:
+        # about four chunks per worker keeps the workers evenly loaded
+        chunksize = max(1, min(8, len(tasks) // (4 * threads)))
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(_trial_task, tasks, chunksize=8))
+            chunks = list(pool.map(_trial_task, tasks, chunksize=chunksize))
     else:
         chunks = [_trial_task(t) for t in tasks]
     records = [rec for chunk in chunks for rec in chunk]

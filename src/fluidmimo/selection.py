@@ -34,14 +34,14 @@ examined port on ties (a >= comparison), so later ports win there.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .capacity import PortSelection, capacity, extract_effective
 from .channel import FluidMimoConfig, OverallChannel
-from .relaxation import solve_jcr
+from .relaxation import RelaxedSolution, solve_jcr
 
 ALGORITHMS = ("exhaustive", "jcr-res", "jcr-ao", "random", "conventional")
 
@@ -71,7 +71,9 @@ class SelectionResult:
     iterations is the coordinate-ascent sweep count (0 for the other
     algorithms); evaluations counts capacity evaluations performed by the
     search itself; capacity_trace, for jcr-ao, holds the capacity after the
-    initial rounding and after each sweep.
+    initial rounding and after each sweep. relaxation, for jcr-res and
+    jcr-ao, is the RelaxedSolution they rounded, so a later heuristic on
+    the same channel can reuse it; it takes no part in equality or repr.
     """
 
     selection: PortSelection
@@ -80,6 +82,7 @@ class SelectionResult:
     iterations: int
     evaluations: int
     capacity_trace: Optional[tuple] = None
+    relaxation: Optional[RelaxedSolution] = field(default=None, compare=False, repr=False)
 
 
 def combination_count(config):
@@ -256,10 +259,29 @@ def _top_ports(weights, keep):
     return np.sort(order)
 
 
-def jcr_res(channel, rho):
-    """Convex relaxation followed by exhaustive search on the kept ports."""
+def _relaxation_of(channel, relaxed):
+    """`relaxed` if it fits the channel's shape, a fresh solve when None."""
+    if relaxed is None:
+        return solve_jcr(channel)
     c = channel.config
-    relaxed = solve_jcr(channel)
+    shape = (c.m_r, c.m_t, c.n_r, c.n_t)
+    given = (relaxed.m_r, relaxed.m_t, relaxed.n_r, relaxed.n_t)
+    if given != shape:
+        raise ValueError(f"relaxation of shape (m_r, m_t, n_r, n_t) = {given} "
+                         f"does not fit a channel of shape {shape}")
+    return relaxed
+
+
+def jcr_res(channel, rho, relaxed=None):
+    """Convex relaxation followed by exhaustive search on the kept ports.
+
+    relaxed: the channel's RelaxedSolution from `solve_jcr`, e.g. another
+    heuristic's `result.relaxation`; solved here when None. The relaxation
+    depends only on |entries|^2, not on rho, so one solve serves every
+    heuristic and SNR on the same entries.
+    """
+    c = channel.config
+    relaxed = _relaxation_of(channel, relaxed)
     keep_r = reduced_port_count(c.n_r)
     keep_t = reduced_port_count(c.n_t)
     kept_rx = [_top_ports(relaxed.x_hat[i * c.n_r:(i + 1) * c.n_r], keep_r)
@@ -284,6 +306,7 @@ def jcr_res(channel, rho):
         algorithm="jcr-res",
         iterations=0,
         evaluations=evaluations,
+        relaxation=relaxed,
     )
 
 
@@ -300,20 +323,21 @@ def ao_round(relaxed):
     return PortSelection(rx, tx)
 
 
-def jcr_ao(channel, rho, epsilon=1e-3, max_iters=20):
+def jcr_ao(channel, rho, epsilon=1e-3, max_iters=20, relaxed=None):
     """Convex relaxation, argmax rounding, then coordinate-ascent sweeps.
 
     Each sweep revisits every receive then every transmit antenna and
     commits the best substitute port (>= keeps the last tie). The capacity
     recorded after each sweep is nondecreasing; the loop stops once the
     relative improvement is at most epsilon or after max_iters sweeps.
+    relaxed: a precomputed relaxation of the channel, as for `jcr_res`.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     c = channel.config
-    relaxed = solve_jcr(channel)
+    relaxed = _relaxation_of(channel, relaxed)
     start = ao_round(relaxed)
     rx = list(start.rx_ports)
     tx = list(start.tx_ports)
@@ -362,6 +386,7 @@ def jcr_ao(channel, rho, epsilon=1e-3, max_iters=20):
         iterations=sweeps,
         evaluations=evaluations,
         capacity_trace=tuple(trace),
+        relaxation=relaxed,
     )
 
 

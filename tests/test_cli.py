@@ -68,6 +68,31 @@ class TestSolve:
         best = payload[0]["capacity_bits"]
         assert all(p["capacity_bits"] <= best + 1e-12 for p in payload)
 
+    def test_json_carries_lp_statistics(self, tmp_path, capsys, monkeypatch):
+        import fluidmimo.selection as selection_mod
+
+        solves = []
+        solve_jcr = selection_mod.solve_jcr
+        monkeypatch.setattr(selection_mod, "solve_jcr",
+                            lambda channel: solves.append(1) or solve_jcr(channel))
+        out = tmp_path / "ch.csv"
+        run_cli("generate", "--m", "2", "--n", "4", "--seed", "3", "--out", str(out))
+        capsys.readouterr()
+        assert run_cli("solve", "--channel", str(out), "--algo", "all", "--json") == 0
+        assert len(solves) == 1  # jcr-ao reuses the LP jcr-res solved
+        payload = {p["algorithm"]: p for p in json.loads(capsys.readouterr().out)}
+        for algo in ("exhaustive", "random", "conventional"):
+            assert payload[algo]["lp_iterations"] is None
+            assert payload[algo]["lp_duality_gap"] is None
+        for algo in ("jcr-res", "jcr-ao"):
+            assert payload[algo]["lp_iterations"] >= 1
+            assert 0.0 <= payload[algo]["lp_duality_gap"] <= 1e-7
+        # the shared LP gives jcr-ao the entry of a run that solves its own
+        assert run_cli("solve", "--channel", str(out), "--algo", "jcr-ao", "--json") == 0
+        alone = json.loads(capsys.readouterr().out)
+        assert alone == [payload["jcr-ao"]]
+        assert payload["jcr-ao"]["lp_iterations"] == payload["jcr-res"]["lp_iterations"]
+
     def test_solve_is_deterministic(self, tmp_path, capsys):
         out = tmp_path / "ch.csv"
         run_cli("generate", "--m", "1", "--n", "4", "--seed", "2", "--out", str(out))
@@ -203,7 +228,7 @@ class TestExitCodes:
         import fluidmimo.cli as cli_mod
         from fluidmimo.ipm import IpmFailure, SolverStats
 
-        def boom(channel, rho):
+        def boom(channel, rho, **kwargs):
             raise IpmFailure("relaxation failed", SolverStats(100, 1.0, 1.0, 1.0, 1.0))
 
         monkeypatch.setattr(cli_mod, "jcr_res", boom)

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fluidmimo import (
+    ALGORITHMS,
     CombinationCapError,
     FluidMimoConfig,
     SweepSpec,
@@ -11,7 +13,8 @@ from fluidmimo import (
     mean_approximation_ratio,
     run_sweep,
 )
-from fluidmimo.harness import config_at, derive_seed, validate_spec
+from fluidmimo import harness, selection
+from fluidmimo.harness import config_at, derive_seed, run_trial, validate_spec
 
 BASE = FluidMimoConfig(m_r=1, m_t=1, n_r=3, n_t=3, snr_db=5.0, w=0.5)
 
@@ -100,10 +103,12 @@ class TestRunSweep:
         assert rec1 == rec2
 
     def test_threads_do_not_change_records(self):
-        spec = small_spec(trials=3)
-        rec1, _ = run_sweep(spec, threads=1)
-        rec2, _ = run_sweep(spec, threads=2)
-        assert rec1 == rec2
+        for spec in (small_spec(trials=3),
+                     small_spec(variable="snr_db", values=(-5.0, 0.0, 5.0), trials=5,
+                                algorithms=("exhaustive", "jcr-res", "jcr-ao", "random"))):
+            rec1, _ = run_sweep(spec, threads=1)
+            rec2, _ = run_sweep(spec, threads=2)
+            assert rec1 == rec2
 
     def test_sorted_by_point_trial_algorithm(self):
         records, _ = run_sweep(small_spec())
@@ -130,6 +135,71 @@ class TestRunSweep:
         for (algo, _trial), pts in series.items():
             caps = [c for _v, c in sorted(pts)]
             assert all(b >= a - 1e-12 for a, b in zip(caps, caps[1:])), algo
+
+    @pytest.mark.parametrize("variable,values,per_trial", [
+        ("snr_db", (-5.0, 0.0, 5.0), 1),   # one task per trial, all points
+        ("ports", (2, 3), 2),              # one task per (point, trial)
+    ])
+    def test_one_channel_and_one_lp_per_task(self, monkeypatch, variable, values, per_trial):
+        calls = {"generate": 0, "solve": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(harness, "generate_channel",
+                            counting("generate", harness.generate_channel))
+        monkeypatch.setattr(selection, "solve_jcr", counting("solve", selection.solve_jcr))
+        spec = small_spec(variable=variable, values=values, trials=4,
+                          algorithms=("jcr-res", "jcr-ao", "conventional"))
+        records, _ = run_sweep(spec)
+        assert len(records) == 3 * len(values) * 4
+        assert calls == {"generate": 4 * per_trial, "solve": 4 * per_trial}
+
+    def test_shared_channel_and_lp_leave_records_unchanged(self):
+        # the per-point path draws the channel and solves the LP afresh at
+        # every point and for every JCR algorithm
+        spec = small_spec(variable="snr_db", values=(-5.0, 5.0, 15.0), trials=3,
+                          algorithms=ALGORITHMS)
+        records, _ = run_sweep(spec)
+        fresh = []
+        for algo in ALGORITHMS:
+            alone = replace(spec, algorithms=(algo,))
+            fresh += [rec for p in range(3) for t in range(3) for rec in run_trial(alone, (p,), t)]
+        fresh.sort(key=lambda r: (r.point_value, r.trial_index, r.algorithm))
+        assert records == fresh
+
+    @pytest.mark.parametrize("variable,values,trials,chunksize", [
+        ("ports", (5, 10, 15, 20), 20, 8),   # 80 tasks
+        ("snr_db", (-5.0, 0.0, 5.0), 20, 2),  # 20 tasks, one per trial
+        ("ports", (2,), 3, 1),
+    ])
+    def test_pool_chunks_spread_tasks_over_workers(self, monkeypatch, variable, values,
+                                                   trials, chunksize):
+        seen = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                seen.append((len(tasks), chunksize))
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        spec = small_spec(variable=variable, values=values, trials=trials,
+                          algorithms=("conventional",))
+        run_sweep(spec, threads=2)
+        tasks = trials if variable == "snr_db" else trials * len(values)
+        assert seen == [(tasks, chunksize)]
 
     def test_ao_iterations_within_cap(self):
         records, summaries = run_sweep(small_spec(trials=5))

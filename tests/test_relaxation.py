@@ -3,7 +3,15 @@ import io
 import numpy as np
 import pytest
 
-from fluidmimo import IpmFailure, build_lp, solve_jcr, surrogate_u
+from fluidmimo import (
+    FluidMimoConfig,
+    IpmFailure,
+    OverallChannel,
+    build_lp,
+    generate_channel,
+    solve_jcr,
+    surrogate_u,
+)
 from fluidmimo.ipm import solve_epigraph_lp
 
 from conftest import make_channel, random_instance
@@ -103,6 +111,28 @@ class TestSolveJcr:
             assert stats.duality_gap <= 1e-7
             assert stats.primal_residual <= 1e-8
             assert stats.iterations >= 1
+
+    def test_repeat_solve_is_bit_identical(self, rng):
+        # one relaxation per channel is shared between heuristics and SNR
+        # points; that gives the same records only if a re-solve would
+        # return the very same weights
+        for _ in range(15):
+            ch = random_instance(rng, m_max=3, n_max=6)
+            first, second = solve_jcr(ch), solve_jcr(OverallChannel(ch.config, ch.entries.copy()))
+            assert first.x_hat.tobytes() == second.x_hat.tobytes()
+            assert first.y_hat.tobytes() == second.y_hat.tobytes()
+            assert first.u_star == second.u_star
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_copied_port_gets_equal_weight(self, m, seed):
+        # the interior (non-vertex) optimum treats identical ports alike;
+        # a vertex optimum would put the weight on one of them
+        cfg = FluidMimoConfig(m_r=m, m_t=m, n_r=6, n_t=6, snr_db=5.0, w=0.5)
+        entries = generate_channel(cfg, seed).entries.copy()
+        entries[4] = entries[1]  # receive antenna 0: port 5 copies port 2
+        sol = solve_jcr(OverallChannel(cfg, entries))
+        assert sol.x_hat[4] == sol.x_hat[1]
 
     def test_failure_carries_stats(self, rng):
         ch = random_instance(rng, m_max=2, n_max=4)

@@ -20,6 +20,7 @@ from fluidmimo import (
 )
 from fluidmimo.ipm import SolverStats
 from fluidmimo.selection import (
+    SelectionResult,
     _batch_capacities,
     _decode_mixed_radix,
     _paired_capacities,
@@ -250,6 +251,50 @@ class TestJcrAo:
             jcr_ao(ch, 1.0, epsilon=0.0)
         with pytest.raises(ValueError):
             jcr_ao(ch, 1.0, max_iters=0)
+
+
+class TestSharedRelaxation:
+    def test_precomputed_relaxation_gives_same_result(self, rng):
+        for _ in range(15):
+            ch = random_instance(rng, m_max=2, n_max=5)
+            rho = ch.config.rho
+            rel = solve_jcr(ch)
+            for fn in (jcr_res, jcr_ao):
+                own, shared = fn(ch, rho), fn(ch, rho, relaxed=rel)
+                assert shared.selection == own.selection
+                assert shared.capacity_bits == own.capacity_bits
+                assert shared.iterations == own.iterations
+                assert shared.evaluations == own.evaluations
+                assert shared.capacity_trace == own.capacity_trace
+                assert shared.relaxation is rel
+
+    def test_result_carries_the_relaxation_it_rounded(self, rng):
+        ch = random_instance(rng, m_max=2, n_max=4)
+        rho = ch.config.rho
+        res = jcr_res(ch, rho)
+        assert res.relaxation.x_hat.tobytes() == solve_jcr(ch).x_hat.tobytes()
+        assert jcr_ao(ch, rho, relaxed=res.relaxation).relaxation is res.relaxation
+        for other in (exhaustive_search(ch, rho), random_selection(ch, rho),
+                      conventional_mimo(ch, rho)):
+            assert other.relaxation is None
+
+    def test_relaxation_left_out_of_equality_and_repr(self, rng):
+        ch = random_instance(rng, m_max=2, n_max=4)
+        res = jcr_res(ch, ch.config.rho)
+        bare = SelectionResult(res.selection, res.capacity_bits, res.algorithm,
+                               res.iterations, res.evaluations)
+        assert res == bare
+        assert repr(res) == repr(bare)
+
+    def test_mismatched_relaxation_rejected(self):
+        small = generate_channel(FluidMimoConfig(m_r=2, m_t=2, n_r=3, n_t=3), 1)
+        for m_r, m_t, n_r, n_t in ((1, 2, 3, 3), (2, 2, 3, 4)):
+            other = generate_channel(FluidMimoConfig(m_r=m_r, m_t=m_t, n_r=n_r, n_t=n_t), 2)
+            rel = solve_jcr(other)
+            with pytest.raises(ValueError, match="does not fit"):
+                jcr_res(small, 1.0, relaxed=rel)
+            with pytest.raises(ValueError, match="does not fit"):
+                jcr_ao(small, 1.0, relaxed=rel)
 
 
 class TestRandomSelection:
