@@ -14,7 +14,6 @@ load(save(G)) reproduces G (and its config) exactly.
 """
 
 import os
-from io import StringIO
 
 import numpy as np
 
@@ -55,11 +54,9 @@ def _write(channel, fh):
 
 
 def load_channel(source):
-    """Read a channel from a path, text file object, or raw string."""
+    """Read a channel from a path or text file object."""
     if hasattr(source, "read"):
         lines = source.read().splitlines()
-    elif isinstance(source, str) and "\n" in source:
-        lines = StringIO(source).read().splitlines()
     else:
         with open(os.fspath(source)) as fh:
             lines = fh.read().splitlines()

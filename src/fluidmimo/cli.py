@@ -16,25 +16,18 @@ Exit codes: 0 success, 2 configuration error, 3 resource-cap refusal
 
 import argparse
 import json
+import math
 import os
 import sys
+from dataclasses import replace
 from types import SimpleNamespace
 
 from .channel import FluidMimoConfig, generate_channel
 from .channel_io import ChannelFormatError, load_channel, save_channel
-from .harness import SweepSpec, SweepSpecError, run_sweep
+from .harness import SweepSpec, SweepSpecError, run_algorithm, run_sweep
 from .ipm import IpmFailure
 from .reporting import write_records_csv, write_summary_csv
-from .selection import (
-    ALGORITHMS,
-    DEFAULT_EXHAUSTIVE_CAP,
-    CombinationCapError,
-    conventional_mimo,
-    exhaustive_search,
-    jcr_ao,
-    jcr_res,
-    random_selection,
-)
+from .selection import ALGORITHMS, DEFAULT_EXHAUSTIVE_CAP, CombinationCapError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -61,6 +54,18 @@ def _positive_int(name):
     return parse
 
 
+def _positive_float(name):
+    def parse(text):
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{name} must be a number, got {text!r}")
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"{name} must be finite and > 0, got {value}")
+        return value
+    return parse
+
+
 # option name -> (cast, default) per command; the single source of truth for
 # config-file parsing and flag registration
 _COMMON = {
@@ -75,6 +80,14 @@ _COMMON = {
     "config": (str, None),
 }
 
+# parameters of the selection algorithms, shared by solve and sweep
+_ALGORITHM_OPTIONS = {
+    "epsilon": (_positive_float("epsilon"), 1e-3),
+    "max_iters": (_positive_int("max-iters"), 20),
+    "samples": (_positive_int("samples"), None),
+    "cap": (_positive_int("cap"), DEFAULT_EXHAUSTIVE_CAP),
+}
+
 _OPTIONS = {
     "generate": {
         **_COMMON,
@@ -86,11 +99,8 @@ _OPTIONS = {
         "channel": (str, None),
         "seed": (int, 0),
         "algo": (str, "all"),
-        "epsilon": (float, 1e-3),
-        "max_iters": (_positive_int("max-iters"), 20),
-        "samples": (_positive_int("samples"), None),
+        **_ALGORITHM_OPTIONS,
         "baseline_seed": (int, 0),
-        "cap": (_positive_int("cap"), DEFAULT_EXHAUSTIVE_CAP),
         "json": (bool, False),
     },
     "sweep": {
@@ -100,10 +110,7 @@ _OPTIONS = {
         "trials": (_positive_int("trials"), 100),
         "algos": (str, "all"),
         "master_seed": (int, 0),
-        "epsilon": (float, 1e-3),
-        "max_iters": (_positive_int("max-iters"), 20),
-        "samples": (_positive_int("samples"), None),
-        "cap": (_positive_int("cap"), DEFAULT_EXHAUSTIVE_CAP),
+        **_ALGORITHM_OPTIONS,
         "threads": (_positive_int("threads"), os.cpu_count() or 1),
         "timing": (bool, False),
         "out_dir": (str, "."),
@@ -242,20 +249,6 @@ def cmd_generate(opt):
     return EXIT_OK
 
 
-def _solve_one(channel, rho, algo, opt, relaxed):
-    if algo == "exhaustive":
-        return exhaustive_search(channel, rho, cap=opt.cap)
-    if algo == "jcr-res":
-        return jcr_res(channel, rho, relaxed=relaxed)
-    if algo == "jcr-ao":
-        return jcr_ao(channel, rho, epsilon=opt.epsilon, max_iters=opt.max_iters,
-                      relaxed=relaxed)
-    if algo == "random":
-        return random_selection(channel, rho, samples=opt.samples,
-                                seed=_check_seed(opt.baseline_seed, "baseline-seed"))
-    return conventional_mimo(channel, rho)
-
-
 def cmd_solve(opt):
     if opt.channel is not None:
         try:
@@ -263,20 +256,24 @@ def cmd_solve(opt):
         except OSError as exc:
             raise ConfigError(f"channel: cannot read {opt.channel}: {exc}") from exc
         snr_db = opt.snr_db if opt.snr_db is not None else channel.config.snr_db
-        rho = 10.0 ** (snr_db / 10.0) / channel.config.m_t
+        try:
+            rho = replace(channel.config, snr_db=snr_db).rho
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     else:
         config = _build_config(opt)
         channel = generate_channel(config, _check_seed(opt.seed, "seed"))
         rho = config.rho
+    baseline_seed = _check_seed(opt.baseline_seed, "baseline-seed")
 
     algos = ALGORITHMS if opt.algo == "all" else (opt.algo,)
     outputs = []
-    relaxed = None  # the JCR relaxation, solved once and shared
+    relaxed = None
     for algo in algos:
-        res = _solve_one(channel, rho, algo, opt, relaxed)
+        res, relaxed = run_algorithm(
+            algo, channel, rho, relaxed, cap=opt.cap, epsilon=opt.epsilon,
+            max_iters=opt.max_iters, samples=opt.samples, seed=baseline_seed)
         stats = res.relaxation.solver_stats if res.relaxation is not None else None
-        if relaxed is None:
-            relaxed = res.relaxation
         outputs.append({
             "algorithm": algo,
             "rx_ports": list(res.selection.rx_ports),

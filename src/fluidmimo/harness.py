@@ -139,8 +139,8 @@ def validate_spec(spec):
     unknown = [a for a in spec.algorithms if a not in ALGORITHMS]
     if unknown:
         raise SweepSpecError(f"unknown algorithms {unknown}; valid: {', '.join(ALGORITHMS)}")
-    if spec.ao_epsilon <= 0:
-        raise SweepSpecError(f"ao_epsilon must be > 0, got {spec.ao_epsilon}")
+    if not (math.isfinite(spec.ao_epsilon) and spec.ao_epsilon > 0):
+        raise SweepSpecError(f"ao_epsilon must be finite and > 0, got {spec.ao_epsilon}")
     if spec.ao_max_iters < 1:
         raise SweepSpecError(f"ao_max_iters must be >= 1, got {spec.ao_max_iters}")
     if spec.random_samples is not None and spec.random_samples < 1:
@@ -150,6 +150,32 @@ def validate_spec(spec):
             combos = combination_count(config_at(spec, value))
             if combos > spec.exhaustive_cap:
                 raise CombinationCapError(combos, spec.exhaustive_cap)
+
+
+def run_algorithm(name, channel, rho, relaxed, *, cap, epsilon, max_iters,
+                  samples, seed):
+    """Run algorithm `name` on `channel` at SNR factor `rho`.
+
+    The one map from an algorithm name to its call, for sweeps and `solve`.
+    `relaxed` is the JCR relaxation of the channel's entries, or None to
+    let the first JCR algorithm solve it. Returns (result, relaxed), where
+    relaxed is the relaxation to hand to the next run on the same entries.
+    The algorithms are looked up in this module's globals at call time, so
+    a wrapper set on one of these attributes sees every run.
+    """
+    if name == "exhaustive":
+        res = exhaustive_search(channel, rho, cap=cap)
+    elif name == "jcr-res":
+        res = jcr_res(channel, rho, relaxed=relaxed)
+    elif name == "jcr-ao":
+        res = jcr_ao(channel, rho, epsilon=epsilon, max_iters=max_iters, relaxed=relaxed)
+    elif name == "random":
+        res = random_selection(channel, rho, samples=samples, seed=seed)
+    elif name == "conventional":
+        res = conventional_mimo(channel, rho)
+    else:
+        raise ValueError(f"unknown algorithm {name!r}; valid: {', '.join(ALGORITHMS)}")
+    return res, relaxed if relaxed is not None else res.relaxation
 
 
 def run_trial(spec, point_indices, trial_index, measure_time=False):
@@ -164,31 +190,19 @@ def run_trial(spec, point_indices, trial_index, measure_time=False):
     key = _point_key(spec, point_indices[0])
     channel = generate_channel(config_at(spec, spec.values[point_indices[0]]),
                                derive_seed(spec.master_seed, 0, key, trial_index))
+    baseline_seed = derive_seed(spec.master_seed, 1, key, trial_index)
     relaxed = None
     records = []
     for point_index in point_indices:
         value = spec.values[point_index]
-        config = config_at(spec, value)
-        channel = replace(channel, config=config)
-        rho = config.rho
+        channel = replace(channel, config=config_at(spec, value))
         for algo in spec.algorithms:
             start = time.perf_counter()
-            if algo == "exhaustive":
-                res = exhaustive_search(channel, rho, cap=spec.exhaustive_cap)
-            elif algo == "jcr-res":
-                res = jcr_res(channel, rho, relaxed=relaxed)
-            elif algo == "jcr-ao":
-                res = jcr_ao(channel, rho, epsilon=spec.ao_epsilon,
-                             max_iters=spec.ao_max_iters, relaxed=relaxed)
-            elif algo == "random":
-                res = random_selection(
-                    channel, rho, samples=spec.random_samples,
-                    seed=derive_seed(spec.master_seed, 1, key, trial_index))
-            else:
-                res = conventional_mimo(channel, rho)
+            res, relaxed = run_algorithm(
+                algo, channel, channel.config.rho, relaxed, cap=spec.exhaustive_cap,
+                epsilon=spec.ao_epsilon, max_iters=spec.ao_max_iters,
+                samples=spec.random_samples, seed=baseline_seed)
             elapsed = (time.perf_counter() - start) * 1000.0 if measure_time else 0.0
-            if relaxed is None:
-                relaxed = res.relaxation
             records.append(TrialRecord(
                 point_value=value,
                 trial_index=trial_index,

@@ -65,50 +65,6 @@ class LpProblem:
     def ant_y(self):
         return np.repeat(np.arange(self.m_t), self.n_t)
 
-    @property
-    def num_variables(self):
-        """x, y and t variables of the mathematical program."""
-        return self.n_x + self.n_y + self.n_edges
-
-    @property
-    def num_equalities(self):
-        return self.m_r + self.m_t
-
-    @property
-    def num_inequalities(self):
-        """Coupling rows t <= x and t <= y (bounds not counted)."""
-        return 2 * self.n_edges
-
-    def write_lp(self, fh):
-        """Dump in CPLEX LP text format for cross-checks with other solvers."""
-        fh.write("\\ epigraph relaxation of fluid-MIMO port selection\n")
-        fh.write(f"\\ {self.num_variables} variables, {self.num_equalities} equalities, "
-                 f"{self.num_inequalities} inequalities\n")
-        fh.write("Maximize\n obj:")
-        if self.n_edges == 0:
-            fh.write(" 0 x0")
-        for e, cost in enumerate(self.t_costs):
-            sep = "\n   " if e and e % 6 == 0 else " "
-            fh.write(f"{sep}+ {float(cost)!r} t{e}")
-        fh.write("\nSubject To\n")
-        for i in range(self.m_r):
-            terms = " + ".join(f"x{r}" for r in range(i * self.n_r, (i + 1) * self.n_r))
-            fh.write(f" rx{i}: {terms} = 1\n")
-        for j in range(self.m_t):
-            terms = " + ".join(f"y{c}" for c in range(j * self.n_t, (j + 1) * self.n_t))
-            fh.write(f" tx{j}: {terms} = 1\n")
-        for e in range(self.n_edges):
-            fh.write(f" cx{e}: t{e} - x{self.t_rows[e]} <= 0\n")
-            fh.write(f" cy{e}: t{e} - y{self.t_cols[e]} <= 0\n")
-        fh.write("Bounds\n")
-        for r in range(self.n_x):
-            fh.write(f" 0 <= x{r}\n")
-        for col in range(self.n_y):
-            fh.write(f" 0 <= y{col}\n")
-        for e in range(self.n_edges):
-            fh.write(f" 0 <= t{e}\n")
-        fh.write("End\n")
-
 
 @dataclass(frozen=True)
 class RelaxedSolution:

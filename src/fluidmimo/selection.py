@@ -332,8 +332,8 @@ def jcr_ao(channel, rho, epsilon=1e-3, max_iters=20, relaxed=None):
     relative improvement is at most epsilon or after max_iters sweeps.
     relaxed: a precomputed relaxation of the channel, as for `jcr_res`.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     c = channel.config

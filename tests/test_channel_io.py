@@ -38,6 +38,12 @@ def test_roundtrip_exact(rng):
     assert np.array_equal(back.entries, ch.entries)
 
 
+def test_string_is_always_a_path(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(OSError):
+        load_channel("no\nsuch.csv")
+
+
 def test_roundtrip_file_path(tmp_path, rng):
     cfg = FluidMimoConfig(m_r=1, m_t=1, n_r=5, n_t=3)
     ch = generate_channel(cfg, 42)

@@ -223,18 +223,61 @@ class TestSweep:
         assert "bogus" in capsys.readouterr().err
 
 
+class TestAlgorithmDispatch:
+    NAMES = ("exhaustive_search", "jcr_res", "jcr_ao", "random_selection", "conventional_mimo")
+
+    def test_harness_attributes_see_every_run(self, tmp_path, capsys, monkeypatch):
+        # the benchmark tracer wraps these harness attributes; sweep and
+        # solve must reach every algorithm through them
+        import fluidmimo.harness as harness_mod
+
+        calls = dict.fromkeys(self.NAMES, 0)
+        for name in self.NAMES:
+            def counted(*args, _fn=getattr(harness_mod, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(harness_mod, name, counted)
+        assert run_cli("sweep", "--m", "1", "--n", "3", "--values", "2,3", "--trials", "2",
+                       "--threads", "1", "--out-dir", str(tmp_path)) == 0
+        assert calls == dict.fromkeys(self.NAMES, 4)  # 2 points x 2 trials
+        calls.update(dict.fromkeys(self.NAMES, 0))
+        assert run_cli("solve", "--m", "1", "--n", "3", "--algo", "all") == 0
+        assert calls == dict.fromkeys(self.NAMES, 1)
+
+
 class TestExitCodes:
     def test_solver_failure_exits_4(self, tmp_path, capsys, monkeypatch):
-        import fluidmimo.cli as cli_mod
+        import fluidmimo.harness as harness_mod
         from fluidmimo.ipm import IpmFailure, SolverStats
 
         def boom(channel, rho, **kwargs):
             raise IpmFailure("relaxation failed", SolverStats(100, 1.0, 1.0, 1.0, 1.0))
 
-        monkeypatch.setattr(cli_mod, "jcr_res", boom)
+        monkeypatch.setattr(harness_mod, "jcr_res", boom)
         out = tmp_path / "ch.csv"
         run_cli("generate", "--m", "1", "--n", "2", "--seed", "1", "--out", str(out))
         capsys.readouterr()
         code = run_cli("solve", "--channel", str(out), "--algo", "jcr-res")
         assert code == 4
         assert "failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    @pytest.mark.parametrize("epsilon", ["0", "-1", "nan", "inf"])
+    def test_bad_epsilon_exits_2(self, capsys, command, epsilon):
+        with pytest.raises(SystemExit) as err:
+            run_cli(command, "--m", "1", "--n", "2", "--epsilon=" + epsilon)
+        assert err.value.code == 2
+        assert "epsilon" in capsys.readouterr().err
+
+    def test_bad_epsilon_in_config_file_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epsilon=nan\n")
+        code = run_cli("solve", "--config", str(cfg), "--m", "1", "--n", "2", "--algo", "jcr-ao")
+        assert code == 2
+        assert "epsilon" in capsys.readouterr().err
+
+    def test_missing_channel_file_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = run_cli("solve", "--channel", "no\nsuch.csv")
+        assert code == 2
+        assert "channel: cannot read" in capsys.readouterr().err

@@ -14,7 +14,7 @@ from fluidmimo import (
     run_sweep,
 )
 from fluidmimo import harness, selection
-from fluidmimo.harness import config_at, derive_seed, run_trial, validate_spec
+from fluidmimo.harness import config_at, derive_seed, run_algorithm, run_trial, validate_spec
 
 BASE = FluidMimoConfig(m_r=1, m_t=1, n_r=3, n_t=3, snr_db=5.0, w=0.5)
 
@@ -55,6 +55,11 @@ class TestSpecValidation:
     def test_rejects_unknown_algorithm(self):
         with pytest.raises(SweepSpecError, match="sorted-port"):
             validate_spec(small_spec(algorithms=("sorted-port",)))
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_epsilon(self, epsilon):
+        with pytest.raises(SweepSpecError, match="epsilon"):
+            validate_spec(small_spec(ao_epsilon=epsilon))
 
     def test_exhaustive_cap_checked_upfront(self):
         spec = small_spec(values=(2, 100), exhaustive_cap=1000)
@@ -170,6 +175,12 @@ class TestRunSweep:
             fresh += [rec for p in range(3) for t in range(3) for rec in run_trial(alone, (p,), t)]
         fresh.sort(key=lambda r: (r.point_value, r.trial_index, r.algorithm))
         assert records == fresh
+
+    def test_run_algorithm_rejects_unknown_name(self):
+        channel = harness.generate_channel(BASE, 1)
+        with pytest.raises(ValueError, match="greedy"):
+            run_algorithm("greedy", channel, 1.0, None, cap=100, epsilon=1e-3,
+                          max_iters=20, samples=None, seed=0)
 
     @pytest.mark.parametrize("variable,values,trials,chunksize", [
         ("ports", (5, 10, 15, 20), 20, 8),   # 80 tasks

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -247,8 +249,9 @@ class TestJcrAo:
 
     def test_parameter_validation(self, rng):
         ch = random_instance(rng)
-        with pytest.raises(ValueError):
-            jcr_ao(ch, 1.0, epsilon=0.0)
+        for epsilon in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="epsilon"):
+                jcr_ao(ch, 1.0, epsilon=epsilon)
         with pytest.raises(ValueError):
             jcr_ao(ch, 1.0, max_iters=0)
 
