@@ -107,6 +107,8 @@ class OverallChannel:
                 f"channel entries shape {self.entries.shape} does not match "
                 f"config dimensions {expected}"
             )
+        if not np.isfinite(self.entries).all():
+            raise ValueError("channel entries must be finite")
 
     def block(self, i, j):
         """N_R x N_T sub-matrix for antenna pair (i, j), zero-based."""

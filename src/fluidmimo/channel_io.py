@@ -13,6 +13,7 @@ Floats use Python's shortest round-trip decimal representation, so
 load(save(G)) reproduces G (and its config) exactly.
 """
 
+import math
 import os
 
 import numpy as np
@@ -102,6 +103,8 @@ def _parse(lines):
             re, im = float(parts[4]), float(parts[5])
         except ValueError as exc:
             raise ChannelFormatError(f"line {lineno}: {exc}") from exc
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise ChannelFormatError(f"line {lineno}: non-finite coefficient {re!r},{im!r}")
         if not (1 <= i <= config.m_r and 1 <= n <= config.n_r
                 and 1 <= j <= config.m_t and 1 <= k <= config.n_t):
             raise ChannelFormatError(

@@ -205,6 +205,8 @@ def resolve_options(command, args):
                 raise ConfigError(f"config: unknown key {key!r} for command {command!r}")
             cast = table[key][0]
             try:
+                if cast is bool and text.lower() not in ("1", "true", "yes", "0", "false", "no"):
+                    raise ValueError(f"expected 1/true/yes or 0/false/no, got {text!r}")
                 merged[key] = (text.lower() in ("1", "true", "yes")) if cast is bool else cast(text)
             except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ConfigError(f"config: bad value for {key!r}: {exc}") from exc

@@ -10,27 +10,31 @@ Five algorithms share the SelectionResult interface:
                   the reduced channel, map the winner back.
   jcr-ao        - round the relaxation to a starting selection, then cyclic
                   per-antenna best-port substitution (coordinate ascent) on
-                  the true capacity until the relative improvement falls
+                  the true capacity, the N candidate ports of an antenna
+                  scored in one batch, until the relative improvement falls
                   below epsilon or the sweep cap is hit.
   random        - best of `samples` uniform feasible selections.
   conventional  - port 1 everywhere (fixed-antenna MIMO reference).
 
-Enumeration (exhaustive, and the reduced search of jcr-res) and the
-random baseline score selections in batches without building a channel
-per combination. The Gram matrix on the side `capacity` uses is a sum of
-per-antenna rank-one terms: each is formed once per (antenna, port) and
-gathered per combination. log2 det(I + rho Gram) is then taken in closed
-form for Gram size 1 and 2 and by a batched Cholesky above that. Every
-combination runs the same arithmetic in the same order, so selections
-with equal effective channels score bit-identically and the tie rules
-below are exact. Batch scores agree with `capacity` to ~1e-14 relative;
-the reported capacity_bits is always `capacity` of the chosen selection.
+Every search (exhaustive, the reduced search of jcr-res, the random
+baseline and the coordinate ascent of jcr-ao) scores selections in
+batches without building a channel per combination. The Gram matrix on
+the side `capacity` uses is a sum of per-antenna rank-one terms: each is
+formed once per (antenna, port) and gathered per combination.
+log2 det(I + rho Gram) is then taken in closed form for Gram size 1 and
+2 and by a batched Cholesky above that. Every combination runs the same
+arithmetic in the same order, so selections with equal effective
+channels score bit-identically and the tie rules below are exact. Batch
+scores agree with `capacity` to ~1e-14 relative; the scalar `capacity`
+only reports: capacity_bits is always `capacity` of the chosen
+selection.
 
 Tie rules are fixed for determinism: enumeration returns the first
 maximizer in mixed-radix order (receive antennas are the outer digits,
 ports ascending); the relaxation rounding and the top-N keep-sets prefer
-the lower port index; the coordinate-ascent inner loop keeps the last
-examined port on ties (a >= comparison), so later ports win there.
+the lower port index; the coordinate ascent commits the last maximizing
+port of an antenna when it scores >= the best so far, so later ports win
+there.
 """
 
 import math
@@ -70,10 +74,12 @@ class SelectionResult:
 
     iterations is the coordinate-ascent sweep count (0 for the other
     algorithms); evaluations counts capacity evaluations performed by the
-    search itself; capacity_trace, for jcr-ao, holds the capacity after the
-    initial rounding and after each sweep. relaxation, for jcr-res and
-    jcr-ao, is the RelaxedSolution they rounded, so a later heuristic on
-    the same channel can reuse it; it takes no part in equality or repr.
+    search itself; capacity_trace, for jcr-ao, holds the batch-kernel score
+    of the selection after the initial rounding and after each sweep
+    (within ~1e-14 relative of `capacity`, which gives capacity_bits).
+    relaxation, for jcr-res and jcr-ao, is the RelaxedSolution they
+    rounded, so a later heuristic on the same channel can reuse it; it
+    takes no part in equality or repr.
     """
 
     selection: PortSelection
@@ -199,7 +205,7 @@ def _packed_logdet(b):
     return np.maximum(0.0, np.log2(det))
 
 
-def _enumerate_best(channel, rho, n_r, n_t):
+def _enumerate_best(channel, rho):
     """First-in-order maximizer over the full mixed-radix enumeration.
 
     Streams the (rx, tx) product in chunks; within a chunk np.argmax picks
@@ -207,17 +213,17 @@ def _enumerate_best(channel, rho, n_r, n_t):
     index, so the tie rule is exact regardless of chunking.
     """
     c = channel.config
-    combos_r = n_r ** c.m_r
-    combos_t = n_t ** c.m_t
+    combos_r = c.n_r ** c.m_r
+    combos_t = c.n_t ** c.m_t
     tx_chunk = min(combos_t, _BATCH_LIMIT)
     rx_chunk = max(1, _BATCH_LIMIT // tx_chunk)
 
     best_val = -np.inf
     best_flat = -1
     for r0 in range(0, combos_r, rx_chunk):
-        rxc = _decode_mixed_radix(np.arange(r0, min(r0 + rx_chunk, combos_r)), n_r, c.m_r)
+        rxc = _decode_mixed_radix(np.arange(r0, min(r0 + rx_chunk, combos_r)), c.n_r, c.m_r)
         for t0 in range(0, combos_t, tx_chunk):
-            txc = _decode_mixed_radix(np.arange(t0, min(t0 + tx_chunk, combos_t)), n_t, c.m_t)
+            txc = _decode_mixed_radix(np.arange(t0, min(t0 + tx_chunk, combos_t)), c.n_t, c.m_t)
             caps = _batch_capacities(channel, rxc, txc, rho)
             idx = int(np.argmax(caps))
             val = float(caps.flat[idx])
@@ -225,8 +231,8 @@ def _enumerate_best(channel, rho, n_r, n_t):
             if val > best_val or (val == best_val and flat < best_flat):
                 best_val = val
                 best_flat = flat
-    rx = _decode_mixed_radix(np.array([best_flat // combos_t]), n_r, c.m_r)[0]
-    tx = _decode_mixed_radix(np.array([best_flat % combos_t]), n_t, c.m_t)[0]
+    rx = _decode_mixed_radix(np.array([best_flat // combos_t]), c.n_r, c.m_r)[0]
+    tx = _decode_mixed_radix(np.array([best_flat % combos_t]), c.n_t, c.m_t)[0]
     return rx, tx, combos_r * combos_t
 
 
@@ -236,7 +242,7 @@ def exhaustive_search(channel, rho, cap=DEFAULT_EXHAUSTIVE_CAP):
     combos = combination_count(c)
     if combos > cap:
         raise CombinationCapError(combos, cap)
-    rx, tx, evaluations = _enumerate_best(channel, rho, c.n_r, c.n_t)
+    rx, tx, evaluations = _enumerate_best(channel, rho)
     sel = PortSelection(tuple(rx + 1), tuple(tx + 1))
     return SelectionResult(
         selection=sel,
@@ -257,6 +263,13 @@ def _top_ports(weights, keep):
     to the lower port index."""
     order = np.argsort(-weights, kind="stable")[:keep]
     return np.sort(order)
+
+
+def _kept_ports(relaxed, keep_r, keep_t):
+    """`_top_ports` of each antenna's relaxed weights: the keep-sets of the
+    receive antennas, then those of the transmit antennas."""
+    return ([_top_ports(w, keep_r) for w in relaxed.x_hat.reshape(relaxed.m_r, relaxed.n_r)],
+            [_top_ports(w, keep_t) for w in relaxed.y_hat.reshape(relaxed.m_t, relaxed.n_t)])
 
 
 def _relaxation_of(channel, relaxed):
@@ -284,10 +297,7 @@ def jcr_res(channel, rho, relaxed=None):
     relaxed = _relaxation_of(channel, relaxed)
     keep_r = reduced_port_count(c.n_r)
     keep_t = reduced_port_count(c.n_t)
-    kept_rx = [_top_ports(relaxed.x_hat[i * c.n_r:(i + 1) * c.n_r], keep_r)
-               for i in range(c.m_r)]
-    kept_tx = [_top_ports(relaxed.y_hat[j * c.n_t:(j + 1) * c.n_t], keep_t)
-               for j in range(c.m_t)]
+    kept_rx, kept_tx = _kept_ports(relaxed, keep_r, keep_t)
 
     rows = np.concatenate([i * c.n_r + kept_rx[i] for i in range(c.m_r)])
     cols = np.concatenate([j * c.n_t + kept_tx[j] for j in range(c.m_t)])
@@ -295,7 +305,7 @@ def jcr_res(channel, rho, relaxed=None):
                                  snr_db=c.snr_db, w=c.w)
     sub = OverallChannel(sub_config, channel.entries[np.ix_(rows, cols)])
 
-    rx_red, tx_red, evaluations = _enumerate_best(sub, rho, keep_r, keep_t)
+    rx_red, tx_red, evaluations = _enumerate_best(sub, rho)
     sel = PortSelection(
         tuple(int(kept_rx[i][rx_red[i]]) + 1 for i in range(c.m_r)),
         tuple(int(kept_tx[j][tx_red[j]]) + 1 for j in range(c.m_t)),
@@ -311,25 +321,23 @@ def jcr_res(channel, rho, relaxed=None):
 
 
 def ao_round(relaxed):
-    """Per-antenna argmax rounding of a relaxed solution (ties: lower port)."""
-    rx = tuple(
-        int(np.argmax(relaxed.x_hat[i * relaxed.n_r:(i + 1) * relaxed.n_r])) + 1
-        for i in range(relaxed.m_r)
-    )
-    tx = tuple(
-        int(np.argmax(relaxed.y_hat[j * relaxed.n_t:(j + 1) * relaxed.n_t])) + 1
-        for j in range(relaxed.m_t)
-    )
-    return PortSelection(rx, tx)
+    """Per-antenna argmax rounding of a relaxed solution (ties: lower port):
+    the keep-sets of `jcr_res` with one port kept."""
+    rx, tx = _kept_ports(relaxed, 1, 1)
+    return PortSelection(tuple(int(p[0]) + 1 for p in rx), tuple(int(p[0]) + 1 for p in tx))
 
 
 def jcr_ao(channel, rho, epsilon=1e-3, max_iters=20, relaxed=None):
     """Convex relaxation, argmax rounding, then coordinate-ascent sweeps.
 
-    Each sweep revisits every receive then every transmit antenna and
-    commits the best substitute port (>= keeps the last tie). The capacity
-    recorded after each sweep is nondecreasing; the loop stops once the
-    relative improvement is at most epsilon or after max_iters sweeps.
+    Each sweep revisits every receive then every transmit antenna. The N
+    selections that differ from the current one in that antenna's port are
+    scored in one batch-kernel call, and the last maximizer is committed
+    when it scores >= the best score so far: later ports win ties, as in a
+    port-by-port >= loop. The score after each sweep is nondecreasing; the
+    loop stops once the relative improvement is at most epsilon or after
+    max_iters sweeps. capacity_trace holds these batch-kernel scores;
+    capacity_bits is `capacity` of the final selection.
     relaxed: a precomputed relaxation of the channel, as for `jcr_res`.
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
@@ -339,46 +347,30 @@ def jcr_ao(channel, rho, epsilon=1e-3, max_iters=20, relaxed=None):
     c = channel.config
     relaxed = _relaxation_of(channel, relaxed)
     start = ao_round(relaxed)
-    rx = list(start.rx_ports)
-    tx = list(start.tx_ports)
-    evaluations = 0
+    ports = [np.array(start.rx_ports) - 1, np.array(start.tx_ports) - 1]
+    steps = [(0, i, c.n_r) for i in range(c.m_r)] + [(1, j, c.n_t) for j in range(c.m_t)]
 
-    def evaluate():
-        nonlocal evaluations
-        evaluations += 1
-        sel = PortSelection(tuple(rx), tuple(tx))
-        return capacity(extract_effective(channel, sel), rho)
-
-    c_new = evaluate()
-    c_best = c_new
+    c_new = c_best = float(_paired_capacities(channel, ports[0][None], ports[1][None], rho)[0])
     c_old = 0.0
+    evaluations = 1
     sweeps = 0
     trace = [c_new]
     while abs(c_new - c_old) > abs(c_old) * epsilon and sweeps < max_iters:
         c_old = c_new
-        for i in range(c.m_r):
-            n_best = rx[i]
-            for port in range(1, c.n_r + 1):
-                rx[i] = port
-                val = evaluate()
-                if val >= c_best:
-                    c_best = val
-                    n_best = port
-            rx[i] = n_best
-        for j in range(c.m_t):
-            k_best = tx[j]
-            for port in range(1, c.n_t + 1):
-                tx[j] = port
-                val = evaluate()
-                if val >= c_best:
-                    c_best = val
-                    k_best = port
-            tx[j] = k_best
+        for side, antenna, n in steps:
+            candidates = [np.tile(p, (n, 1)) for p in ports]
+            candidates[side][:, antenna] = np.arange(n)
+            vals = _paired_capacities(channel, *candidates, rho)
+            best = n - 1 - int(np.argmax(vals[::-1]))
+            if vals[best] >= c_best:
+                c_best = float(vals[best])
+                ports[side][antenna] = best
+            evaluations += n
         c_new = c_best
         sweeps += 1
         trace.append(c_new)
 
-    sel = PortSelection(tuple(rx), tuple(tx))
+    sel = PortSelection(tuple(int(p) + 1 for p in ports[0]), tuple(int(p) + 1 for p in ports[1]))
     return SelectionResult(
         selection=sel,
         capacity_bits=capacity(extract_effective(channel, sel), rho),

@@ -3,9 +3,9 @@
 Everything here deliberately avoids the production code paths: the Bessel
 oracle is the defining power series, capacities come from Jacobi
 eigenvalues of the Gram matrix, the exhaustive oracle is a plain nested
-loop over itertools.product, and the relaxation oracles are enumeration
-and grid search. Tests compare the package against these, never the other
-way round.
+loop over itertools.product, the coordinate-ascent oracle scores one port
+at a time, and the relaxation oracles are enumeration and grid search.
+Tests compare the package against these, never the other way round.
 """
 
 import itertools
@@ -96,6 +96,40 @@ def loop_exhaustive(channel, rho, capacity_fn):
             if best is None or val > best[0]:
                 best = (val, rx, tx)
     return best
+
+
+def loop_coordinate_ascent(config, start, capacity_fn, epsilon=1e-3, max_iters=20):
+    """Port-by-port coordinate ascent, one scalar evaluation per port.
+
+    Starting from `start` = (rx_ports, tx_ports), each sweep tries every
+    port of every receive then every transmit antenna and keeps the last
+    port whose value is >= the best so far; sweeps stop once the relative
+    improvement is at most epsilon or after max_iters sweeps. Returns
+    (rx, tx, sweeps, evaluations, trace).
+    """
+    rx, tx = list(start[0]), list(start[1])
+    evaluations = 1
+    c_new = c_best = capacity_fn(tuple(rx), tuple(tx))
+    c_old = 0.0
+    sweeps = 0
+    trace = [c_new]
+    while abs(c_new - c_old) > abs(c_old) * epsilon and sweeps < max_iters:
+        c_old = c_new
+        for ports, n in ((rx, config.n_r), (tx, config.n_t)):
+            for a in range(len(ports)):
+                keep = ports[a]
+                for port in range(1, n + 1):
+                    ports[a] = port
+                    val = capacity_fn(tuple(rx), tuple(tx))
+                    evaluations += 1
+                    if val >= c_best:
+                        c_best = val
+                        keep = port
+                ports[a] = keep
+        c_new = c_best
+        sweeps += 1
+        trace.append(c_new)
+    return tuple(rx), tuple(tx), sweeps, evaluations, trace
 
 
 def binary_selections(config):

@@ -6,6 +6,7 @@ import pytest
 from fluidmimo import (
     ChannelFormatError,
     FluidMimoConfig,
+    OverallChannel,
     generate_channel,
     load_channel,
     save_channel,
@@ -87,6 +88,25 @@ def test_garbled_float_names_line():
             "1,1,1,1,zero,0.0\n")
     with pytest.raises(ChannelFormatError, match="line 3"):
         load_channel(io.StringIO(text))
+
+
+@pytest.mark.parametrize("re, im", [("nan", "0.0"), ("0.0", "inf"), ("-inf", "1.0")])
+def test_non_finite_coefficient_names_line(re, im):
+    text = ("# fluid-mimo channel m_r=1 m_t=1 n_r=1 n_t=2 snr_db=5.0 w=0.5\n"
+            "i,n,j,k,re,im\n"
+            "1,1,1,1,0.5,0.5\n"
+            f"1,1,1,2,{re},{im}\n")
+    with pytest.raises(ChannelFormatError, match="line 4: non-finite"):
+        load_channel(io.StringIO(text))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_channel_rejects_non_finite_entries(bad):
+    cfg = FluidMimoConfig(m_r=1, m_t=1, n_r=2, n_t=2)
+    entries = np.ones((2, 2), dtype=complex)
+    entries[1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        OverallChannel(cfg, entries)
 
 
 def test_missing_header_key():

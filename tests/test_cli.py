@@ -276,6 +276,42 @@ class TestExitCodes:
         assert code == 2
         assert "epsilon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("algo", ["exhaustive", "jcr-res", "jcr-ao", "random",
+                                      "conventional", "all"])
+    def test_non_finite_channel_file_exits_2(self, tmp_path, capsys, algo):
+        path = tmp_path / "ch.csv"
+        run_cli("generate", "--m", "1", "--n", "2", "--seed", "1", "--out", str(path))
+        lines = path.read_text().splitlines()
+        lines[3] = ",".join(lines[3].split(",")[:4] + ["nan", "0.0"])
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("solve", "--channel", str(path), "--algo", algo) == 2
+        assert "line 4: non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, expected", [("yes", True), ("TRUE", True), ("1", True),
+                                                ("No", False), ("false", False), ("0", False)])
+    def test_config_file_boolean_spellings(self, tmp_path, capsys, text, expected):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"json={text}\n")
+        code = run_cli("solve", "--config", str(cfg), "--m", "1", "--n", "2",
+                       "--algo", "conventional")
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.lstrip().startswith("[") == expected
+
+    @pytest.mark.parametrize("argv, key", [
+        (("solve", "--algo", "conventional"), "json"),
+        (("sweep", "--algos", "conventional", "--values", "2", "--trials", "1"), "timing"),
+    ], ids=["solve", "sweep"])
+    def test_bad_config_file_boolean_exits_2(self, tmp_path, capsys, monkeypatch, argv, key):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}=ture\n")
+        assert run_cli(*argv, "--config", str(cfg), "--m", "1", "--n", "2") == 2
+        err = capsys.readouterr().err
+        assert key in err and "ture" in err
+        assert not (tmp_path / "records.csv").exists()
+
     def test_missing_channel_file_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code = run_cli("solve", "--channel", "no\nsuch.csv")

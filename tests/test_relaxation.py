@@ -21,8 +21,7 @@ class TestBuildLp:
         lp = build_lp(make_channel([[0.7]], 1, 1, 1, 1))
         assert (lp.n_x, lp.n_y, lp.n_edges) == (1, 1, 1)
 
-    def test_two_port_counts(self, rng):
-        ch = random_instance(rng, m_max=1, n_max=2)
+    def test_two_port_counts(self):
         lp = build_lp(make_channel(np.ones((2, 2)), 1, 1, 2, 2))
         assert (lp.n_x, lp.n_y, lp.n_edges) == (2, 2, 4)
 
