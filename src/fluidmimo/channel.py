@@ -65,15 +65,20 @@ class FluidMimoConfig:
                 raise ValueError(f"config field {name} must be an integer, got {val!r}")
             if val < 1:
                 raise ValueError(f"config field {name} must be >= 1, got {val}")
-        if not np.isfinite(self.snr_db):
-            raise ValueError(f"config field snr_db must be finite, got {self.snr_db}")
+        try:
+            linear = self.snr_linear
+        except OverflowError:
+            linear = np.inf
+        if not (np.isfinite(self.snr_db) and np.isfinite(linear)):
+            raise ValueError(f"config field snr_db must be finite, with a finite linear "
+                             f"SNR 10^(snr_db/10), got {self.snr_db}")
         if not np.isfinite(self.w) or self.w < 0:
             raise ValueError(f"config field w must be finite and >= 0, got {self.w}")
 
     @property
     def snr_linear(self):
         """Average receive SNR on a linear scale."""
-        return 10.0 ** (self.snr_db / 10.0)
+        return 10.0 ** (float(self.snr_db) / 10.0)
 
     @property
     def rho(self):
@@ -107,8 +112,10 @@ class OverallChannel:
                 f"channel entries shape {self.entries.shape} does not match "
                 f"config dimensions {expected}"
             )
-        if not np.isfinite(self.entries).all():
-            raise ValueError("channel entries must be finite")
+        with np.errstate(over="ignore"):
+            gains = np.abs(self.entries) ** 2
+        if not np.isfinite(gains).all():
+            raise ValueError("channel entries must be finite, with finite |g|^2")
 
     def block(self, i, j):
         """N_R x N_T sub-matrix for antenna pair (i, j), zero-based."""

@@ -103,8 +103,10 @@ def _parse(lines):
             re, im = float(parts[4]), float(parts[5])
         except ValueError as exc:
             raise ChannelFormatError(f"line {lineno}: {exc}") from exc
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise ChannelFormatError(f"line {lineno}: non-finite coefficient {re!r},{im!r}")
+        mag = math.hypot(re, im)
+        if not math.isfinite(mag * mag):
+            raise ChannelFormatError(
+                f"line {lineno}: non-finite coefficient or |g|^2 for {re!r},{im!r}")
         if not (1 <= i <= config.m_r and 1 <= n <= config.n_r
                 and 1 <= j <= config.m_t and 1 <= k <= config.n_t):
             raise ChannelFormatError(

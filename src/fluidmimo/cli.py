@@ -10,8 +10,9 @@ M_R = M_T = 2, 100 trials, coordinate-ascent tolerance 1e-3 with at most
 20 sweeps. A flat key=value config file (--config) can seed any option;
 precedence is explicit flags > config file > defaults.
 
-Exit codes: 0 success, 2 configuration error, 3 resource-cap refusal
-(message carries the combination count), 4 solver failure.
+Exit codes: 0 success, 2 configuration error (also an SNR or channel that
+overflows float64), 3 resource-cap refusal (message carries the
+combination count), 4 solver failure.
 """
 
 import argparse
@@ -357,7 +358,7 @@ def main(argv=None):
         if args.command == "solve":
             return cmd_solve(opt)
         return cmd_sweep(opt)
-    except (ConfigError, ChannelFormatError) as exc:
+    except (ConfigError, ChannelFormatError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except CombinationCapError as exc:

@@ -145,11 +145,14 @@ def validate_spec(spec):
         raise SweepSpecError(f"ao_max_iters must be >= 1, got {spec.ao_max_iters}")
     if spec.random_samples is not None and spec.random_samples < 1:
         raise SweepSpecError(f"random_samples must be >= 1, got {spec.random_samples}")
-    if "exhaustive" in spec.algorithms:
-        for idx, value in enumerate(spec.values):
-            combos = combination_count(config_at(spec, value))
-            if combos > spec.exhaustive_cap:
-                raise CombinationCapError(combos, spec.exhaustive_cap)
+    for value in spec.values:
+        try:
+            config = config_at(spec, value)
+        except ValueError as exc:
+            raise SweepSpecError(f"values: {exc}") from exc
+        combos = combination_count(config)
+        if "exhaustive" in spec.algorithms and combos > spec.exhaustive_cap:
+            raise CombinationCapError(combos, spec.exhaustive_cap)
 
 
 def run_algorithm(name, channel, rho, relaxed, *, cap, epsilon, max_iters,

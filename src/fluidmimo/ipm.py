@@ -8,9 +8,8 @@ Solves, to high accuracy, the linear program
                t_e <= x[row_e],  t_e <= y[col_e],  x, y, t >= 0
 
 using Mehrotra's predictor-corrector path-following method on the
-standard-form equivalent (slacks s_e = x[row_e] - t_e, w_e = y[col_e] - t_e):
-
-    min c^T v   s.t.  A v = b,  v >= 0,     v = (x, y, t, s, w).
+standard-form equivalent min c^T v s.t. A v = b, v >= 0, whose primal and
+dual block layouts `_Layout` states.
 
 References: S. Mehrotra, "On the implementation of a primal-dual interior
 point method", SIAM J. Optim. 2(4), 1992; Nocedal & Wright, "Numerical
@@ -88,91 +87,118 @@ def _cho_factor_bumped(mat):
     diagonal bump keeps the factorization alive. Step quality is judged on
     true residuals afterwards, never on the factorization itself.
     """
-    scale = max(1.0, float(np.max(np.abs(np.diagonal(mat)))))
-    bump = 1e-14
-    idx = np.arange(mat.shape[0])
+    bump, bumped = 1e-14, mat
     while True:
         try:
-            return cho_factor(mat)
+            return cho_factor(bumped)
         except np.linalg.LinAlgError:
             if bump > 1e-4:
                 raise
-            mat = mat.copy()
-            mat[idx, idx] += bump * scale
+            scale = max(1.0, float(np.max(np.abs(np.diagonal(mat)))))
+            bumped = bumped.copy()
+            bumped[np.diag_indices_from(bumped)] += bump * scale
             bump *= 100.0
+
+
+def _blocks(*sizes):
+    """Consecutive slices with the given lengths."""
+    stops = np.cumsum(sizes).tolist()
+    return [slice(stop - size, stop) for size, stop in zip(sizes, stops)]
+
+
+class _Layout:
+    """Block layout of the standard-form vectors of one LP, and the
+    constants that every KKT factorization of that LP reuses.
+
+        primal  v   = (x, y, t, s, w)   lengths n_x, n_y, E, E, E
+        dual    lam = (rx, tx, p, q)    lengths M_R, M_T, E, E
+
+    Edge e has the slacks s_e = x[row_e] - t_e and w_e = y[col_e] - t_e;
+    rx, tx price the per-antenna simplex rows and p_e, q_e the coupling
+    rows t_e + s_e - x[row_e] = 0 and t_e + w_e - y[col_e] = 0. `ports`
+    spans (x, y), `simplex` spans (rx, tx), and `sw`, `pq` span the two
+    per-edge blocks, which are read as (2, E) stacks.
+    """
+
+    def __init__(self, lp):
+        ne = lp.n_edges
+        self.x, self.y, self.t, self.s, self.w = _blocks(lp.n_x, lp.n_y, ne, ne, ne)
+        self.rx, self.tx, self.p, self.q = _blocks(lp.m_r, lp.m_t, ne, ne)
+        self.ports, self.sw = slice(0, self.y.stop), slice(self.s.start, self.w.stop)
+        self.simplex, self.pq = slice(0, self.tx.stop), slice(self.p.start, self.q.stop)
+        self.n, self.m = self.w.stop, self.q.stop
+        # index into v of each edge's x port, then of each edge's y port
+        self.edge_ports = np.concatenate([lp.t_rows, lp.n_x + lp.t_cols])
+        self.ant = np.concatenate([np.repeat(np.arange(lp.m_r), lp.n_r),
+                                   lp.m_r + np.repeat(np.arange(lp.m_t), lp.n_t)])
+        self.diag = np.arange(self.ports.stop)
+        self.et = np.zeros((self.ports.stop, self.simplex.stop))   # E^T, E = antenna sums
+        self.et[self.diag, self.ant] = 1.0
+
+    def a_mul(self, v):
+        """A v: the antenna sums of (x, y), then t + s - x[row], t + w - y[col]."""
+        return np.concatenate([
+            np.bincount(self.ant, weights=v[self.ports], minlength=self.simplex.stop),
+            (v[self.t] + v[self.sw].reshape(2, -1)
+             - v[self.edge_ports].reshape(2, -1)).ravel(),
+        ])
+
+    def at_mul(self, lam):
+        """A^T lam, in the primal layout."""
+        pq = lam[self.pq]
+        p, q = pq.reshape(2, -1)
+        return np.concatenate([
+            lam[self.simplex][self.ant]
+            - np.bincount(self.edge_ports, weights=pq, minlength=self.ports.stop),
+            p + q, pq,
+        ])
 
 
 class _KktSolver:
     """One factorization of the quasi-definite KKT system for a fixed Theta."""
 
-    def __init__(self, st, theta):
-        self.st = st
-        nx, ny, nt = st.n_x, st.n_y, st.n_edges
-        self.th_x, self.th_y = theta[:nx], theta[nx:nx + ny]
-        self.th_t = theta[nx + ny:nx + ny + nt]
-        self.th_s = theta[nx + ny + nt:nx + ny + 2 * nt]
-        self.th_w = theta[nx + ny + 2 * nt:]
-        self.sigma = self.th_t + self.th_s + self.th_w
+    def __init__(self, lay, theta):
+        self.lay = lay
+        th_t = theta[lay.t]
+        self.th_sw = th_sw = theta[lay.sw].reshape(2, -1)
+        self.sigma = th_t + th_sw[0] + th_sw[1]
 
         # condensed SPD port matrix: diagonal Theta plus, per edge, the PD
         # 2x2 contribution [[ts(tt+tw), -ts*tw], [-ts*tw, tw(tt+ts)]]/sigma
-        h = np.zeros((nx + ny, nx + ny))
-        dx = self.th_x + np.bincount(
-            st.t_rows, weights=self.th_s * (self.th_t + self.th_w) / self.sigma, minlength=nx)
-        dy = self.th_y + np.bincount(
-            st.t_cols, weights=self.th_w * (self.th_t + self.th_s) / self.sigma, minlength=ny)
-        h[np.arange(nx), np.arange(nx)] = dx
-        h[nx + np.arange(ny), nx + np.arange(ny)] = dy
-        cross = np.zeros((nx, ny))
-        np.add.at(cross, (st.t_rows, st.t_cols), -self.th_s * self.th_w / self.sigma)
-        h[:nx, nx:] = cross
-        h[nx:, :nx] = cross.T
+        n_ports = lay.ports.stop
+        h = np.zeros((n_ports, n_ports))
+        h[lay.diag, lay.diag] = theta[lay.ports] + np.bincount(
+            lay.edge_ports, weights=(th_sw * (th_t + th_sw[::-1]) / self.sigma).ravel(),
+            minlength=n_ports)
+        rows, cols = lay.edge_ports.reshape(2, -1)
+        h[rows, cols] = h[cols, rows] = -th_sw[0] * th_sw[1] / self.sigma  # edges are unique
         self.cho_h = _cho_factor_bumped(h)
 
-        # Schur complement on the simplex duals: E H^{-1} E^T, E = antenna sums
-        et = np.zeros((nx + ny, st.m_r + st.m_t))
-        et[np.arange(nx), st.ant_x] = 1.0
-        et[nx + np.arange(ny), st.m_r + st.ant_y] = 1.0
-        self.et = et
-        self.h_inv_et = cho_solve(self.cho_h, et)
-        self.cho_g = _cho_factor_bumped(et.T @ self.h_inv_et)
+        # Schur complement on the simplex duals: E H^{-1} E^T
+        self.cho_g = _cho_factor_bumped(lay.et.T @ cho_solve(self.cho_h, lay.et))
 
     def solve(self, f, g):
         """Solve [[-Theta, A^T], [A, 0]] (dv, dlam) = (f, g)."""
-        st = self.st
-        nx, ny, nt = st.n_x, st.n_y, st.n_edges
-        fx, fy = f[:nx], f[nx:nx + ny]
-        ft = f[nx + ny:nx + ny + nt]
-        fs = f[nx + ny + nt:nx + ny + 2 * nt]
-        fw = f[nx + ny + 2 * nt:]
-        g_simplex = g[:st.m_r + st.m_t]
-        g1 = g[st.m_r + st.m_t:st.m_r + st.m_t + nt]
-        g2 = g[st.m_r + st.m_t + nt:]
+        lay, th_sw, sigma = self.lay, self.th_sw, self.sigma
+        f_sw = f[lay.sw].reshape(2, -1)
+        g_pq = g[lay.pq].reshape(2, -1)
 
         # eliminate s, w (coupling-row pivots), then t (its own diagonal)
-        ht = ft - fs - fw - self.th_s * g1 - self.th_w * g2
-        r1 = np.concatenate([
-            fx + np.bincount(st.t_rows, weights=fs + self.th_s * g1 + self.th_s * ht / self.sigma,
-                             minlength=nx),
-            fy + np.bincount(st.t_cols, weights=fw + self.th_w * g2 + self.th_w * ht / self.sigma,
-                             minlength=ny),
-        ])
+        ht = f[lay.t] - f_sw[0] - f_sw[1] - th_sw[0] * g_pq[0] - th_sw[1] * g_pq[1]
+        r1 = f[lay.ports] + np.bincount(
+            lay.edge_ports, weights=(f_sw + th_sw * g_pq + th_sw * ht / sigma).ravel(),
+            minlength=lay.ports.stop)
 
         # simplex duals from the small Schur system, then port weights
-        rhs_l = g_simplex + self.et.T @ cho_solve(self.cho_h, r1)
-        lam = cho_solve(self.cho_g, rhs_l)
-        u = cho_solve(self.cho_h, self.et @ lam - r1)
-        ux, uy = u[:nx], u[nx:]
+        lam = cho_solve(self.cho_g, g[lay.simplex] + lay.et.T @ cho_solve(self.cho_h, r1))
+        u = cho_solve(self.cho_h, lay.et @ lam - r1)
 
         # back-substitute the eliminated variables and coupling duals
-        tt = (self.th_s * ux[st.t_rows] + self.th_w * uy[st.t_cols] - ht) / self.sigma
-        ss = g1 - tt + ux[st.t_rows]
-        ww = g2 - tt + uy[st.t_cols]
-        p = fs + self.th_s * ss
-        q = fw + self.th_w * ww
-        dv = np.concatenate([ux, uy, tt, ss, ww])
-        dlam = np.concatenate([lam, p, q])
-        return dv, dlam
+        u_edge = u[lay.edge_ports].reshape(2, -1)
+        tt = (th_sw[0] * u_edge[0] + th_sw[1] * u_edge[1] - ht) / sigma
+        sw = g_pq - tt + u_edge
+        return (np.concatenate([u, tt, sw.ravel()]),
+                np.concatenate([lam, (f_sw + th_sw * sw).ravel()]))
 
 
 def _max_step(val, step):
@@ -190,41 +216,20 @@ def solve_epigraph_lp(lp, tol_gap=1e-9, tol_feas=1e-10, max_iter=100):
     of `tol_feas`; raises IpmFailure if it cannot at least certify a 1e-7
     gap and 1e-8 residuals within `max_iter` iterations.
     """
-    st = lp
-    nx, ny, nt = st.n_x, st.n_y, st.n_edges
-    n = nx + ny + 3 * nt
-
-    c = np.concatenate([np.zeros(nx + ny), -st.t_costs, np.zeros(2 * nt)])
-    b = np.concatenate([np.ones(st.m_r + st.m_t), np.zeros(2 * nt)])
-
-    def a_mul(v):
-        vx, vy = v[:nx], v[nx:nx + ny]
-        vt = v[nx + ny:nx + ny + nt]
-        vs = v[nx + ny + nt:nx + ny + 2 * nt]
-        vw = v[nx + ny + 2 * nt:]
-        return np.concatenate([
-            np.bincount(st.ant_x, weights=vx, minlength=st.m_r),
-            np.bincount(st.ant_y, weights=vy, minlength=st.m_t),
-            vt + vs - vx[st.t_rows],
-            vt + vw - vy[st.t_cols],
-        ])
-
-    def at_mul(lam):
-        lr, lt = lam[:st.m_r], lam[st.m_r:st.m_r + st.m_t]
-        p = lam[st.m_r + st.m_t:st.m_r + st.m_t + nt]
-        q = lam[st.m_r + st.m_t + nt:]
-        gx = lr[st.ant_x] - np.bincount(st.t_rows, weights=p, minlength=nx)
-        gy = lt[st.ant_y] - np.bincount(st.t_cols, weights=q, minlength=ny)
-        return np.concatenate([gx, gy, p + q, p, q])
-
+    lay = _Layout(lp)
+    n = lay.n
+    c = np.zeros(n)
+    c[lay.t] = -lp.t_costs
+    b = np.zeros(lay.m)
+    b[lay.simplex] = 1.0
     norm_b = 1.0 + float(np.linalg.norm(b))
     norm_c = 1.0 + float(np.linalg.norm(c))
 
     # Mehrotra starting point: least-norm primal / least-squares dual,
     # shifted into the strictly positive orthant.
-    eye = _KktSolver(st, np.ones(n))
+    eye = _KktSolver(lay, np.ones(n))
     v, _ = eye.solve(np.zeros(n), b)
-    z, lam_neg = eye.solve(-c, np.zeros(len(b)))
+    z, lam_neg = eye.solve(-c, np.zeros(lay.m))
     lam = -lam_neg
     dv = max(-1.5 * float(v.min(initial=0.0)), 0.0)
     dz = max(-1.5 * float(z.min(initial=0.0)), 0.0)
@@ -243,8 +248,8 @@ def solve_epigraph_lp(lp, tol_gap=1e-9, tol_feas=1e-10, max_iter=100):
         z = np.maximum(z, 1.0)
 
     def metrics(v, lam, z):
-        rb = a_mul(v) - b
-        rc = at_mul(lam) + z - c
+        rb = lay.a_mul(v) - b
+        rc = lay.at_mul(lam) + z - c
         pobj = float(c @ v)
         dobj = float(b @ lam)
         gap = abs(pobj - dobj) / (1.0 + abs(pobj))
@@ -259,7 +264,7 @@ def solve_epigraph_lp(lp, tol_gap=1e-9, tol_feas=1e-10, max_iter=100):
 
         mu = float(v @ z) / n
         try:
-            solver = _KktSolver(st, z / v)
+            solver = _KktSolver(lay, z / v)
         except np.linalg.LinAlgError:
             break  # scaling too extreme to factor; fall through to certification
 
@@ -267,7 +272,7 @@ def solve_epigraph_lp(lp, tol_gap=1e-9, tol_feas=1e-10, max_iter=100):
         # dual equation so dual infeasibility contracts exactly by (1 - ad)
         # even when the KKT solve carries rounding error
         dv_step, dlam = solver.solve(-rc + z, -rb)
-        dz_step = -rc - at_mul(dlam)
+        dz_step = -rc - lay.at_mul(dlam)
         ap = _max_step(v, dv_step)
         ad = _max_step(z, dz_step)
         mu_aff = float((v + ap * dv_step) @ (z + ad * dz_step)) / n
@@ -276,7 +281,7 @@ def solve_epigraph_lp(lp, tol_gap=1e-9, tol_feas=1e-10, max_iter=100):
         # corrector: recenter and cancel the second-order term
         r_mu = v * z + dv_step * dz_step - sigma * mu
         dv_step, dlam = solver.solve(-rc + r_mu / v, -rb)
-        dz_step = -rc - at_mul(dlam)
+        dz_step = -rc - lay.at_mul(dlam)
         eta = 0.9995
         ap = min(1.0, eta * _max_step(v, dv_step))
         ad = min(1.0, eta * _max_step(z, dz_step))
@@ -300,14 +305,9 @@ def solve_epigraph_lp(lp, tol_gap=1e-9, tol_feas=1e-10, max_iter=100):
         raise IpmFailure("interior-point solver failed to converge", stats)
 
     return LpSolution(
-        x=v[:nx].copy(),
-        y=v[nx:nx + ny].copy(),
-        t=v[nx + ny:nx + ny + nt].copy(),
-        objective=float(st.t_costs @ v[nx + ny:nx + ny + nt]),
-        rx_duals=-lam[:st.m_r],
-        tx_duals=-lam[st.m_r:st.m_r + st.m_t],
-        coupling_duals_x=-lam[st.m_r + st.m_t:st.m_r + st.m_t + nt],
-        coupling_duals_y=-lam[st.m_r + st.m_t + nt:],
-        reduced_costs=z.copy(),
-        stats=stats,
+        x=v[lay.x].copy(), y=v[lay.y].copy(), t=v[lay.t].copy(),
+        objective=float(lp.t_costs @ v[lay.t]),
+        rx_duals=-lam[lay.rx], tx_duals=-lam[lay.tx],
+        coupling_duals_x=-lam[lay.p], coupling_duals_y=-lam[lay.q],
+        reduced_costs=z.copy(), stats=stats,
     )

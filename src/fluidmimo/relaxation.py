@@ -56,15 +56,6 @@ class LpProblem:
     def n_edges(self):
         return len(self.t_costs)
 
-    @property
-    def ant_x(self):
-        """Antenna index of each flat receive-port index."""
-        return np.repeat(np.arange(self.m_r), self.n_r)
-
-    @property
-    def ant_y(self):
-        return np.repeat(np.arange(self.m_t), self.n_t)
-
 
 @dataclass(frozen=True)
 class RelaxedSolution:

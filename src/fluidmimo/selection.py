@@ -26,8 +26,10 @@ log2 det(I + rho Gram) is then taken in closed form for Gram size 1 and
 arithmetic in the same order, so selections with equal effective
 channels score bit-identically and the tie rules below are exact. Batch
 scores agree with `capacity` to ~1e-14 relative; the scalar `capacity`
-only reports: capacity_bits is always `capacity` of the chosen
-selection.
+only reports. Every algorithm ends in `_result`, the one constructor of
+a SelectionResult: it turns 0-based ports into the 1-based selection and
+sets capacity_bits to `capacity` of it. A score that is NaN or infinite
+(rho |g|^2 overflows float64) raises OverflowError instead of deciding.
 
 Tie rules are fixed for determinism: enumeration returns the first
 maximizer in mixed-radix order (receive antennas are the outer digits,
@@ -89,6 +91,23 @@ class SelectionResult:
     evaluations: int
     capacity_trace: Optional[tuple] = None
     relaxation: Optional[RelaxedSolution] = field(default=None, compare=False, repr=False)
+
+
+def _finite(score):
+    """`score` as a float; OverflowError if it is NaN or infinite. A search
+    checks its maximizer: np.argmax returns the first NaN if there is one."""
+    if not math.isfinite(score):
+        raise OverflowError(f"capacity evaluates to {score}: rho * |g|^2 overflows float64")
+    return float(score)
+
+
+def _result(channel, rho, algorithm, rx, tx, evaluations, iterations=0, **fields):
+    """SelectionResult for the 0-based ports rx, tx; capacity_bits is
+    `capacity` of that selection."""
+    sel = PortSelection(tuple(int(p) + 1 for p in rx), tuple(int(p) + 1 for p in tx))
+    return SelectionResult(selection=sel, algorithm=algorithm, iterations=iterations,
+                           capacity_bits=_finite(capacity(extract_effective(channel, sel), rho)),
+                           evaluations=evaluations, **fields)
 
 
 def combination_count(config):
@@ -226,7 +245,7 @@ def _enumerate_best(channel, rho):
             txc = _decode_mixed_radix(np.arange(t0, min(t0 + tx_chunk, combos_t)), c.n_t, c.m_t)
             caps = _batch_capacities(channel, rxc, txc, rho)
             idx = int(np.argmax(caps))
-            val = float(caps.flat[idx])
+            val = _finite(caps.flat[idx])
             flat = (r0 + idx // len(txc)) * combos_t + (t0 + idx % len(txc))
             if val > best_val or (val == best_val and flat < best_flat):
                 best_val = val
@@ -242,15 +261,7 @@ def exhaustive_search(channel, rho, cap=DEFAULT_EXHAUSTIVE_CAP):
     combos = combination_count(c)
     if combos > cap:
         raise CombinationCapError(combos, cap)
-    rx, tx, evaluations = _enumerate_best(channel, rho)
-    sel = PortSelection(tuple(rx + 1), tuple(tx + 1))
-    return SelectionResult(
-        selection=sel,
-        capacity_bits=capacity(extract_effective(channel, sel), rho),
-        algorithm="exhaustive",
-        iterations=0,
-        evaluations=evaluations,
-    )
+    return _result(channel, rho, "exhaustive", *_enumerate_best(channel, rho))
 
 
 def reduced_port_count(n):
@@ -306,18 +317,8 @@ def jcr_res(channel, rho, relaxed=None):
     sub = OverallChannel(sub_config, channel.entries[np.ix_(rows, cols)])
 
     rx_red, tx_red, evaluations = _enumerate_best(sub, rho)
-    sel = PortSelection(
-        tuple(int(kept_rx[i][rx_red[i]]) + 1 for i in range(c.m_r)),
-        tuple(int(kept_tx[j][tx_red[j]]) + 1 for j in range(c.m_t)),
-    )
-    return SelectionResult(
-        selection=sel,
-        capacity_bits=capacity(extract_effective(channel, sel), rho),
-        algorithm="jcr-res",
-        iterations=0,
-        evaluations=evaluations,
-        relaxation=relaxed,
-    )
+    return _result(channel, rho, "jcr-res", [k[p] for k, p in zip(kept_rx, rx_red)],
+                   [k[p] for k, p in zip(kept_tx, tx_red)], evaluations, relaxation=relaxed)
 
 
 def ao_round(relaxed):
@@ -350,7 +351,7 @@ def jcr_ao(channel, rho, epsilon=1e-3, max_iters=20, relaxed=None):
     ports = [np.array(start.rx_ports) - 1, np.array(start.tx_ports) - 1]
     steps = [(0, i, c.n_r) for i in range(c.m_r)] + [(1, j, c.n_t) for j in range(c.m_t)]
 
-    c_new = c_best = float(_paired_capacities(channel, ports[0][None], ports[1][None], rho)[0])
+    c_new = c_best = _finite(_paired_capacities(channel, ports[0][None], ports[1][None], rho)[0])
     c_old = 0.0
     evaluations = 1
     sweeps = 0
@@ -362,7 +363,7 @@ def jcr_ao(channel, rho, epsilon=1e-3, max_iters=20, relaxed=None):
             candidates[side][:, antenna] = np.arange(n)
             vals = _paired_capacities(channel, *candidates, rho)
             best = n - 1 - int(np.argmax(vals[::-1]))
-            if vals[best] >= c_best:
+            if _finite(vals[best]) >= c_best:
                 c_best = float(vals[best])
                 ports[side][antenna] = best
             evaluations += n
@@ -370,16 +371,8 @@ def jcr_ao(channel, rho, epsilon=1e-3, max_iters=20, relaxed=None):
         sweeps += 1
         trace.append(c_new)
 
-    sel = PortSelection(tuple(int(p) + 1 for p in ports[0]), tuple(int(p) + 1 for p in ports[1]))
-    return SelectionResult(
-        selection=sel,
-        capacity_bits=capacity(extract_effective(channel, sel), rho),
-        algorithm="jcr-ao",
-        iterations=sweeps,
-        evaluations=evaluations,
-        capacity_trace=tuple(trace),
-        relaxation=relaxed,
-    )
+    return _result(channel, rho, "jcr-ao", *ports, evaluations, iterations=sweeps,
+                   capacity_trace=tuple(trace), relaxation=relaxed)
 
 
 def default_random_samples(config):
@@ -401,29 +394,15 @@ def random_selection(channel, rho, samples=None, seed=0):
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
-    rx_all = rng.integers(1, c.n_r + 1, size=(samples, c.m_r))
-    tx_all = rng.integers(1, c.n_t + 1, size=(samples, c.m_t))
-    caps = _paired_capacities(channel, rx_all - 1, tx_all - 1, rho)
+    rx_all = rng.integers(1, c.n_r + 1, size=(samples, c.m_r)) - 1
+    tx_all = rng.integers(1, c.n_t + 1, size=(samples, c.m_t)) - 1
+    caps = _paired_capacities(channel, rx_all, tx_all, rho)
     best = int(np.argmax(caps))
-    sel = PortSelection(tuple(int(p) for p in rx_all[best]),
-                        tuple(int(p) for p in tx_all[best]))
-    return SelectionResult(
-        selection=sel,
-        capacity_bits=capacity(extract_effective(channel, sel), rho),
-        algorithm="random",
-        iterations=0,
-        evaluations=samples,
-    )
+    _finite(caps[best])
+    return _result(channel, rho, "random", rx_all[best], tx_all[best], samples)
 
 
 def conventional_mimo(channel, rho):
     """Fixed-antenna reference: the first port of every fluid antenna."""
     c = channel.config
-    sel = PortSelection((1,) * c.m_r, (1,) * c.m_t)
-    return SelectionResult(
-        selection=sel,
-        capacity_bits=capacity(extract_effective(channel, sel), rho),
-        algorithm="conventional",
-        iterations=0,
-        evaluations=1,
-    )
+    return _result(channel, rho, "conventional", [0] * c.m_r, [0] * c.m_t, 1)

@@ -17,6 +17,14 @@ def test_config_validation_names_field():
         FluidMimoConfig(m_r=1, m_t=1, n_r=1, n_t=1, snr_db=float("nan"))
 
 
+@pytest.mark.parametrize("snr_db", [4000.0, np.float64(3100.0), float("inf")])
+def test_overflowing_linear_snr_names_snr_db(snr_db):
+    # 10^(snr_db/10) beyond float64 is rejected where it is defined
+    with pytest.raises(ValueError, match="snr_db"):
+        FluidMimoConfig(m_r=1, m_t=1, n_r=1, n_t=1, snr_db=snr_db)
+    assert np.isfinite(FluidMimoConfig(m_r=1, m_t=1, n_r=1, n_t=1, snr_db=3080.0).rho)
+
+
 def test_rho_definition():
     cfg = FluidMimoConfig(m_r=2, m_t=4, n_r=3, n_t=3, snr_db=10.0)
     assert cfg.snr_linear == pytest.approx(10.0)

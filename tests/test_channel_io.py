@@ -109,6 +109,25 @@ def test_channel_rejects_non_finite_entries(bad):
         OverallChannel(cfg, entries)
 
 
+def test_overflowing_gain_names_line():
+    # finite parts whose |g|^2 overflows float64
+    text = ("# fluid-mimo channel m_r=1 m_t=1 n_r=1 n_t=2 snr_db=5.0 w=0.5\n"
+            "i,n,j,k,re,im\n"
+            "1,1,1,1,0.5,0.5\n"
+            "1,1,1,2,1e+160,-1e+160\n")
+    with pytest.raises(ChannelFormatError, match="line 4: non-finite"):
+        load_channel(io.StringIO(text))
+
+
+@pytest.mark.parametrize("bad", [1e160, complex(1e154, -1e154)])
+def test_channel_rejects_overflowing_gain(bad):
+    cfg = FluidMimoConfig(m_r=1, m_t=1, n_r=2, n_t=2)
+    entries = np.ones((2, 2), dtype=complex)
+    entries[0, 1] = bad
+    with pytest.raises(ValueError, match=r"\|g\|\^2"):
+        OverallChannel(cfg, entries)
+
+
 def test_missing_header_key():
     text = ("# fluid-mimo channel m_r=1 m_t=1 n_r=1 n_t=1 w=0.5\n"
             "i,n,j,k,re,im\n"

@@ -5,12 +5,41 @@ import pytest
 
 from fluidmimo import load_channel
 from fluidmimo.cli import main
-from fluidmimo.harness import PointSummary, summarize
-from fluidmimo.reporting import read_records_csv, read_summary_csv, write_summary_csv
+from fluidmimo.harness import PointSummary, TrialRecord, summarize
+from fluidmimo.reporting import RECORDS_HEADER, SUMMARY_HEADER, write_summary_csv
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def _read_rows(path, header):
+    """(sweep_var, rows split on commas) of a CSV file with `header`."""
+    lines = path.read_text().splitlines()
+    assert lines and lines[0] == header, f"{path}: missing header"
+    rows = [line.split(",") for line in lines[1:] if line]
+    return (rows[-1][0] if rows else None), rows
+
+
+def read_records_csv(path):
+    """Parse records.csv back into (sweep_var, [TrialRecord])."""
+    sweep_var, rows = _read_rows(path, RECORDS_HEADER)
+    return sweep_var, [
+        TrialRecord(point_value=float(value), trial_index=int(trial), algorithm=algo,
+                    capacity_bits=float(cap), ao_iterations=int(iters),
+                    capacity_evaluations=int(evals), wall_time_ms=float(ms))
+        for _, value, trial, algo, cap, iters, evals, ms in rows]
+
+
+def read_summary_csv(path):
+    """Parse summary.csv back into (sweep_var, [PointSummary])."""
+    sweep_var, rows = _read_rows(path, SUMMARY_HEADER)
+    return sweep_var, [
+        PointSummary(point_value=float(value), algorithm=algo, trials=int(trials),
+                     mean_capacity=float(mean), stddev=float(std), ci95=float(ci),
+                     mean_ratio=float(ratio), mean_ao_iterations=float(aoit),
+                     excluded_trials=int(excluded))
+        for _, value, algo, mean, std, ci, ratio, aoit, trials, excluded in rows]
 
 
 class TestGenerate:
@@ -287,6 +316,43 @@ class TestExitCodes:
         capsys.readouterr()
         assert run_cli("solve", "--channel", str(path), "--algo", algo) == 2
         assert "line 4: non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algo", ["exhaustive", "jcr-res", "jcr-ao", "random",
+                                      "conventional", "all"])
+    def test_overflowing_channel_file_exits_2(self, tmp_path, capsys, algo):
+        # finite coefficients whose |g|^2 overflows: before, exhaustive search
+        # exited 0 with ports (N, N) and jcr-ao exited 1 with a traceback
+        path = tmp_path / "ch.csv"
+        run_cli("generate", "--m", "2", "--n", "3", "--seed", "1", "--out", str(path))
+        lines = path.read_text().splitlines()
+        rows = [line.split(",") for line in lines[2:]]
+        lines[2:] = [",".join(r[:4] + [repr(float(v) * 1e160) for v in r[4:]]) for r in rows]
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("solve", "--channel", str(path), "--algo", algo) == 2
+        assert "line 3: non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--snr-db", "4000"),
+        ("sweep", "--variable", "snr", "--values", "1,4000", "--trials", "1"),
+    ], ids=["solve", "sweep"])
+    def test_overflowing_snr_exits_2(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv, "--m", "1", "--n", "2") == 2
+        assert "snr_db" in capsys.readouterr().err
+        assert not (tmp_path / "records.csv").exists()
+
+    def test_overflowing_snr_in_config_file_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("snr_db=4000\n")
+        assert run_cli("solve", "--config", str(cfg), "--m", "1", "--n", "2") == 2
+        assert "snr_db" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algo", ["exhaustive", "jcr-res", "jcr-ao", "random", "all"])
+    def test_overflowing_scores_exit_2(self, capsys, algo):
+        # a finite linear SNR whose batch scores overflow
+        assert run_cli("solve", "--snr-db", "3000", "--m", "2", "--n", "3", "--algo", algo) == 2
+        assert "overflows" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, expected", [("yes", True), ("TRUE", True), ("1", True),
                                                 ("No", False), ("false", False), ("0", False)])

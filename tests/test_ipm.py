@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fluidmimo import build_lp
-from fluidmimo.ipm import _KktSolver, solve_epigraph_lp
+from fluidmimo import (FluidMimoConfig, IpmFailure, OverallChannel, SolverStats, build_lp,
+                       generate_channel)
+from fluidmimo.ipm import _KktSolver, _Layout, solve_epigraph_lp
 
 from conftest import random_instance
 
@@ -14,9 +17,9 @@ def dense_constraint_matrix(lp):
     m = lp.m_r + lp.m_t + 2 * nt
     a = np.zeros((m, n))
     for r in range(nx):
-        a[lp.ant_x[r], r] = 1.0
+        a[r // lp.n_r, r] = 1.0                 # receive antenna of port r
     for c in range(ny):
-        a[lp.m_r + lp.ant_y[c], nx + c] = 1.0
+        a[lp.m_r + c // lp.n_t, nx + c] = 1.0   # transmit antenna of port c
     for e in range(nt):
         row1 = lp.m_r + lp.m_t + e
         row2 = row1 + nt
@@ -43,7 +46,7 @@ def test_kkt_solver_matches_dense_augmented_system(rng, scaling):
             theta = np.exp(rng.uniform(-1, 1, n)) * 10.0 ** rng.choice([-8, -4, 0, 4, 8], n)
         f = rng.standard_normal(n)
         g = rng.standard_normal(m)
-        dv, dlam = _KktSolver(lp, theta).solve(f, g)
+        dv, dlam = _KktSolver(_Layout(lp), theta).solve(f, g)
         aug = np.block([[np.diag(-theta), a.T], [a, np.zeros((m, m))]])
         ref = np.linalg.solve(aug, np.concatenate([f, g]))
         sol = np.concatenate([dv, dlam])
@@ -59,7 +62,7 @@ def test_residuals_are_small_even_under_extreme_scaling(rng):
     theta = np.exp(rng.uniform(-1, 1, n)) * 10.0 ** rng.choice([-10, -5, 0, 5, 10], n)
     f = rng.standard_normal(n)
     g = rng.standard_normal(m)
-    dv, dlam = _KktSolver(lp, theta).solve(f, g)
+    dv, dlam = _KktSolver(_Layout(lp), theta).solve(f, g)
     res_dual = -theta * dv + a.T @ dlam - f
     res_primal = a @ dv - g
     scale = max(1.0, np.abs(dv).max(), np.abs(dlam).max())
@@ -84,3 +87,27 @@ def test_iteration_counts_stay_modest(rng):
         sol = solve_epigraph_lp(build_lp(ch))
         worst = max(worst, sol.stats.iterations)
     assert worst <= 30
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(shape=st.tuples(st.integers(1, 6), st.integers(1, 6),
+                       st.integers(1, 30), st.integers(1, 30)),
+       w=st.sampled_from([0.0, 1e-6, 0.5, 5.0, 100.0]),
+       gain_scale=st.sampled_from([1e-8, 1.0, 1e8]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_every_lp_certifies_or_fails_cleanly(shape, w, gain_scale, seed):
+    # the certification contract of solve_epigraph_lp over shapes, port
+    # spacings and gain magnitudes: a certified optimum or an IpmFailure
+    # carrying the stats, never another exception
+    m_r, m_t, n_r, n_t = shape
+    cfg = FluidMimoConfig(m_r=m_r, m_t=m_t, n_r=n_r, n_t=n_t, w=w)
+    ch = OverallChannel(cfg, generate_channel(cfg, seed).entries * np.sqrt(gain_scale))
+    try:
+        sol = solve_epigraph_lp(build_lp(ch))
+    except IpmFailure as exc:
+        assert isinstance(exc.stats, SolverStats)
+        return
+    assert sol.stats.duality_gap <= 1e-7
+    assert sol.stats.primal_residual <= 1e-8
+    assert sol.stats.dual_residual <= 1e-8
+    assert np.isfinite(sol.objective) and sol.objective >= 0.0

@@ -125,6 +125,24 @@ class TestSolveJcr:
         assert err.value.stats.iterations <= 1
 
 
+class TestUniformOptimum:
+    """At M >= 2 and N >= 10 the uniform point, 1/N on every port, is an
+    LP optimum, so u_star = sum |g|^2 / N, and the solver returns it (to
+    ~1e-9 relative), not a vertex of the optimal face. jcr-res and jcr-ao
+    rank ports by how the iterates approach this interior point."""
+
+    @pytest.mark.parametrize("m, n", [(2, 10), (2, 20), (3, 10)])
+    @pytest.mark.parametrize("w", [0.5, 5.0])
+    def test_u_star_is_the_uniform_value(self, m, n, w):
+        for seed in range(3):
+            ch = generate_channel(FluidMimoConfig(m_r=m, m_t=m, n_r=n, n_t=n, w=w), seed)
+            uniform = float(np.sum(np.abs(ch.entries) ** 2)) / n
+            sol = solve_jcr(ch)
+            assert sol.u_star == pytest.approx(uniform, rel=1e-8, abs=0)
+            for weights in (sol.x_hat, sol.y_hat):
+                np.testing.assert_allclose(weights, 1.0 / n, rtol=1e-7, atol=0)
+
+
 class TestKktCertificate:
     def test_duals_price_the_simplex_budgets(self, rng):
         # strong duality: antenna prices sum to the optimum
@@ -146,6 +164,29 @@ class TestKktCertificate:
             ])
             assert float(np.max(np.abs(primal * sol.reduced_costs))) <= 1e-6
             assert sol.stats.complementarity <= 1e-6
+
+    def test_dual_feasibility_by_column(self, rng):
+        # A^T lam + z = c column by column, in the maximize convention: a
+        # port's reduced cost is its antenna's budget price less the coupling
+        # prices of its edges, and the slack of t_e <= x[row_e] (y[col_e])
+        # has reduced cost coupling_duals_x[e] (coupling_duals_y[e])
+        for _ in range(10):
+            ch = random_instance(rng, m_max=3, n_max=4)
+            lp = build_lp(ch)
+            sol = solve_epigraph_lp(lp)
+            nx, ny, ne = lp.n_x, lp.n_y, lp.n_edges
+            z_x, z_y, z_t, z_s, z_w = np.split(sol.reduced_costs,
+                                               np.cumsum([nx, ny, ne, ne]))
+            cdx, cdy = sol.coupling_duals_x, sol.coupling_duals_y
+            ant_x, ant_y = np.arange(nx) // lp.n_r, np.arange(ny) // lp.n_t
+            tol = dict(rtol=0, atol=1e-7)
+            np.testing.assert_allclose(
+                z_x, sol.rx_duals[ant_x] - np.bincount(lp.t_rows, cdx, nx), **tol)
+            np.testing.assert_allclose(
+                z_y, sol.tx_duals[ant_y] - np.bincount(lp.t_cols, cdy, ny), **tol)
+            np.testing.assert_allclose(z_t, cdx + cdy - lp.t_costs, **tol)
+            np.testing.assert_allclose(z_s, cdx, **tol)
+            np.testing.assert_allclose(z_w, cdy, **tol)
 
     def test_coupling_duals_sign_and_cover(self, rng):
         ch = random_instance(rng, m_max=2, n_max=3)

@@ -413,6 +413,48 @@ class TestOptimalitySandwich:
             assert ex.capacity_bits <= capacity_upper_bound(rel.u_star, rho) + 1e-9
 
 
+class TestOverflow:
+    """Scores NaN or infinite because rho |g|^2 overflows float64: an
+    algorithm raises OverflowError instead of deciding on them."""
+
+    @pytest.mark.parametrize("search", [exhaustive_search, jcr_res, jcr_ao, random_selection])
+    def test_search_with_overflowing_scores_raises(self, search):
+        # the closed-form 2x2 determinant overflows to NaN at rho ~ 1e300;
+        # before, exhaustive search decoded its -1 "best" to ports (3, 3)
+        cfg = FluidMimoConfig(m_r=2, m_t=2, n_r=3, n_t=3, snr_db=3000.0)
+        with pytest.raises(OverflowError, match="overflows"):
+            search(generate_channel(cfg, 1), cfg.rho)
+
+    def test_conventional_reports_the_finite_scalar_capacity(self):
+        cfg = FluidMimoConfig(m_r=2, m_t=2, n_r=3, n_t=3, snr_db=3000.0)
+        assert math.isfinite(conventional_mimo(generate_channel(cfg, 1), cfg.rho).capacity_bits)
+
+    def test_partly_overflowing_scores_raise(self):
+        # three of the four selections score finitely; the fourth, the true
+        # optimum, overflows, so no finite score is the maximizer
+        ch = make_channel([[1.0, 1.0], [1.0, 1e150]], m_r=1, m_t=1, n_r=2, n_t=2)
+        with pytest.raises(OverflowError):
+            exhaustive_search(ch, 1e300)
+        with pytest.raises(OverflowError):
+            random_selection(ch, 1e300, samples=50)
+
+    def test_jcr_ao_raises_on_an_overflowing_candidate(self):
+        # the start scores finitely; port 2 of receive antenna 1 has finite
+        # |g|^2 = 1e300 but a NaN score, which a >= test would skip silently
+        entries = np.ones((4, 4), dtype=complex)
+        entries[1] = 1e150
+        ch = make_channel(entries, m_r=2, m_t=2, n_r=2, n_t=2)
+        start = _relaxed([1, 0, 1, 0], [1, 0, 1, 0], 2, 2, 2, 2)
+        with pytest.raises(OverflowError):
+            jcr_ao(ch, 1e10, relaxed=start)
+
+    def test_overflowing_reported_capacity_raises(self):
+        ch = make_channel([[1e150]], m_r=1, m_t=1, n_r=1, n_t=1)
+        assert capacity(ch.entries, 1e300) == math.inf
+        with pytest.raises(OverflowError):
+            conventional_mimo(ch, 1e300)
+
+
 def test_scalar_capacity_only_reports(rng, monkeypatch):
     # every search scores through the batch kernel; the scalar capacity is
     # called once per run, for the reported capacity_bits
