@@ -33,6 +33,7 @@ reproduce the matrix bit-exactly within this implementation.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -144,6 +145,16 @@ def correlation_profile(n_r, n_t, w):
     return np.clip(mu, -1.0, 1.0)
 
 
+@lru_cache(maxsize=64)
+def _mixing(n_r, n_t, w):
+    """(mu, sqrt(1 - mu^2)) for `correlation_profile(n_r, n_t, w)`, computed
+    once per shape and W and shared read-only by every draw."""
+    mu = correlation_profile(n_r, n_t, w)
+    mix = np.sqrt(np.maximum(0.0, 1.0 - mu * mu))
+    mu.flags.writeable = mix.flags.writeable = False
+    return mu, mix
+
+
 def generate_channel(config, seed):
     """Draw one overall channel matrix for `config` from a 64-bit seed.
 
@@ -153,8 +164,7 @@ def generate_channel(config, seed):
     c = config
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative 64-bit integer, got {seed}")
-    mu = correlation_profile(c.n_r, c.n_t, c.w)
-    mix = np.sqrt(np.maximum(0.0, 1.0 - mu * mu))
+    mu, mix = _mixing(c.n_r, c.n_t, c.w)
 
     entries = np.empty((c.rx_dim, c.tx_dim), dtype=np.complex128)
     children = np.random.SeedSequence(seed).spawn(c.m_r * c.m_t)

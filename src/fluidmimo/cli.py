@@ -11,8 +11,9 @@ M_R = M_T = 2, 100 trials, coordinate-ascent tolerance 1e-3 with at most
 precedence is explicit flags > config file > defaults.
 
 Exit codes: 0 success, 2 configuration error (also an SNR or channel that
-overflows float64), 3 resource-cap refusal (message carries the
-combination count), 4 solver failure.
+overflows float64, and an --out-dir that cannot be created or written),
+3 resource-cap refusal (message carries the combination count), 4 solver
+failure.
 """
 
 import argparse
@@ -25,7 +26,7 @@ from types import SimpleNamespace
 
 from .channel import FluidMimoConfig, generate_channel
 from .channel_io import ChannelFormatError, load_channel, save_channel
-from .harness import SweepSpec, SweepSpecError, run_algorithm, run_sweep
+from .harness import SweepSpec, SweepSpecError, run_algorithm, run_sweep, validate_spec
 from .ipm import IpmFailure
 from .reporting import write_records_csv, write_summary_csv
 from .selection import ALGORITHMS, DEFAULT_EXHAUSTIVE_CAP, CombinationCapError
@@ -67,6 +68,15 @@ def _positive_float(name):
     return parse
 
 
+def _choice(name, choices):
+    def parse(text):
+        if text not in choices:
+            raise argparse.ArgumentTypeError(
+                f"{name} must be one of {', '.join(choices)}, got {text!r}")
+        return text
+    return parse
+
+
 # option name -> (cast, default) per command; the single source of truth for
 # config-file parsing and flag registration
 _COMMON = {
@@ -99,14 +109,14 @@ _OPTIONS = {
         **_COMMON,
         "channel": (str, None),
         "seed": (int, 0),
-        "algo": (str, "all"),
+        "algo": (_choice("algo", ALGORITHMS + ("all",)), "all"),
         **_ALGORITHM_OPTIONS,
         "baseline_seed": (int, 0),
         "json": (bool, False),
     },
     "sweep": {
         **_COMMON,
-        "variable": (str, "ports"),
+        "variable": (_choice("variable", tuple(_VARIABLE_ALIASES)), "ports"),
         "values": (str, None),
         "trials": (_positive_int("trials"), 100),
         "algos": (str, "all"),
@@ -131,7 +141,7 @@ _HELP = {
     "seed": "64-bit channel seed (default 0)",
     "out": "output channel file",
     "channel": "channel file to load (else a channel is generated from --seed)",
-    "algo": "algorithm to run (default all)",
+    "algo": "algorithm to run: one of " + ", ".join(ALGORITHMS) + ", or all (default all)",
     "epsilon": "coordinate-ascent relative tolerance (default 1e-3)",
     "max_iters": "coordinate-ascent sweep cap (default 20)",
     "samples": "random-baseline draws (default 5(M_R N_R + M_T N_T))",
@@ -167,10 +177,6 @@ def build_parser():
             flag = "--" + name.replace("_", "-")
             if cast is bool:
                 p.add_argument(flag, dest=name, action="store_true", help=_HELP[name])
-            elif name == "algo":
-                p.add_argument(flag, dest=name, choices=ALGORITHMS + ("all",), help=_HELP[name])
-            elif name == "variable":
-                p.add_argument(flag, dest=name, choices=sorted(_VARIABLE_ALIASES), help=_HELP[name])
             else:
                 p.add_argument(flag, dest=name, type=cast, help=_HELP[name])
     return parser
@@ -311,8 +317,6 @@ def _parse_values(text, variable):
 
 
 def cmd_sweep(opt):
-    if opt.variable not in _VARIABLE_ALIASES:
-        raise ConfigError(f"variable: must be one of {sorted(_VARIABLE_ALIASES)}, got {opt.variable!r}")
     variable = _VARIABLE_ALIASES[opt.variable]
     values = _parse_values(opt.values or _SWEEP_DEFAULT_VALUES[variable], variable)
     if opt.algos.strip() == "all":
@@ -335,15 +339,22 @@ def cmd_sweep(opt):
         exhaustive_cap=opt.cap,
     )
     try:
-        records, summaries = run_sweep(spec, threads=opt.threads, measure_time=opt.timing)
+        validate_spec(spec)
     except SweepSpecError as exc:
         raise ConfigError(str(exc)) from exc
+    try:  # before the first trial, so an unusable directory costs no sweep
+        os.makedirs(opt.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out-dir: cannot create {opt.out_dir}: {exc}") from exc
 
-    os.makedirs(opt.out_dir, exist_ok=True)
+    records, summaries = run_sweep(spec, threads=opt.threads, measure_time=opt.timing)
     records_path = os.path.join(opt.out_dir, "records.csv")
     summary_path = os.path.join(opt.out_dir, "summary.csv")
-    write_records_csv(records_path, variable, records)
-    write_summary_csv(summary_path, variable, summaries)
+    try:
+        write_records_csv(records_path, variable, records)
+        write_summary_csv(summary_path, variable, summaries)
+    except OSError as exc:
+        raise ConfigError(f"out-dir: cannot write {opt.out_dir}: {exc}") from exc
     print(f"wrote {records_path} ({len(records)} rows) and {summary_path} ({len(summaries)} rows)")
     return EXIT_OK
 

@@ -139,6 +139,9 @@ def validate_spec(spec):
     unknown = [a for a in spec.algorithms if a not in ALGORITHMS]
     if unknown:
         raise SweepSpecError(f"unknown algorithms {unknown}; valid: {', '.join(ALGORITHMS)}")
+    repeated = sorted({a for a in spec.algorithms if spec.algorithms.count(a) > 1})
+    if repeated:
+        raise SweepSpecError(f"algorithms {repeated} are listed more than once")
     if not (math.isfinite(spec.ao_epsilon) and spec.ao_epsilon > 0):
         raise SweepSpecError(f"ao_epsilon must be finite and > 0, got {spec.ao_epsilon}")
     if spec.ao_max_iters < 1:

@@ -6,8 +6,8 @@ Five algorithms share the SelectionResult interface:
   exhaustive    - full mixed-radix enumeration; the global optimum and the
                   oracle every other strategy is judged against.
   jcr-res       - solve the convex relaxation, keep the ceil(log2(N+1))
-                  highest-weighted ports per antenna, exhaustively search
-                  the reduced channel, map the winner back.
+                  highest-weighted ports per antenna, and enumerate the
+                  kept ports of the channel itself.
   jcr-ao        - round the relaxation to a starting selection, then cyclic
                   per-antenna best-port substitution (coordinate ascent) on
                   the true capacity, the N candidate ports of an antenna
@@ -17,19 +17,21 @@ Five algorithms share the SelectionResult interface:
   conventional  - port 1 everywhere (fixed-antenna MIMO reference).
 
 Every search (exhaustive, the reduced search of jcr-res, the random
-baseline and the coordinate ascent of jcr-ao) scores selections in
-batches without building a channel per combination. The Gram matrix on
-the side `capacity` uses is a sum of per-antenna rank-one terms: each is
-formed once per (antenna, port) and gathered per combination.
-log2 det(I + rho Gram) is then taken in closed form for Gram size 1 and
-2 and by a batched Cholesky above that. Every combination runs the same
-arithmetic in the same order, so selections with equal effective
-channels score bit-identically and the tie rules below are exact. Batch
-scores agree with `capacity` to ~1e-14 relative; the scalar `capacity`
-only reports. Every algorithm ends in `_result`, the one constructor of
-a SelectionResult: it turns 0-based ports into the 1-based selection and
-sets capacity_bits to `capacity` of it. A score that is NaN or infinite
-(rho |g|^2 overflows float64) raises OverflowError instead of deciding.
+baseline and the coordinate ascent of jcr-ao) scores selections of the
+given channel in batches and builds no channel. Exhaustive search and
+jcr-res share one enumerator over per-antenna port sets: all N ports, or
+the kept ones. The Gram matrix on the side `capacity` uses is a sum of
+per-antenna rank-one terms: each is formed once per (antenna, port) and
+gathered per combination. log2 det(I + rho Gram) is then taken in closed
+form for Gram size 1 and 2 and by a batched Cholesky above that. Every
+combination runs the same arithmetic in the same order, so selections
+with equal effective channels score bit-identically and the tie rules
+below are exact. Batch scores agree with `capacity` to ~1e-14 relative;
+the scalar `capacity` only reports. Every algorithm ends in `_result`,
+the one constructor of a SelectionResult: it turns 0-based ports into
+the 1-based selection and sets capacity_bits to `capacity` of it. A
+score that is NaN or infinite (rho |g|^2 overflows float64) raises
+OverflowError instead of deciding.
 
 Tie rules are fixed for determinism: enumeration returns the first
 maximizer in mixed-radix order (receive antennas are the outer digits,
@@ -46,7 +48,6 @@ from typing import Optional
 import numpy as np
 
 from .capacity import PortSelection, capacity, extract_effective
-from .channel import FluidMimoConfig, OverallChannel
 from .relaxation import RelaxedSolution, solve_jcr
 
 ALGORITHMS = ("exhaustive", "jcr-res", "jcr-ao", "random", "conventional")
@@ -115,15 +116,13 @@ def combination_count(config):
     return config.n_r ** config.m_r * config.n_t ** config.m_t
 
 
-def _decode_mixed_radix(flat, base, digits):
-    """Port tuples (0-based) for flat enumeration indices, first digit most
-    significant, each digit running 0..base-1 in ascending order."""
-    out = np.empty((len(flat), digits), dtype=np.intp)
-    rem = np.asarray(flat, dtype=np.int64).copy()
-    for pos in range(digits - 1, -1, -1):
-        out[:, pos] = rem % base
-        rem //= base
-    return out
+def _combinations(sets, start, stop):
+    """Selections start..stop-1, in mixed-radix order, of one port per
+    antenna from that antenna's set: the first set is the most significant
+    digit and each digit runs through its set in order. Shape (stop - start,
+    len(sets))."""
+    digits = np.unravel_index(np.arange(start, stop), [len(s) for s in sets])
+    return np.stack([s[d] for s, d in zip(sets, digits)], axis=1)
 
 
 def _packed_terms(vectors, rho):
@@ -224,34 +223,31 @@ def _packed_logdet(b):
     return np.maximum(0.0, np.log2(det))
 
 
-def _enumerate_best(channel, rho):
-    """First-in-order maximizer over the full mixed-radix enumeration.
+def _enumerate_best(channel, rho, rx_sets, tx_sets):
+    """First-in-order maximizer over every selection that gives receive
+    antenna i a port from rx_sets[i] and transmit antenna j one from
+    tx_sets[j] (ascending 0-based ports). Returns (rx, tx, combinations).
 
-    Streams the (rx, tx) product in chunks; within a chunk np.argmax picks
-    the earliest flat index, and across chunks ties keep the smaller global
-    index, so the tie rule is exact regardless of chunking.
+    Streams the (rx, tx) product in chunks of consecutive flat indices:
+    whole rx rows, or one rx row split over tx chunks. np.argmax picks the
+    earliest maximizer of a chunk and a later chunk wins only when strictly
+    greater, so the tie rule is exact regardless of chunking.
     """
-    c = channel.config
-    combos_r = c.n_r ** c.m_r
-    combos_t = c.n_t ** c.m_t
+    combos_r = math.prod(len(s) for s in rx_sets)
+    combos_t = math.prod(len(s) for s in tx_sets)
     tx_chunk = min(combos_t, _BATCH_LIMIT)
     rx_chunk = max(1, _BATCH_LIMIT // tx_chunk)
 
     best_val = -np.inf
-    best_flat = -1
     for r0 in range(0, combos_r, rx_chunk):
-        rxc = _decode_mixed_radix(np.arange(r0, min(r0 + rx_chunk, combos_r)), c.n_r, c.m_r)
+        rxc = _combinations(rx_sets, r0, min(r0 + rx_chunk, combos_r))
         for t0 in range(0, combos_t, tx_chunk):
-            txc = _decode_mixed_radix(np.arange(t0, min(t0 + tx_chunk, combos_t)), c.n_t, c.m_t)
+            txc = _combinations(tx_sets, t0, min(t0 + tx_chunk, combos_t))
             caps = _batch_capacities(channel, rxc, txc, rho)
-            idx = int(np.argmax(caps))
-            val = _finite(caps.flat[idx])
-            flat = (r0 + idx // len(txc)) * combos_t + (t0 + idx % len(txc))
-            if val > best_val or (val == best_val and flat < best_flat):
-                best_val = val
-                best_flat = flat
-    rx = _decode_mixed_radix(np.array([best_flat // combos_t]), c.n_r, c.m_r)[0]
-    tx = _decode_mixed_radix(np.array([best_flat % combos_t]), c.n_t, c.m_t)[0]
+            a, b = np.unravel_index(np.argmax(caps), caps.shape)
+            val = _finite(caps[a, b])
+            if val > best_val:
+                best_val, rx, tx = val, rxc[a], txc[b]
     return rx, tx, combos_r * combos_t
 
 
@@ -261,7 +257,8 @@ def exhaustive_search(channel, rho, cap=DEFAULT_EXHAUSTIVE_CAP):
     combos = combination_count(c)
     if combos > cap:
         raise CombinationCapError(combos, cap)
-    return _result(channel, rho, "exhaustive", *_enumerate_best(channel, rho))
+    return _result(channel, rho, "exhaustive", *_enumerate_best(
+        channel, rho, [np.arange(c.n_r)] * c.m_r, [np.arange(c.n_t)] * c.m_t))
 
 
 def reduced_port_count(n):
@@ -306,19 +303,9 @@ def jcr_res(channel, rho, relaxed=None):
     """
     c = channel.config
     relaxed = _relaxation_of(channel, relaxed)
-    keep_r = reduced_port_count(c.n_r)
-    keep_t = reduced_port_count(c.n_t)
-    kept_rx, kept_tx = _kept_ports(relaxed, keep_r, keep_t)
-
-    rows = np.concatenate([i * c.n_r + kept_rx[i] for i in range(c.m_r)])
-    cols = np.concatenate([j * c.n_t + kept_tx[j] for j in range(c.m_t)])
-    sub_config = FluidMimoConfig(m_r=c.m_r, m_t=c.m_t, n_r=keep_r, n_t=keep_t,
-                                 snr_db=c.snr_db, w=c.w)
-    sub = OverallChannel(sub_config, channel.entries[np.ix_(rows, cols)])
-
-    rx_red, tx_red, evaluations = _enumerate_best(sub, rho)
-    return _result(channel, rho, "jcr-res", [k[p] for k, p in zip(kept_rx, rx_red)],
-                   [k[p] for k, p in zip(kept_tx, tx_red)], evaluations, relaxation=relaxed)
+    kept_rx, kept_tx = _kept_ports(relaxed, reduced_port_count(c.n_r), reduced_port_count(c.n_t))
+    return _result(channel, rho, "jcr-res", *_enumerate_best(channel, rho, kept_rx, kept_tx),
+                   relaxation=relaxed)
 
 
 def ao_round(relaxed):

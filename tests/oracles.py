@@ -82,16 +82,20 @@ def eig_capacity(h, rho):
     return 0.5 * float(np.sum(np.log2(1.0 + rho * np.maximum(lams, 0.0))))
 
 
-def loop_exhaustive(channel, rho, capacity_fn):
+def loop_exhaustive(channel, rho, capacity_fn, rx_sets=None, tx_sets=None):
     """Plain quadruple-nested-loop enumeration, first maximizer wins.
 
     Structurally different from the production mixed-radix batch search;
-    `capacity_fn(rx_ports, tx_ports)` evaluates one selection.
+    `capacity_fn(rx_ports, tx_ports)` evaluates one selection. rx_sets and
+    tx_sets list the ascending 1-based ports each antenna may take; every
+    port by default.
     """
     c = channel.config
+    rx_sets = rx_sets or [range(1, c.n_r + 1)] * c.m_r
+    tx_sets = tx_sets or [range(1, c.n_t + 1)] * c.m_t
     best = None
-    for rx in itertools.product(range(1, c.n_r + 1), repeat=c.m_r):
-        for tx in itertools.product(range(1, c.n_t + 1), repeat=c.m_t):
+    for rx in itertools.product(*rx_sets):
+        for tx in itertools.product(*tx_sets):
             val = capacity_fn(rx, tx)
             if best is None or val > best[0]:
                 best = (val, rx, tx)

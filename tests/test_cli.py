@@ -378,6 +378,44 @@ class TestExitCodes:
         assert key in err and "ture" in err
         assert not (tmp_path / "records.csv").exists()
 
+    def test_repeated_algorithm_exits_2(self, tmp_path, capsys):
+        # before, each repeat wrote its records twice and the summary read
+        # trials=4 for 2 trials
+        out = tmp_path / "out"
+        code = run_cli("sweep", "--algos", "jcr-ao,jcr-ao,exhaustive", "--values", "3",
+                       "--trials", "2", "--m", "1", "--out-dir", str(out))
+        assert code == 2
+        assert "jcr-ao" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key", [("solve", "algo"), ("sweep", "variable")])
+    def test_bad_choice_in_config_file_exits_2(self, tmp_path, capsys, monkeypatch,
+                                               command, key):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}=bogus\n")
+        assert run_cli(command, "--config", str(cfg), "--m", "1", "--n", "2") == 2
+        err = capsys.readouterr().err
+        assert key in err and "bogus" in err
+        assert not (tmp_path / "records.csv").exists()
+
+    def test_unusable_out_dir_exits_2_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        import fluidmimo.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "run_sweep", lambda *a, **k: pytest.fail("sweep ran"))
+        (tmp_path / "afile").write_text("")
+        code = run_cli("sweep", "--m", "1", "--n", "2", "--values", "2", "--trials", "1",
+                       "--out-dir", str(tmp_path / "afile" / "x"))
+        assert code == 2
+        assert "out-dir: cannot create" in capsys.readouterr().err
+
+    def test_unwritable_records_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "records.csv").mkdir()
+        code = run_cli("sweep", "--m", "1", "--n", "2", "--values", "2", "--trials", "1",
+                       "--algos", "conventional", "--threads", "1", "--out-dir", str(tmp_path))
+        assert code == 2
+        assert "out-dir: cannot write" in capsys.readouterr().err
+
     def test_missing_channel_file_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code = run_cli("solve", "--channel", "no\nsuch.csv")

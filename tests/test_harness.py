@@ -56,6 +56,12 @@ class TestSpecValidation:
         with pytest.raises(SweepSpecError, match="sorted-port"):
             validate_spec(small_spec(algorithms=("sorted-port",)))
 
+    def test_rejects_repeated_algorithm(self):
+        # each repeat would write its records twice and double the
+        # summary's trial count
+        with pytest.raises(SweepSpecError, match=r"\['jcr-ao'\]"):
+            validate_spec(small_spec(algorithms=("jcr-ao", "exhaustive", "jcr-ao")))
+
     @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_epsilon(self, epsilon):
         with pytest.raises(SweepSpecError, match="epsilon"):

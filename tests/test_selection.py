@@ -24,7 +24,7 @@ from fluidmimo.ipm import SolverStats
 from fluidmimo.selection import (
     SelectionResult,
     _batch_capacities,
-    _decode_mixed_radix,
+    _combinations,
     _paired_capacities,
     _top_ports,
     combination_count,
@@ -85,22 +85,32 @@ class TestExhaustive:
         assert res.capacity_bits == pytest.approx(capacity(base, rho), rel=1e-12)
         assert res.capacity_bits > 1.0
 
-    def test_generated_zero_width_channel_ties(self):
+    def test_generated_zero_width_channel_ties(self, monkeypatch):
+        import fluidmimo.selection as sel_mod
         cfg = FluidMimoConfig(m_r=2, m_t=2, n_r=5, n_t=4, snr_db=5.0, w=0.0)
         ch = generate_channel(cfg, 17)
         first = ch.entries[np.ix_([0, 5], [0, 4])]
         assert np.array_equal(ch.entries, np.kron(first, np.ones((5, 4))))
-        res = exhaustive_search(ch, cfg.rho)
-        assert res.selection == PortSelection((1, 1), (1, 1))
-        assert res.capacity_bits > 0.0
+        assert exhaustive_search(ch, cfg.rho).capacity_bits > 0.0
 
-        relaxed = solve_jcr(ch)
-        kept_rx = [_top_ports(relaxed.x_hat[i * 5:(i + 1) * 5], reduced_port_count(5))
-                   for i in range(2)]
-        kept_tx = [_top_ports(relaxed.y_hat[j * 4:(j + 1) * 4], reduced_port_count(4))
-                   for j in range(2)]
-        assert jcr_res(ch, cfg.rho).selection == PortSelection(
-            tuple(int(k[0]) + 1 for k in kept_rx), tuple(int(k[0]) + 1 for k in kept_tx))
+        # every selection ties; limits 7 and 3 split the enumeration into
+        # whole receive rows (few transmit combinations) or into one
+        # receive row cut over several transmit chunks
+        for limit in (sel_mod._BATCH_LIMIT, 7, 3):
+            monkeypatch.setattr(sel_mod, "_BATCH_LIMIT", limit)
+            for m_r, m_t, n_r, n_t in ((2, 2, 5, 4), (3, 1, 3, 2), (1, 3, 2, 5)):
+                cfg = FluidMimoConfig(m_r=m_r, m_t=m_t, n_r=n_r, n_t=n_t, snr_db=5.0, w=0.0)
+                ch = generate_channel(cfg, 17)
+                res = exhaustive_search(ch, cfg.rho)
+                assert res.selection == PortSelection((1,) * m_r, (1,) * m_t)
+
+                relaxed = solve_jcr(ch)
+                kept_rx = [_top_ports(relaxed.x_hat[i * n_r:(i + 1) * n_r],
+                                      reduced_port_count(n_r)) for i in range(m_r)]
+                kept_tx = [_top_ports(relaxed.y_hat[j * n_t:(j + 1) * n_t],
+                                      reduced_port_count(n_t)) for j in range(m_t)]
+                assert jcr_res(ch, cfg.rho, relaxed=relaxed).selection == PortSelection(
+                    tuple(int(k[0]) + 1 for k in kept_rx), tuple(int(k[0]) + 1 for k in kept_tx))
 
     @pytest.mark.parametrize("m_r", [1, 2, 3])
     @pytest.mark.parametrize("m_t", [1, 2, 3])
@@ -108,8 +118,8 @@ class TestExhaustive:
         for snr_db in (-5.0, 5.0, 15.0):
             cfg = FluidMimoConfig(m_r=m_r, m_t=m_t, n_r=3, n_t=2, snr_db=snr_db, w=0.5)
             ch = generate_channel(cfg, int(rng.integers(0, 2 ** 63)))
-            rx = _decode_mixed_radix(np.arange(3 ** m_r), 3, m_r)
-            tx = _decode_mixed_radix(np.arange(2 ** m_t), 2, m_t)
+            rx = _combinations([np.arange(3)] * m_r, 0, 3 ** m_r)
+            tx = _combinations([np.arange(2)] * m_t, 0, 2 ** m_t)
             caps = _batch_capacities(ch, rx, tx, cfg.rho)
             assert caps.shape == (len(rx), len(tx))
             expected = np.array([[capacity(extract_effective(ch, PortSelection(r + 1, t + 1)),
@@ -144,13 +154,15 @@ class TestExhaustive:
 
     def test_chunked_enumeration_matches_unchunked(self, rng, monkeypatch):
         import fluidmimo.selection as sel_mod
-        ch = random_instance(rng, m_max=2, n_max=4)
-        res_full = exhaustive_search(ch, 1.0)
-        monkeypatch.setattr(sel_mod, "_BATCH_LIMIT", 7)
-        monkeypatch.setattr(sel_mod, "_BLOCK_ENTRIES", 1)
-        res_chunked = exhaustive_search(ch, 1.0)
-        assert res_full.selection == res_chunked.selection
-        assert res_full.capacity_bits == res_chunked.capacity_bits
+        for _ in range(6):
+            ch = random_instance(rng, m_max=3, n_max=3)
+            relaxed = solve_jcr(ch)
+            full = [exhaustive_search(ch, 1.0), jcr_res(ch, 1.0, relaxed=relaxed)]
+            for limit in (7, 3):
+                monkeypatch.setattr(sel_mod, "_BATCH_LIMIT", limit)
+                monkeypatch.setattr(sel_mod, "_BLOCK_ENTRIES", 1)
+                assert [exhaustive_search(ch, 1.0), jcr_res(ch, 1.0, relaxed=relaxed)] == full
+            monkeypatch.undo()
 
 
 class TestReducedSearch:
@@ -165,6 +177,30 @@ class TestReducedSearch:
             ch = random_instance(rng, m_max=2, n_max=2)
             rho = ch.config.rho
             assert jcr_res(ch, rho).selection == exhaustive_search(ch, rho).selection
+
+    @pytest.mark.parametrize("m_r, m_t, n_r, n_t", [
+        (1, 2, 5, 3), (2, 1, 3, 6), (3, 1, 4, 7), (1, 3, 7, 4), (3, 2, 5, 3), (2, 3, 3, 5),
+        (3, 3, 5, 3), (3, 3, 4, 6)])
+    def test_matches_loop_oracle_on_kept_ports(self, m_r, m_t, n_r, n_t):
+        # m_t < m_r scores on the mirrored Gram side; m_r = m_t = 3 reaches
+        # the Cholesky branch
+        rng = np.random.default_rng([m_r, m_t, n_r, n_t])
+        for w in (0.3, 2.0):
+            cfg = FluidMimoConfig(m_r=m_r, m_t=m_t, n_r=n_r, n_t=n_t,
+                                  snr_db=float(rng.uniform(-5, 15)), w=w)
+            ch = generate_channel(cfg, int(rng.integers(0, 2 ** 63)))
+            res = jcr_res(ch, cfg.rho)
+
+            def scalar(rx, tx):
+                return capacity(extract_effective(ch, PortSelection(rx, tx)), cfg.rho)
+
+            x = res.relaxation.x_hat.reshape(m_r, n_r)
+            y = res.relaxation.y_hat.reshape(m_t, n_t)
+            rx_sets = [_top_ports(weights, reduced_port_count(n_r)) + 1 for weights in x]
+            tx_sets = [_top_ports(weights, reduced_port_count(n_t)) + 1 for weights in y]
+            _val, rx, tx = loop_exhaustive(ch, cfg.rho, scalar, rx_sets, tx_sets)
+            assert res.selection == PortSelection(rx, tx)
+            assert res.capacity_bits == scalar(rx, tx)
 
     def test_reduced_evaluation_count(self, rng):
         cfg_channel = random_instance(rng, m_max=2, n_max=4)
