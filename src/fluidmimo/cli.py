@@ -35,6 +35,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CAP = 3
 EXIT_SOLVER = 4
+# exit status of the errors `main` reports that are not configuration errors
+_EXIT_CODES = {CombinationCapError: EXIT_CAP, IpmFailure: EXIT_SOLVER}
 
 _VARIABLE_ALIASES = {"ports": "ports", "snr": "snr_db", "snr_db": "snr_db", "w": "w"}
 _SWEEP_DEFAULT_VALUES = {"ports": "5,10,15,20", "snr_db": "-5,0,5,10,15", "w": "0.1,0.5,1,2,5"}
@@ -44,118 +46,104 @@ class ConfigError(ValueError):
     """Bad flag/config-file value; message names the offending key."""
 
 
-def _positive_int(name):
+def _int_at_least(low):
     def parse(text):
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"{name} must be an integer, got {text!r}")
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"{name} must be >= 1, got {value}")
+            raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
     return parse
 
 
-def _positive_float(name):
-    def parse(text):
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{name} must be a number, got {text!r}")
-        if not (math.isfinite(value) and value > 0):
-            raise argparse.ArgumentTypeError(f"{name} must be finite and > 0, got {value}")
-        return value
-    return parse
+_positive_int = _int_at_least(1)
+_seed = _int_at_least(0)
 
 
-def _choice(name, choices):
+def _positive_float(text):
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a number, got {text!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
+    return value
+
+
+def _choice(choices):
     def parse(text):
         if text not in choices:
             raise argparse.ArgumentTypeError(
-                f"{name} must be one of {', '.join(choices)}, got {text!r}")
+                f"must be one of {', '.join(choices)}, got {text!r}")
         return text
     return parse
 
 
-# option name -> (cast, default) per command; the single source of truth for
-# config-file parsing and flag registration
+def _boolean(text):
+    """A config-file boolean; the flag itself is a switch."""
+    if text.lower() not in ("1", "true", "yes", "0", "false", "no"):
+        raise argparse.ArgumentTypeError(f"expected 1/true/yes or 0/false/no, got {text!r}")
+    return text.lower() in ("1", "true", "yes")
+
+
+# option name -> (cast, default, help) per command; the single source of
+# truth for flag registration, --help and config-file parsing. --help
+# appends the default unless it is None (the help then says it) or the
+# option is a boolean switch.
 _COMMON = {
-    "m": (_positive_int("m"), 2),
-    "n": (_positive_int("n"), 10),
-    "mr": (_positive_int("mr"), None),
-    "mt": (_positive_int("mt"), None),
-    "nr": (_positive_int("nr"), None),
-    "nt": (_positive_int("nt"), None),
-    "w": (float, 0.5),
-    "snr_db": (float, None),
-    "config": (str, None),
+    "m": (_positive_int, 2, "fluid antennas per side"),
+    "n": (_positive_int, 10, "ports per fluid antenna"),
+    "mr": (_positive_int, None, "receive antennas (overrides --m)"),
+    "mt": (_positive_int, None, "transmit antennas (overrides --m)"),
+    "nr": (_positive_int, None, "receive ports (overrides --n)"),
+    "nt": (_positive_int, None, "transmit ports (overrides --n)"),
+    "w": (float, 0.5, "normalized antenna length"),
+    "snr_db": (float, None, "average receive SNR in dB (default 5)"),
+    "config": (str, None, "flat key=value config file (flags override it)"),
 }
 
 # parameters of the selection algorithms, shared by solve and sweep
 _ALGORITHM_OPTIONS = {
-    "epsilon": (_positive_float("epsilon"), 1e-3),
-    "max_iters": (_positive_int("max-iters"), 20),
-    "samples": (_positive_int("samples"), None),
-    "cap": (_positive_int("cap"), DEFAULT_EXHAUSTIVE_CAP),
+    "epsilon": (_positive_float, 1e-3, "coordinate-ascent relative tolerance"),
+    "max_iters": (_positive_int, 20, "coordinate-ascent sweep cap"),
+    "samples": (_positive_int, None, "random-baseline draws (default 5(M_R N_R + M_T N_T))"),
+    "cap": (_positive_int, DEFAULT_EXHAUSTIVE_CAP, "exhaustive-search combination cap"),
 }
 
 _OPTIONS = {
     "generate": {
         **_COMMON,
-        "seed": (int, 0),
-        "out": (str, None),
+        "seed": (_seed, 0, "64-bit channel seed"),
+        "out": (str, None, "output channel file"),
     },
     "solve": {
         **_COMMON,
-        "channel": (str, None),
-        "seed": (int, 0),
-        "algo": (_choice("algo", ALGORITHMS + ("all",)), "all"),
+        "snr_db": (float, None,
+                   "average receive SNR in dB (default 5, or the channel file's value)"),
+        "channel": (str, None, "channel file to load (else a channel is generated from --seed)"),
+        "seed": (_seed, 0, "64-bit channel seed"),
+        "algo": (_choice(ALGORITHMS + ("all",)), "all",
+                 "algorithm to run: one of " + ", ".join(ALGORITHMS) + ", or all"),
         **_ALGORITHM_OPTIONS,
-        "baseline_seed": (int, 0),
-        "json": (bool, False),
+        "baseline_seed": (_seed, 0, "seed of the random baseline"),
+        "json": (_boolean, False, "emit JSON instead of text"),
     },
     "sweep": {
         **_COMMON,
-        "variable": (_choice("variable", tuple(_VARIABLE_ALIASES)), "ports"),
-        "values": (str, None),
-        "trials": (_positive_int("trials"), 100),
-        "algos": (str, "all"),
-        "master_seed": (int, 0),
+        "variable": (_choice(tuple(_VARIABLE_ALIASES)), "ports",
+                     "swept quantity: ports, snr, or w"),
+        "values": (str, None, "comma-separated increasing sweep values, e.g. 5,10,15,20"),
+        "trials": (_positive_int, 100, "channel draws per sweep point"),
+        "algos": (str, "all", "comma-separated algorithms or 'all'"),
+        "master_seed": (_seed, 0, "master seed for all trials"),
         **_ALGORITHM_OPTIONS,
-        "threads": (_positive_int("threads"), os.cpu_count() or 1),
-        "timing": (bool, False),
-        "out_dir": (str, "."),
+        "threads": (_positive_int, os.cpu_count() or 1, "worker processes"),
+        "timing": (_boolean, False,
+                   "record wall times (breaks byte-reproducibility of records.csv)"),
+        "out_dir": (str, ".", "directory for records.csv and summary.csv"),
     },
-}
-
-_HELP = {
-    "m": "fluid antennas per side (default 2)",
-    "n": "ports per fluid antenna (default 10)",
-    "mr": "receive antennas (overrides --m)",
-    "mt": "transmit antennas (overrides --m)",
-    "nr": "receive ports (overrides --n)",
-    "nt": "transmit ports (overrides --n)",
-    "w": "normalized antenna length (default 0.5)",
-    "snr_db": "average receive SNR in dB (default 5, or the channel file's value)",
-    "config": "flat key=value config file (flags override it)",
-    "seed": "64-bit channel seed (default 0)",
-    "out": "output channel file",
-    "channel": "channel file to load (else a channel is generated from --seed)",
-    "algo": "algorithm to run: one of " + ", ".join(ALGORITHMS) + ", or all (default all)",
-    "epsilon": "coordinate-ascent relative tolerance (default 1e-3)",
-    "max_iters": "coordinate-ascent sweep cap (default 20)",
-    "samples": "random-baseline draws (default 5(M_R N_R + M_T N_T))",
-    "baseline_seed": "seed of the random baseline (default 0)",
-    "cap": "exhaustive-search combination cap (default 1e8)",
-    "json": "emit JSON instead of text",
-    "variable": "swept quantity: ports, snr, or w (default ports)",
-    "values": "comma-separated increasing sweep values, e.g. 5,10,15,20",
-    "trials": "channel draws per sweep point (default 100)",
-    "algos": "comma-separated algorithms or 'all' (default all)",
-    "master_seed": "master seed for all trials (default 0)",
-    "threads": "worker processes (default: available parallelism)",
-    "timing": "record wall times (breaks byte-reproducibility of records.csv)",
-    "out_dir": "directory for records.csv and summary.csv (default .)",
 }
 
 
@@ -173,12 +161,13 @@ def build_parser():
     for command, options in _OPTIONS.items():
         p = sub.add_parser(command, argument_default=argparse.SUPPRESS,
                            help=descriptions[command], description=descriptions[command])
-        for name, (cast, _default) in options.items():
+        for name, (cast, default, text) in options.items():
             flag = "--" + name.replace("_", "-")
-            if cast is bool:
-                p.add_argument(flag, dest=name, action="store_true", help=_HELP[name])
+            if cast is _boolean:
+                p.add_argument(flag, dest=name, action="store_true", help=text)
             else:
-                p.add_argument(flag, dest=name, type=cast, help=_HELP[name])
+                shown = "" if default is None else f" (default {default})"
+                p.add_argument(flag, dest=name, type=cast, help=text + shown)
     return parser
 
 
@@ -203,18 +192,15 @@ def load_config_file(path):
 def resolve_options(command, args):
     """Merge defaults < config file < explicit flags into one namespace."""
     table = _OPTIONS[command]
-    merged = {name: default for name, (_cast, default) in table.items()}
+    merged = {name: default for name, (_cast, default, _help) in table.items()}
     explicit = vars(args)
     config_path = explicit.get("config")
     if config_path:
         for key, text in load_config_file(config_path).items():
-            if key not in table or key in ("config",):
+            if key not in table or key == "config":
                 raise ConfigError(f"config: unknown key {key!r} for command {command!r}")
-            cast = table[key][0]
             try:
-                if cast is bool and text.lower() not in ("1", "true", "yes", "0", "false", "no"):
-                    raise ValueError(f"expected 1/true/yes or 0/false/no, got {text!r}")
-                merged[key] = (text.lower() in ("1", "true", "yes")) if cast is bool else cast(text)
+                merged[key] = table[key][0](text)
             except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ConfigError(f"config: bad value for {key!r}: {exc}") from exc
     for key, value in explicit.items():
@@ -223,31 +209,23 @@ def resolve_options(command, args):
     return SimpleNamespace(**merged)
 
 
-def _build_config(opt, snr_db=None):
-    if snr_db is None:
-        snr_db = opt.snr_db if opt.snr_db is not None else 5.0
+def _build_config(opt):
     try:
         return FluidMimoConfig(
             m_r=opt.mr if opt.mr is not None else opt.m,
             m_t=opt.mt if opt.mt is not None else opt.m,
             n_r=opt.nr if opt.nr is not None else opt.n,
             n_t=opt.nt if opt.nt is not None else opt.n,
-            snr_db=snr_db, w=opt.w)
+            snr_db=opt.snr_db if opt.snr_db is not None else 5.0, w=opt.w)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _check_seed(value, name):
-    if value < 0:
-        raise ConfigError(f"{name}: must be >= 0, got {value}")
-    return value
 
 
 def cmd_generate(opt):
     if not opt.out:
         raise ConfigError("out: an output path is required")
     config = _build_config(opt)
-    channel = generate_channel(config, _check_seed(opt.seed, "seed"))
+    channel = generate_channel(config, opt.seed)
     try:
         save_channel(channel, opt.out)
     except OSError as exc:
@@ -271,9 +249,8 @@ def cmd_solve(opt):
             raise ConfigError(str(exc)) from exc
     else:
         config = _build_config(opt)
-        channel = generate_channel(config, _check_seed(opt.seed, "seed"))
+        channel = generate_channel(config, opt.seed)
         rho = config.rho
-    baseline_seed = _check_seed(opt.baseline_seed, "baseline-seed")
 
     algos = ALGORITHMS if opt.algo == "all" else (opt.algo,)
     outputs = []
@@ -281,7 +258,7 @@ def cmd_solve(opt):
     for algo in algos:
         res, relaxed = run_algorithm(
             algo, channel, rho, relaxed, cap=opt.cap, epsilon=opt.epsilon,
-            max_iters=opt.max_iters, samples=opt.samples, seed=baseline_seed)
+            max_iters=opt.max_iters, samples=opt.samples, seed=opt.baseline_seed)
         stats = res.relaxation.solver_stats if res.relaxation is not None else None
         outputs.append({
             "algorithm": algo,
@@ -332,7 +309,7 @@ def cmd_sweep(opt):
         values=values,
         trials=opt.trials,
         algorithms=algorithms,
-        master_seed=_check_seed(opt.master_seed, "master-seed"),
+        master_seed=opt.master_seed,
         ao_epsilon=opt.epsilon,
         ao_max_iters=opt.max_iters,
         random_samples=opt.samples,
@@ -364,20 +341,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         opt = resolve_options(args.command, args)
-        if args.command == "generate":
-            return cmd_generate(opt)
-        if args.command == "solve":
-            return cmd_solve(opt)
-        return cmd_sweep(opt)
-    except (ConfigError, ChannelFormatError, OverflowError) as exc:
+        commands = {"generate": cmd_generate, "solve": cmd_solve, "sweep": cmd_sweep}
+        return commands[args.command](opt)
+    except (ConfigError, ChannelFormatError, OverflowError, CombinationCapError,
+            IpmFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CombinationCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except IpmFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        return _EXIT_CODES.get(type(exc), EXIT_CONFIG)
 
 
 if __name__ == "__main__":

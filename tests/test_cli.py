@@ -66,9 +66,10 @@ class TestGenerate:
         assert "nr" in capsys.readouterr().err
 
     def test_negative_seed_exits_2(self, tmp_path, capsys):
-        code = run_cli("generate", "--m", "1", "--n", "2", "--seed", "-5",
-                       "--out", str(tmp_path / "x.csv"))
-        assert code == 2
+        with pytest.raises(SystemExit) as err:
+            run_cli("generate", "--m", "1", "--n", "2", "--seed", "-5",
+                    "--out", str(tmp_path / "x.csv"))
+        assert err.value.code == 2
         assert "seed" in capsys.readouterr().err
 
 
