@@ -89,9 +89,14 @@ def _parse(lines):
         raise ChannelFormatError(f"line 2: expected column header {_COLUMNS!r}")
 
     expected = config.rx_dim * config.tx_dim
+    rows = sum(1 for line in lines[2:] if line.strip())
+    # each data row fills one more cell or raises, so only too few rows can
+    # leave the matrix short; counted before allocating what the header declares
+    if rows < expected:
+        raise ChannelFormatError(
+            f"line {len(lines)}: header declares {expected} entries, found {rows}")
     entries = np.full((config.rx_dim, config.tx_dim), np.nan, dtype=np.complex128)
     seen = np.zeros(entries.shape, dtype=bool)
-    count = 0
     for lineno, line in enumerate(lines[2:], start=3):
         if not line.strip():
             continue
@@ -117,9 +122,4 @@ def _parse(lines):
             raise ChannelFormatError(f"line {lineno}: duplicate entry ({i},{n},{j},{k})")
         seen[r, col] = True
         entries[r, col] = complex(re, im)
-        count += 1
-    if count != expected:
-        raise ChannelFormatError(
-            f"line {len(lines)}: header declares {expected} entries, found {count}"
-        )
     return OverallChannel(config=config, entries=entries)

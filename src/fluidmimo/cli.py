@@ -7,13 +7,19 @@ figure-style benchmark sweeps.
 
 Defaults mirror the usual benchmark setup: W = 0.5, N = 10, SNR = 5 dB,
 M_R = M_T = 2, 100 trials, coordinate-ascent tolerance 1e-3 with at most
-20 sweeps. A flat key=value config file (--config) can seed any option;
-precedence is explicit flags > config file > defaults.
+20 sweeps; `--help` shows each option's default. A flat key=value config
+file (--config) can seed any option; precedence is explicit flags >
+config file > defaults. An option the command replaces draws one
+`warning:` line on stderr and is otherwise ignored: n, nr and nt in a
+ports sweep, snr_db in an SNR sweep, w in a W sweep, and m, n, mr, mt,
+nr, nt, w and seed next to --channel. A sweep starts at most one worker
+process per task.
 
-Exit codes: 0 success, 2 configuration error (also an SNR or channel that
-overflows float64, and an --out-dir that cannot be created or written),
-3 resource-cap refusal (message carries the combination count), 4 solver
-failure.
+Exit codes: 0 success, 2 configuration error (also a negative seed, a
+channel file whose header declares more entries than it has rows, an SNR
+or channel that overflows float64, and an --out-dir that cannot be
+created or written), 3 resource-cap refusal (message carries the
+combination count), 4 solver failure.
 """
 
 import argparse
@@ -40,6 +46,10 @@ _EXIT_CODES = {CombinationCapError: EXIT_CAP, IpmFailure: EXIT_SOLVER}
 
 _VARIABLE_ALIASES = {"ports": "ports", "snr": "snr_db", "snr_db": "snr_db", "w": "w"}
 _SWEEP_DEFAULT_VALUES = {"ports": "5,10,15,20", "snr_db": "-5,0,5,10,15", "w": "0.1,0.5,1,2,5"}
+# options a command replaces: those of the swept variable, and the channel
+# options next to --channel
+_SWEPT_OPTIONS = {"ports": ("n", "nr", "nt"), "snr_db": ("snr_db",), "w": ("w",)}
+_CHANNEL_FILE_OPTIONS = ("m", "n", "mr", "mt", "nr", "nt", "w", "seed")
 
 
 class ConfigError(ValueError):
@@ -190,23 +200,36 @@ def load_config_file(path):
 
 
 def resolve_options(command, args):
-    """Merge defaults < config file < explicit flags into one namespace."""
+    """Merge defaults < config file < explicit flags into one namespace.
+    Returns it with the names set by a flag or the config file."""
     table = _OPTIONS[command]
     merged = {name: default for name, (_cast, default, _help) in table.items()}
-    explicit = vars(args)
-    config_path = explicit.get("config")
-    if config_path:
-        for key, text in load_config_file(config_path).items():
-            if key not in table or key == "config":
-                raise ConfigError(f"config: unknown key {key!r} for command {command!r}")
-            try:
-                merged[key] = table[key][0](text)
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise ConfigError(f"config: bad value for {key!r}: {exc}") from exc
-    for key, value in explicit.items():
-        if key != "command":
-            merged[key] = value
-    return SimpleNamespace(**merged)
+    explicit = {key: value for key, value in vars(args).items() if key != "command"}
+    config = load_config_file(explicit["config"]) if explicit.get("config") else {}
+    for key, text in config.items():
+        if key not in table or key == "config":
+            raise ConfigError(f"config: unknown key {key!r} for command {command!r}")
+        try:
+            merged[key] = table[key][0](text)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ConfigError(f"config: bad value for {key!r}: {exc}") from exc
+    merged.update(explicit)
+    return SimpleNamespace(**merged), set(config) | set(explicit)
+
+
+def _warn_overridden(command, opt, given):
+    """One warning on stderr per option in `given` that the command
+    replaces; the run goes on."""
+    if command == "sweep":
+        variable = _VARIABLE_ALIASES[opt.variable]
+        names, reason = _SWEPT_OPTIONS[variable], f"the {variable} sweep sets it"
+    elif command == "solve" and opt.channel is not None:
+        names, reason = _CHANNEL_FILE_OPTIONS, "the channel comes from --channel"
+    else:
+        return
+    for name in names:
+        if name in given:
+            print(f"warning: {name} is ignored: {reason}", file=sys.stderr)
 
 
 def _build_config(opt):
@@ -340,7 +363,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        opt = resolve_options(args.command, args)
+        opt, given = resolve_options(args.command, args)
+        _warn_overridden(args.command, opt, given)
         commands = {"generate": cmd_generate, "solve": cmd_solve, "sweep": cmd_sweep}
         return commands[args.command](opt)
     except (ConfigError, ChannelFormatError, OverflowError, CombinationCapError,

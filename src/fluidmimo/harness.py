@@ -229,7 +229,8 @@ def run_sweep(spec, threads=1, measure_time=False):
     """Run the full sweep; returns (records, summaries), both sorted.
 
     Records are deterministic functions of (spec, master_seed) regardless
-    of `threads`; sorting is (point value, trial, algorithm name).
+    of `threads`; sorting is (point value, trial, algorithm name). The pool
+    has min(threads, tasks) workers; one task runs in this process.
     """
     validate_spec(spec)
     points = range(len(spec.values))
@@ -237,10 +238,11 @@ def run_sweep(spec, threads=1, measure_time=False):
         tasks = [(spec, tuple(points), t, measure_time) for t in range(spec.trials)]
     else:
         tasks = [(spec, (p,), t, measure_time) for p in points for t in range(spec.trials)]
-    if threads > 1 and len(tasks) > 1:
+    workers = min(threads, len(tasks))  # the pool starts all its workers at once
+    if workers > 1:
         # about four chunks per worker keeps the workers evenly loaded
-        chunksize = max(1, min(8, len(tasks) // (4 * threads)))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        chunksize = max(1, min(8, len(tasks) // (4 * workers)))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_trial_task, tasks, chunksize=chunksize))
     else:
         chunks = [_trial_task(t) for t in tasks]

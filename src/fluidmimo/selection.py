@@ -31,7 +31,8 @@ the scalar `capacity` only reports. Every algorithm ends in `_result`,
 the one constructor of a SelectionResult: it turns 0-based ports into
 the 1-based selection and sets capacity_bits to `capacity` of it. A
 score that is NaN or infinite (rho |g|^2 overflows float64) raises
-OverflowError instead of deciding.
+OverflowError instead of deciding; each search silences numpy's overflow
+warnings, so that error is the one report.
 
 Tie rules are fixed for determinism: enumeration returns the first
 maximizer in mixed-radix order (receive antennas are the outer digits,
@@ -94,6 +95,12 @@ class SelectionResult:
     relaxation: Optional[RelaxedSolution] = field(default=None, compare=False, repr=False)
 
 
+def _quiet():
+    """Silences numpy's overflow warnings for one search: `_finite` turns a
+    non-finite maximizer into OverflowError instead."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def _finite(score):
     """`score` as a float; OverflowError if it is NaN or infinite. A search
     checks its maximizer: np.argmax returns the first NaN if there is one."""
@@ -106,9 +113,10 @@ def _result(channel, rho, algorithm, rx, tx, evaluations, iterations=0, **fields
     """SelectionResult for the 0-based ports rx, tx; capacity_bits is
     `capacity` of that selection."""
     sel = PortSelection(tuple(int(p) + 1 for p in rx), tuple(int(p) + 1 for p in tx))
+    with _quiet():
+        bits = _finite(capacity(extract_effective(channel, sel), rho))
     return SelectionResult(selection=sel, algorithm=algorithm, iterations=iterations,
-                           capacity_bits=_finite(capacity(extract_effective(channel, sel), rho)),
-                           evaluations=evaluations, **fields)
+                           capacity_bits=bits, evaluations=evaluations, **fields)
 
 
 def combination_count(config):
@@ -239,15 +247,16 @@ def _enumerate_best(channel, rho, rx_sets, tx_sets):
     rx_chunk = max(1, _BATCH_LIMIT // tx_chunk)
 
     best_val = -np.inf
-    for r0 in range(0, combos_r, rx_chunk):
-        rxc = _combinations(rx_sets, r0, min(r0 + rx_chunk, combos_r))
-        for t0 in range(0, combos_t, tx_chunk):
-            txc = _combinations(tx_sets, t0, min(t0 + tx_chunk, combos_t))
-            caps = _batch_capacities(channel, rxc, txc, rho)
-            a, b = np.unravel_index(np.argmax(caps), caps.shape)
-            val = _finite(caps[a, b])
-            if val > best_val:
-                best_val, rx, tx = val, rxc[a], txc[b]
+    with _quiet():
+        for r0 in range(0, combos_r, rx_chunk):
+            rxc = _combinations(rx_sets, r0, min(r0 + rx_chunk, combos_r))
+            for t0 in range(0, combos_t, tx_chunk):
+                txc = _combinations(tx_sets, t0, min(t0 + tx_chunk, combos_t))
+                caps = _batch_capacities(channel, rxc, txc, rho)
+                a, b = np.unravel_index(np.argmax(caps), caps.shape)
+                val = _finite(caps[a, b])
+                if val > best_val:
+                    best_val, rx, tx = val, rxc[a], txc[b]
     return rx, tx, combos_r * combos_t
 
 
@@ -338,25 +347,27 @@ def jcr_ao(channel, rho, epsilon=1e-3, max_iters=20, relaxed=None):
     ports = [np.array(start.rx_ports) - 1, np.array(start.tx_ports) - 1]
     steps = [(0, i, c.n_r) for i in range(c.m_r)] + [(1, j, c.n_t) for j in range(c.m_t)]
 
-    c_new = c_best = _finite(_paired_capacities(channel, ports[0][None], ports[1][None], rho)[0])
     c_old = 0.0
     evaluations = 1
     sweeps = 0
-    trace = [c_new]
-    while abs(c_new - c_old) > abs(c_old) * epsilon and sweeps < max_iters:
-        c_old = c_new
-        for side, antenna, n in steps:
-            candidates = [np.tile(p, (n, 1)) for p in ports]
-            candidates[side][:, antenna] = np.arange(n)
-            vals = _paired_capacities(channel, *candidates, rho)
-            best = n - 1 - int(np.argmax(vals[::-1]))
-            if _finite(vals[best]) >= c_best:
-                c_best = float(vals[best])
-                ports[side][antenna] = best
-            evaluations += n
-        c_new = c_best
-        sweeps += 1
-        trace.append(c_new)
+    with _quiet():
+        c_new = c_best = _finite(
+            _paired_capacities(channel, ports[0][None], ports[1][None], rho)[0])
+        trace = [c_new]
+        while abs(c_new - c_old) > abs(c_old) * epsilon and sweeps < max_iters:
+            c_old = c_new
+            for side, antenna, n in steps:
+                candidates = [np.tile(p, (n, 1)) for p in ports]
+                candidates[side][:, antenna] = np.arange(n)
+                vals = _paired_capacities(channel, *candidates, rho)
+                best = n - 1 - int(np.argmax(vals[::-1]))
+                if _finite(vals[best]) >= c_best:
+                    c_best = float(vals[best])
+                    ports[side][antenna] = best
+                evaluations += n
+            c_new = c_best
+            sweeps += 1
+            trace.append(c_new)
 
     return _result(channel, rho, "jcr-ao", *ports, evaluations, iterations=sweeps,
                    capacity_trace=tuple(trace), relaxation=relaxed)
@@ -383,7 +394,8 @@ def random_selection(channel, rho, samples=None, seed=0):
     rng = np.random.default_rng(seed)
     rx_all = rng.integers(1, c.n_r + 1, size=(samples, c.m_r)) - 1
     tx_all = rng.integers(1, c.n_t + 1, size=(samples, c.m_t)) - 1
-    caps = _paired_capacities(channel, rx_all, tx_all, rho)
+    with _quiet():
+        caps = _paired_capacities(channel, rx_all, tx_all, rho)
     best = int(np.argmax(caps))
     _finite(caps[best])
     return _result(channel, rho, "random", rx_all[best], tx_all[best], samples)

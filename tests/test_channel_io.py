@@ -64,6 +64,17 @@ def test_missing_rows_rejected():
         load_channel(io.StringIO(truncated))
 
 
+def test_overstated_header_rejected_before_allocating():
+    # 10^18 declared entries above one data row: numpy refuses that array
+    # without allocating, so this message shows no allocation was tried
+    text = ("# fluid-mimo channel m_r=1000000 m_t=1000000 n_r=1000 n_t=1000 snr_db=5.0 w=0.5\n"
+            "i,n,j,k,re,im\n"
+            "1,1,1,1,0.5,0.5\n")
+    with pytest.raises(ChannelFormatError,
+                       match="line 3: header declares 1000000000000000000 entries, found 1"):
+        load_channel(io.StringIO(text))
+
+
 def test_duplicate_row_rejected():
     ch = make_channel(np.ones((1, 2)), 1, 1, 1, 2)
     buf = io.StringIO()

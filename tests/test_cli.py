@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fluidmimo import load_channel
+from fluidmimo import cli, load_channel
 from fluidmimo.cli import main
 from fluidmimo.harness import PointSummary, TrialRecord, summarize
 from fluidmimo.reporting import RECORDS_HEADER, SUMMARY_HEADER, write_summary_csv
@@ -253,6 +253,125 @@ class TestSweep:
         assert "bogus" in capsys.readouterr().err
 
 
+class TestOverriddenOptions:
+    SWEEP = ("sweep", "--m", "1", "--values", "2,3", "--trials", "2",
+             "--algos", "exhaustive,random", "--threads", "1")
+
+    def _sweep(self, out_dir, capsys, *extra):
+        assert run_cli(*self.SWEEP, *extra, "--out-dir", str(out_dir)) == 0
+        err = capsys.readouterr().err
+        return err, (out_dir / "records.csv").read_bytes(), (out_dir / "summary.csv").read_bytes()
+
+    @pytest.mark.parametrize("variable, flag, value, warning", [
+        ("ports", "--nr", "5", "nr is ignored: the ports sweep sets it"),
+        ("ports", "--n", "7", "n is ignored: the ports sweep sets it"),
+        ("snr", "--snr-db", "30", "snr_db is ignored: the snr_db sweep sets it"),
+        ("w", "--w", "4", "w is ignored: the w sweep sets it"),
+    ])
+    def test_flag_warns_and_leaves_records_unchanged(self, tmp_path, capsys, variable, flag,
+                                                     value, warning):
+        err, *plain = self._sweep(tmp_path / "a", capsys, "--variable", variable)
+        assert err == ""
+        err, *flagged = self._sweep(tmp_path / "b", capsys, "--variable", variable, flag, value)
+        assert err.splitlines() == ["warning: " + warning]
+        assert flagged == plain
+
+    def test_config_key_warns_and_leaves_records_unchanged(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nt=6\n")
+        _, *plain = self._sweep(tmp_path / "a", capsys)
+        err, *configured = self._sweep(tmp_path / "b", capsys, "--config", str(cfg))
+        assert err.splitlines() == ["warning: nt is ignored: the ports sweep sets it"]
+        assert configured == plain
+
+    def test_channel_file_options_warn(self, tmp_path, capsys):
+        path = tmp_path / "ch.csv"
+        run_cli("generate", "--m", "1", "--n", "3", "--seed", "2", "--out", str(path))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("w=4\n")
+        capsys.readouterr()
+        assert run_cli("solve", "--channel", str(path), "--algo", "all") == 0
+        plain = capsys.readouterr()
+        assert plain.err == ""
+        assert run_cli("solve", "--channel", str(path), "--algo", "all", "--config", str(cfg),
+                       "--mr", "2", "--seed", "5", "--snr-db", "5.0") == 0
+        warned = capsys.readouterr()
+        assert warned.err.splitlines() == [
+            f"warning: {name} is ignored: the channel comes from --channel"
+            for name in ("mr", "w", "seed")]
+        assert warned.out == plain.out
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--m", "1", "--n", "2", "--seed", "3", "--w", "2", "--snr-db", "4"),
+        ("sweep", "--variable", "snr", "--values", "0,5", "--m", "1", "--n", "2",
+         "--w", "2", "--trials", "1", "--threads", "1"),
+        ("sweep", "--variable", "w", "--values", "1,2", "--m", "1", "--nr", "2", "--nt", "3",
+         "--snr-db", "4", "--trials", "1", "--threads", "1"),
+    ], ids=["solve", "snr-sweep", "w-sweep"])
+    def test_no_overridden_option_no_warning(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().err == ""
+
+
+class TestOptionTable:
+    @staticmethod
+    def _help_texts(command, capsys):
+        """Help text of each flag in `command --help`, whitespace collapsed."""
+        with pytest.raises(SystemExit) as err:
+            run_cli(command, "--help")
+        assert err.value.code == 0
+        texts, flag = {}, None
+        for line in capsys.readouterr().out.splitlines():
+            words = line.split()
+            if line.startswith("  --"):  # wrapped help lines are indented deeper
+                flag = words[0]
+                metavar = flag[2:].replace("-", "_").upper()
+                texts[flag] = " ".join(words[2:] if words[1:2] == [metavar] else words[1:])
+            elif flag and words:
+                texts[flag] += " " + " ".join(words)
+        return {flag: " ".join(text.split()) for flag, text in texts.items()}
+
+    @pytest.mark.parametrize("command", ["generate", "solve", "sweep"])
+    def test_help_shows_each_default_from_its_row(self, capsys, command):
+        texts = self._help_texts(command, capsys)
+        assert len(texts) == len(cli._OPTIONS[command])
+        for name, (cast, default, text) in cli._OPTIONS[command].items():
+            shown = texts["--" + name.replace("_", "-")]
+            if default is None or cast is cli._boolean:
+                assert shown == text
+            else:
+                assert shown == f"{text} (default {default})"
+        for seed in ("--seed", "--baseline-seed", "--master-seed"):
+            if seed in texts:
+                assert texts[seed].endswith("(default 0)")
+        assert ("channel file" in texts["--snr-db"]) == (command == "solve")
+
+    @pytest.mark.parametrize("argv, key", [
+        (("generate", "--out", "ch.csv"), "seed"),
+        (("solve", "--algo", "conventional"), "seed"),
+        (("solve", "--algo", "random"), "baseline_seed"),
+        (("sweep", "--values", "2", "--trials", "1", "--threads", "1"), "master_seed"),
+    ])
+    def test_negative_seed_in_config_file_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                  argv, key):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(f"{key}=-1\n")
+        assert run_cli(*argv, "--config", "run.cfg", "--m", "1", "--n", "2") == 2
+        captured = capsys.readouterr()
+        assert f"bad value for {key!r}: must be >= 0, got -1" in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+    def test_negative_seed_next_to_channel_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "ch.csv"
+        run_cli("generate", "--m", "1", "--n", "2", "--out", str(path))
+        with pytest.raises(SystemExit) as err:
+            run_cli("solve", "--channel", str(path), "--seed", "-5")
+        assert err.value.code == 2
+        assert "--seed: must be >= 0" in capsys.readouterr().err
+
+
 class TestAlgorithmDispatch:
     NAMES = ("exhaustive_search", "jcr_res", "jcr_ao", "random_selection", "conventional_mimo")
 
@@ -416,6 +535,14 @@ class TestExitCodes:
                        "--algos", "conventional", "--threads", "1", "--out-dir", str(tmp_path))
         assert code == 2
         assert "out-dir: cannot write" in capsys.readouterr().err
+
+    def test_overstated_channel_header_exits_2(self, tmp_path, capsys):
+        # before, allocating the declared matrix died with a traceback, exit 1
+        path = tmp_path / "ch.csv"
+        path.write_text("# fluid-mimo channel m_r=1000000 m_t=1000000 n_r=1000 n_t=1000 "
+                        "snr_db=5.0 w=0.5\ni,n,j,k,re,im\n1,1,1,1,0.5,0.5\n")
+        assert run_cli("solve", "--channel", str(path)) == 2
+        assert "header declares 1000000000000000000 entries, found 1" in capsys.readouterr().err
 
     def test_missing_channel_file_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -218,6 +218,33 @@ class TestRunSweep:
         tasks = trials if variable == "snr_db" else trials * len(values)
         assert seen == [(tasks, chunksize)]
 
+    @pytest.mark.parametrize("threads,trials,pools", [
+        (1000, 2, [2]),   # two tasks: two workers, not a thousand
+        (3, 40, [3]),
+        (1000, 1, []),    # a single task runs in this process
+    ])
+    def test_pool_starts_at_most_one_worker_per_task(self, monkeypatch, threads, trials,
+                                                     pools):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        spec = small_spec(values=(2,), trials=trials, algorithms=("conventional",))
+        assert run_sweep(spec, threads=threads) == run_sweep(spec, threads=1)
+        assert started == pools
+
     def test_ao_iterations_within_cap(self):
         records, summaries = run_sweep(small_spec(trials=5))
         for r in records:
