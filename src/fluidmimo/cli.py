@@ -19,7 +19,8 @@ Exit codes: 0 success, 2 configuration error (also a negative seed, a
 channel file whose header declares more entries than it has rows, an SNR
 or channel that overflows float64, and an --out-dir that cannot be
 created or written), 3 resource-cap refusal (message carries the
-combination count), 4 solver failure.
+combination count), 4 solver failure (also an LP whose arithmetic
+overflows float64).
 """
 
 import argparse
@@ -144,7 +145,8 @@ _OPTIONS = {
         **_COMMON,
         "variable": (_choice(tuple(_VARIABLE_ALIASES)), "ports",
                      "swept quantity: ports, snr, or w"),
-        "values": (str, None, "comma-separated increasing sweep values, e.g. 5,10,15,20"),
+        "values": (str, None, "comma-separated increasing sweep values (default by variable: "
+                   + "; ".join(f"{k} {v}" for k, v in _SWEEP_DEFAULT_VALUES.items()) + ")"),
         "trials": (_positive_int, 100, "channel draws per sweep point"),
         "algos": (str, "all", "comma-separated algorithms or 'all'"),
         "master_seed": (_seed, 0, "master seed for all trials"),
@@ -292,6 +294,8 @@ def cmd_solve(opt):
             "evaluations": res.evaluations,
             "lp_iterations": None if stats is None else stats.iterations,
             "lp_duality_gap": None if stats is None else stats.duality_gap,
+            "score_margin": res.score_margin,
+            "score_margin_rel": res.score_margin_rel,
         })
     if opt.json:
         print(json.dumps(outputs, indent=2))

@@ -28,12 +28,19 @@ diagonal plus one positive-definite 2x2 contribution per edge (no
 cancellation), followed by a Schur complement onto the M_R + M_T simplex
 duals. One iteration costs O(edges) assembly plus two small dense Cholesky
 factorizations, regardless of the five-variables-per-edge standard form.
+
+LAPACK dpotrf/dpotrs are called directly, with the arguments of
+`scipy.linalg.cho_factor`/`cho_solve`, so results match those wrappers to
+the bit. Their `check_finite` becomes one finiteness guard: each factor is
+checked when it is made, each right-hand side before its solve. A failed
+check means the iterates overflowed float64; the solve then raises
+IpmFailure carrying the stats, never another exception.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 _CERTIFY_GAP = 1e-7    # weakest accuracy a returned solution may have
 _CERTIFY_FEAS = 1e-8
@@ -79,25 +86,43 @@ class LpSolution:
     stats: SolverStats
 
 
+def _finite(a):
+    """`a`, or LinAlgError if it holds inf or NaN: the finiteness guard."""
+    if not np.isfinite(a).all():
+        raise np.linalg.LinAlgError("KKT system holds inf or NaN: float64 overflowed")
+    return a
+
+
 def _cho_factor_bumped(mat):
-    """Cholesky with escalating diagonal regularization.
+    """Upper Cholesky factor with escalating diagonal regularization.
 
     The condensed matrices are SPD in exact arithmetic but their
     conditioning degrades as the barrier scaling gets extreme; a tiny
     diagonal bump keeps the factorization alive. Step quality is judged on
-    true residuals afterwards, never on the factorization itself.
+    true residuals afterwards, never on the factorization itself. The
+    strict lower triangle keeps mat's entries (clean=0, as in cho_factor),
+    so the finiteness check of the factor covers the input too.
     """
     bump, bumped = 1e-14, mat
     while True:
-        try:
-            return cho_factor(bumped)
-        except np.linalg.LinAlgError:
-            if bump > 1e-4:
-                raise
-            scale = max(1.0, float(np.max(np.abs(np.diagonal(mat)))))
-            bumped = bumped.copy()
-            bumped[np.diag_indices_from(bumped)] += bump * scale
-            bump *= 100.0
+        c, info = dpotrf(bumped, lower=0, overwrite_a=0, clean=0)
+        if info == 0:
+            return _finite(c)
+        if bump > 1e-4:
+            raise np.linalg.LinAlgError(f"{info}-th leading minor is not positive definite")
+        scale = max(1.0, float(np.max(np.abs(np.diagonal(mat)))))
+        bumped = bumped.copy()
+        bumped[np.diag_indices_from(bumped)] += bump * scale
+        bump *= 100.0
+
+
+def _cho_solve(c, b):
+    """Solve with the factor `c` of `_cho_factor_bumped`, as
+    `scipy.linalg.cho_solve` does; `b` passes the finiteness guard first."""
+    x, info = dpotrs(c, _finite(b), lower=0)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+    return x
 
 
 def _blocks(*sizes):
@@ -175,7 +200,7 @@ class _KktSolver:
         self.cho_h = _cho_factor_bumped(h)
 
         # Schur complement on the simplex duals: E H^{-1} E^T
-        self.cho_g = _cho_factor_bumped(lay.et.T @ cho_solve(self.cho_h, lay.et))
+        self.cho_g = _cho_factor_bumped(lay.et.T @ _cho_solve(self.cho_h, lay.et))
 
     def solve(self, f, g):
         """Solve [[-Theta, A^T], [A, 0]] (dv, dlam) = (f, g)."""
@@ -190,31 +215,32 @@ class _KktSolver:
             minlength=lay.ports.stop)
 
         # simplex duals from the small Schur system, then port weights
-        lam = cho_solve(self.cho_g, g[lay.simplex] + lay.et.T @ cho_solve(self.cho_h, r1))
-        u = cho_solve(self.cho_h, lay.et @ lam - r1)
+        dv, dlam = np.empty(lay.n), np.empty(lay.m)
+        lam = dlam[lay.simplex] = _cho_solve(
+            self.cho_g, g[lay.simplex] + lay.et.T @ _cho_solve(self.cho_h, r1))
+        u = dv[lay.ports] = _cho_solve(self.cho_h, lam[lay.ant] - r1)
 
         # back-substitute the eliminated variables and coupling duals
         u_edge = u[lay.edge_ports].reshape(2, -1)
-        tt = (th_sw[0] * u_edge[0] + th_sw[1] * u_edge[1] - ht) / sigma
-        sw = g_pq - tt + u_edge
-        return (np.concatenate([u, tt, sw.ravel()]),
-                np.concatenate([lam, (f_sw + th_sw * sw).ravel()]))
+        tt = dv[lay.t] = (th_sw[0] * u_edge[0] + th_sw[1] * u_edge[1] - ht) / sigma
+        sw = np.add(g_pq - tt, u_edge, out=dv[lay.sw].reshape(2, -1))
+        dlam[lay.pq] = (f_sw + th_sw * sw).ravel()
+        return dv, dlam
 
 
 def _max_step(val, step):
     """Largest alpha in (0, 1] keeping val + alpha*step >= 0."""
-    neg = step < 0
-    if not np.any(neg):
-        return 1.0
-    return min(1.0, float(np.min(-val[neg] / step[neg])))
+    return min(1.0, float(np.where(step < 0, -val / step, np.inf).min()))
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def solve_epigraph_lp(lp, tol_gap=1e-9, tol_feas=1e-10, max_iter=100):
     """Solve the epigraph LP for `lp` (an LpProblem) to high accuracy.
 
     Targets a relative duality gap of `tol_gap` and feasibility residuals
     of `tol_feas`; raises IpmFailure if it cannot at least certify a 1e-7
-    gap and 1e-8 residuals within `max_iter` iterations.
+    gap and 1e-8 residuals within `max_iter` iterations, also when the
+    iterates overflow float64 (numpy's overflow warnings are silenced).
     """
     lay = _Layout(lp)
     n = lay.n
@@ -228,8 +254,13 @@ def solve_epigraph_lp(lp, tol_gap=1e-9, tol_feas=1e-10, max_iter=100):
     # Mehrotra starting point: least-norm primal / least-squares dual,
     # shifted into the strictly positive orthant.
     eye = _KktSolver(lay, np.ones(n))
-    v, _ = eye.solve(np.zeros(n), b)
-    z, lam_neg = eye.solve(-c, np.zeros(lay.m))
+    try:
+        v, _ = eye.solve(np.zeros(n), b)
+        z, lam_neg = eye.solve(-c, np.zeros(lay.m))
+    except np.linalg.LinAlgError as exc:  # sums of the costs overflow
+        nan = float("nan")
+        raise IpmFailure(f"no finite starting point: {exc}",
+                         SolverStats(0, nan, nan, nan, nan)) from exc
     lam = -lam_neg
     dv = max(-1.5 * float(v.min(initial=0.0)), 0.0)
     dz = max(-1.5 * float(z.min(initial=0.0)), 0.0)
@@ -265,22 +296,23 @@ def solve_epigraph_lp(lp, tol_gap=1e-9, tol_feas=1e-10, max_iter=100):
         mu = float(v @ z) / n
         try:
             solver = _KktSolver(lay, z / v)
+
+            # predictor (affine scaling) direction; dz comes from the
+            # linearized dual equation so dual infeasibility contracts
+            # exactly by (1 - ad) even when the KKT solve carries rounding
+            # error
+            dv_step, dlam = solver.solve(-rc + z, -rb)
+            dz_step = -rc - lay.at_mul(dlam)
+            ap = _max_step(v, dv_step)
+            ad = _max_step(z, dz_step)
+            mu_aff = float((v + ap * dv_step) @ (z + ad * dz_step)) / n
+            sigma = min(1.0, max((mu_aff / mu) ** 3, 1e-12)) if mu > 0 else 0.0
+
+            # corrector: recenter and cancel the second-order term
+            r_mu = v * z + dv_step * dz_step - sigma * mu
+            dv_step, dlam = solver.solve(-rc + r_mu / v, -rb)
         except np.linalg.LinAlgError:
-            break  # scaling too extreme to factor; fall through to certification
-
-        # predictor (affine scaling) direction; dz comes from the linearized
-        # dual equation so dual infeasibility contracts exactly by (1 - ad)
-        # even when the KKT solve carries rounding error
-        dv_step, dlam = solver.solve(-rc + z, -rb)
-        dz_step = -rc - lay.at_mul(dlam)
-        ap = _max_step(v, dv_step)
-        ad = _max_step(z, dz_step)
-        mu_aff = float((v + ap * dv_step) @ (z + ad * dz_step)) / n
-        sigma = min(1.0, max((mu_aff / mu) ** 3, 1e-12)) if mu > 0 else 0.0
-
-        # corrector: recenter and cancel the second-order term
-        r_mu = v * z + dv_step * dz_step - sigma * mu
-        dv_step, dlam = solver.solve(-rc + r_mu / v, -rb)
+            break  # too extreme to factor, or not finite: certification decides
         dz_step = -rc - lay.at_mul(dlam)
         eta = 0.9995
         ap = min(1.0, eta * _max_step(v, dv_step))

@@ -82,8 +82,13 @@ class SelectionResult:
     of the selection after the initial rounding and after each sweep
     (within ~1e-14 relative of `capacity`, which gives capacity_bits).
     relaxation, for jcr-res and jcr-ao, is the RelaxedSolution they
-    rounded, so a later heuristic on the same channel can reuse it; it
-    takes no part in equality or repr.
+    rounded, so a later heuristic on the same channel can reuse it.
+    score_margin, for them, is how close the relaxed weights came to
+    another keep-set: the smallest gap, over the antennas that drop a port,
+    between the weights of the last kept and the first dropped port (None
+    when no antenna drops one); score_margin_rel divides it by the largest
+    spread (max - min) of one antenna's weights, and is 0 when every
+    weight is equal. These three fields take no part in equality or repr.
     """
 
     selection: PortSelection
@@ -93,6 +98,8 @@ class SelectionResult:
     evaluations: int
     capacity_trace: Optional[tuple] = None
     relaxation: Optional[RelaxedSolution] = field(default=None, compare=False, repr=False)
+    score_margin: Optional[float] = field(default=None, compare=False, repr=False)
+    score_margin_rel: Optional[float] = field(default=None, compare=False, repr=False)
 
 
 def _quiet():
@@ -284,9 +291,19 @@ def _top_ports(weights, keep):
 
 def _kept_ports(relaxed, keep_r, keep_t):
     """`_top_ports` of each antenna's relaxed weights: the keep-sets of the
-    receive antennas, then those of the transmit antennas."""
-    return ([_top_ports(w, keep_r) for w in relaxed.x_hat.reshape(relaxed.m_r, relaxed.n_r)],
-            [_top_ports(w, keep_t) for w in relaxed.y_hat.reshape(relaxed.m_t, relaxed.n_t)])
+    receive antennas, then those of the transmit antennas, then the
+    score margin and its relative form (see SelectionResult)."""
+    weights = ([(w, keep_r) for w in relaxed.x_hat.reshape(relaxed.m_r, relaxed.n_r)]
+               + [(w, keep_t) for w in relaxed.y_hat.reshape(relaxed.m_t, relaxed.n_t)])
+    kept = [_top_ports(w, keep) for w, keep in weights]
+    ranked = [(np.sort(w), keep) for w, keep in weights]
+    gaps = [float(s[-keep] - s[-keep - 1]) for s, keep in ranked if keep < len(s)]
+    margin = margin_rel = None
+    if gaps:
+        margin = min(gaps)
+        spread = max(float(s[-1] - s[0]) for s, _ in ranked)
+        margin_rel = margin / spread if spread > 0 else 0.0
+    return kept[:relaxed.m_r], kept[relaxed.m_r:], margin, margin_rel
 
 
 def _relaxation_of(channel, relaxed):
@@ -312,15 +329,16 @@ def jcr_res(channel, rho, relaxed=None):
     """
     c = channel.config
     relaxed = _relaxation_of(channel, relaxed)
-    kept_rx, kept_tx = _kept_ports(relaxed, reduced_port_count(c.n_r), reduced_port_count(c.n_t))
+    kept_rx, kept_tx, margin, margin_rel = _kept_ports(
+        relaxed, reduced_port_count(c.n_r), reduced_port_count(c.n_t))
     return _result(channel, rho, "jcr-res", *_enumerate_best(channel, rho, kept_rx, kept_tx),
-                   relaxation=relaxed)
+                   relaxation=relaxed, score_margin=margin, score_margin_rel=margin_rel)
 
 
 def ao_round(relaxed):
     """Per-antenna argmax rounding of a relaxed solution (ties: lower port):
     the keep-sets of `jcr_res` with one port kept."""
-    rx, tx = _kept_ports(relaxed, 1, 1)
+    rx, tx, _, _ = _kept_ports(relaxed, 1, 1)
     return PortSelection(tuple(int(p[0]) + 1 for p in rx), tuple(int(p[0]) + 1 for p in tx))
 
 
@@ -343,8 +361,8 @@ def jcr_ao(channel, rho, epsilon=1e-3, max_iters=20, relaxed=None):
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     c = channel.config
     relaxed = _relaxation_of(channel, relaxed)
-    start = ao_round(relaxed)
-    ports = [np.array(start.rx_ports) - 1, np.array(start.tx_ports) - 1]
+    rx, tx, margin, margin_rel = _kept_ports(relaxed, 1, 1)   # ao_round's start
+    ports = [np.concatenate(rx), np.concatenate(tx)]
     steps = [(0, i, c.n_r) for i in range(c.m_r)] + [(1, j, c.n_t) for j in range(c.m_t)]
 
     c_old = 0.0
@@ -370,7 +388,8 @@ def jcr_ao(channel, rho, epsilon=1e-3, max_iters=20, relaxed=None):
             trace.append(c_new)
 
     return _result(channel, rho, "jcr-ao", *ports, evaluations, iterations=sweeps,
-                   capacity_trace=tuple(trace), relaxation=relaxed)
+                   capacity_trace=tuple(trace), relaxation=relaxed,
+                   score_margin=margin, score_margin_rel=margin_rel)
 
 
 def default_random_samples(config):

@@ -123,6 +123,20 @@ class TestSolve:
         assert alone == [payload["jcr-ao"]]
         assert payload["jcr-ao"]["lp_iterations"] == payload["jcr-res"]["lp_iterations"]
 
+    def test_json_carries_score_margins(self, capsys):
+        assert run_cli("solve", "--m", "2", "--n", "5", "--seed", "3", "--json") == 0
+        payload = {p["algorithm"]: p for p in json.loads(capsys.readouterr().out)}
+        for algo in ("exhaustive", "random", "conventional"):
+            assert payload[algo]["score_margin"] is None
+            assert payload[algo]["score_margin_rel"] is None
+        for algo in ("jcr-res", "jcr-ao"):
+            assert payload[algo]["score_margin"] >= 0.0
+            assert 0.0 <= payload[algo]["score_margin_rel"] <= 1.0
+        # one port per antenna: no antenna drops a port
+        assert run_cli("solve", "--m", "2", "--n", "1", "--json") == 0
+        for out in json.loads(capsys.readouterr().out):
+            assert out["score_margin"] is None and out["score_margin_rel"] is None
+
     def test_solve_is_deterministic(self, tmp_path, capsys):
         out = tmp_path / "ch.csv"
         run_cli("generate", "--m", "1", "--n", "4", "--seed", "2", "--out", str(out))
@@ -347,6 +361,18 @@ class TestOptionTable:
                 assert texts[seed].endswith("(default 0)")
         assert ("channel file" in texts["--snr-db"]) == (command == "solve")
 
+    def test_values_help_states_the_default_of_each_variable(self, tmp_path, capsys,
+                                                             monkeypatch):
+        text = self._help_texts("sweep", capsys)["--values"]
+        monkeypatch.chdir(tmp_path)
+        for variable, values in cli._SWEEP_DEFAULT_VALUES.items():
+            assert f"{variable} {values}" in text
+            # and a sweep without --values runs exactly those points
+            assert run_cli("sweep", "--variable", variable, "--algos", "conventional",
+                           "--trials", "1", "--m", "1", "--threads", "1") == 0
+            _, records = read_records_csv(tmp_path / "records.csv")
+            assert [r.point_value for r in records] == [float(v) for v in values.split(",")]
+
     @pytest.mark.parametrize("argv, key", [
         (("generate", "--out", "ch.csv"), "seed"),
         (("solve", "--algo", "conventional"), "seed"),
@@ -451,6 +477,23 @@ class TestExitCodes:
         capsys.readouterr()
         assert run_cli("solve", "--channel", str(path), "--algo", algo) == 2
         assert "line 3: non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algo", ["jcr-res", "jcr-ao"])
+    @pytest.mark.parametrize("scale", [1e100, 1e-150])
+    def test_overflowing_lp_exits_4(self, tmp_path, capsys, algo, scale):
+        # finite entries, finite |g|^2, but an LP whose iterates leave
+        # float64: before, 1e100 printed numpy warnings and a traceback,
+        # exit 1
+        path = tmp_path / "ch.csv"
+        run_cli("generate", "--m", "2", "--n", "6", "--seed", "3", "--out", str(path))
+        lines = path.read_text().splitlines()
+        rows = [line.split(",") for line in lines[2:]]
+        lines[2:] = [",".join(r[:4] + [repr(float(v) * scale) for v in r[4:]]) for r in rows]
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("solve", "--channel", str(path), "--algo", algo) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: interior-point solver") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ("solve", "--snr-db", "4000"),

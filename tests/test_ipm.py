@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpotrf
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluidmimo import (FluidMimoConfig, IpmFailure, OverallChannel, SolverStats, build_lp,
                        generate_channel)
-from fluidmimo.ipm import _KktSolver, _Layout, solve_epigraph_lp
+from fluidmimo.ipm import (_cho_factor_bumped, _cho_solve, _KktSolver, _Layout,
+                           solve_epigraph_lp)
+from scipy.linalg import cho_factor, cho_solve
 
 from conftest import random_instance
 
@@ -93,7 +96,7 @@ def test_iteration_counts_stay_modest(rng):
 @given(shape=st.tuples(st.integers(1, 6), st.integers(1, 6),
                        st.integers(1, 30), st.integers(1, 30)),
        w=st.sampled_from([0.0, 1e-6, 0.5, 5.0, 100.0]),
-       gain_scale=st.sampled_from([1e-8, 1.0, 1e8]),
+       gain_scale=st.sampled_from([1e-300, 1e-8, 1.0, 1e8, 1e200]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_every_lp_certifies_or_fails_cleanly(shape, w, gain_scale, seed):
     # the certification contract of solve_epigraph_lp over shapes, port
@@ -111,3 +114,73 @@ def test_every_lp_certifies_or_fails_cleanly(shape, w, gain_scale, seed):
     assert sol.stats.primal_residual <= 1e-8
     assert sol.stats.dual_residual <= 1e-8
     assert np.isfinite(sol.objective) and sol.objective >= 0.0
+
+
+def scipy_factor_bumped(mat):
+    """The bumped factorization through scipy's cho_factor, as the solver
+    made it before it called LAPACK itself: the reference for bit identity."""
+    bump, bumped = 1e-14, mat
+    while True:
+        try:
+            return cho_factor(bumped)
+        except np.linalg.LinAlgError:
+            scale = max(1.0, float(np.max(np.abs(np.diagonal(mat)))))
+            bumped = bumped.copy()
+            bumped[np.diag_indices_from(bumped)] += bump * scale
+            bump *= 100.0
+
+
+def spd_matrices(rng):
+    """SPD matrices of the solver's sizes and scalings, the last two of
+    which dpotrf cannot factor without a diagonal bump."""
+    for size in (2, 5, 40, 80):
+        root = rng.standard_normal((size, size))
+        yield root @ root.T + size * np.eye(size)
+        scale = 10.0 ** rng.uniform(-8, 8, size)
+        yield (root @ root.T + np.eye(size)) * np.outer(scale, scale)
+    ones = rng.standard_normal(6)
+    yield np.outer(ones, ones)                       # rank one
+    root = rng.standard_normal((30, 3))
+    yield root @ root.T                              # rank three
+
+
+def test_lapack_calls_match_scipy_wrappers(rng):
+    bumped = 0
+    for mat in spd_matrices(rng):
+        bumped += dpotrf(mat, lower=0, overwrite_a=0, clean=0)[1] != 0
+        ref, lower = scipy_factor_bumped(mat)
+        factor = _cho_factor_bumped(mat)
+        assert not lower and np.array_equal(factor, ref)
+        for b in (rng.standard_normal(len(mat)), rng.standard_normal((len(mat), 4))):
+            assert np.array_equal(_cho_solve(factor, b), cho_solve((ref, lower), b))
+    assert bumped == 2  # the bump path ran
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_finiteness_guard_raises_lin_alg_error(rng, bad):
+    root = rng.standard_normal((5, 5))
+    mat = root @ root.T + np.eye(5)
+    factor = _cho_factor_bumped(mat)
+    b = rng.standard_normal(5)
+    b[2] = bad
+    with pytest.raises(np.linalg.LinAlgError, match="inf or NaN"):
+        _cho_solve(factor, b)
+    for i, j in ((0, 0), (1, 3), (3, 1)):   # diagonal, upper, lower triangle
+        broken = mat.copy()
+        broken[i, j] = bad
+        # silenced as inside solve_epigraph_lp: the diagonal bump of a
+        # non-finite matrix is not finite either
+        with pytest.raises(np.linalg.LinAlgError), np.errstate(invalid="ignore"):
+            _cho_factor_bumped(broken)
+
+
+@pytest.mark.parametrize("n, gain, message", [
+    (30, 1.7e308, "no finite starting point"),   # the cost sums overflow
+    (6, 1e200, "failed to converge"),            # the Newton systems overflow
+])
+def test_overflowing_costs_fail_with_stats(n, gain, message):
+    cfg = FluidMimoConfig(m_r=2, m_t=2, n_r=n, n_t=n)
+    ch = OverallChannel(cfg, np.full((2 * n, 2 * n), np.sqrt(gain), dtype=complex))
+    with pytest.raises(IpmFailure, match=message) as err:
+        solve_epigraph_lp(build_lp(ch))
+    assert isinstance(err.value.stats, SolverStats)

@@ -237,6 +237,42 @@ class TestAoRound:
             assert ao_round(rel) == PortSelection(rx, tx)
 
 
+class TestScoreMargin:
+    # receive weights keep ports 2, 3 (jcr-res, N = 3 keeps 2) or port 2
+    # (jcr-ao); transmit weights keep ports 1, 2 or port 1
+    RX, TX = [0.2, 0.5, 0.3], [0.5, 0.45, 0.05]
+
+    def _run(self, search, x, y, n_r, n_t):
+        ch = generate_channel(FluidMimoConfig(m_r=1, m_t=1, n_r=n_r, n_t=n_t), 1)
+        return search(ch, 1.0, relaxed=_relaxed(x, y, 1, n_r, 1, n_t))
+
+    def test_jcr_res_last_kept_against_first_dropped(self):
+        res = self._run(jcr_res, self.RX, self.TX, 3, 3)
+        assert res.score_margin == min(0.3 - 0.2, 0.45 - 0.05)
+        assert res.score_margin_rel == res.score_margin / max(0.5 - 0.2, 0.5 - 0.05)
+
+    def test_jcr_ao_argmax_against_runner_up(self):
+        res = self._run(jcr_ao, self.RX, self.TX, 3, 3)
+        assert res.score_margin == min(0.5 - 0.3, 0.5 - 0.45)
+        assert res.score_margin_rel == res.score_margin / max(0.5 - 0.2, 0.5 - 0.05)
+
+    def test_tie_has_zero_margin(self):
+        res = self._run(jcr_ao, [0.5, 0.5], [1.0], 2, 1)
+        assert (res.score_margin, res.score_margin_rel) == (0.0, 0.0)
+
+    def test_none_without_a_dropped_port(self):
+        # N = 2 keeps both ports in jcr-res; N = 1 has no runner-up
+        assert self._run(jcr_res, [0.7, 0.3], [0.4, 0.6], 2, 2).score_margin is None
+        res = self._run(jcr_ao, [1.0], [1.0], 1, 1)
+        assert (res.score_margin, res.score_margin_rel) == (None, None)
+
+    def test_other_algorithms_carry_none(self, rng):
+        ch = random_instance(rng, m_max=2, n_max=4)
+        for res in (exhaustive_search(ch, 1.0), random_selection(ch, 1.0),
+                    conventional_mimo(ch, 1.0)):
+            assert res.score_margin is None and res.score_margin_rel is None
+
+
 class TestJcrAo:
     def test_monotone_trace_and_termination(self, rng):
         for _ in range(50):
