@@ -229,8 +229,10 @@ def run_sweep(spec, threads=1, measure_time=False):
     """Run the full sweep; returns (records, summaries), both sorted.
 
     Records are deterministic functions of (spec, master_seed) regardless
-    of `threads`; sorting is (point value, trial, algorithm name). The pool
-    has min(threads, tasks) workers; one task runs in this process.
+    of `threads`; sorting is (point value, trial, algorithm name). With
+    min(threads, tasks) > 1 workers every task runs in a process pool of
+    that many workers and none in this process; with one worker all of
+    them run here, in order.
     """
     validate_spec(spec)
     points = range(len(spec.values))

@@ -156,9 +156,14 @@ class _Layout:
         self.edge_ports = np.concatenate([lp.t_rows, lp.n_x + lp.t_cols])
         self.ant = np.concatenate([np.repeat(np.arange(lp.m_r), lp.n_r),
                                    lp.m_r + np.repeat(np.arange(lp.m_t), lp.n_t)])
-        self.diag = np.arange(self.ports.stop)
-        self.et = np.zeros((self.ports.stop, self.simplex.stop))   # E^T, E = antenna sums
-        self.et[self.diag, self.ant] = 1.0
+        n_ports = self.ports.stop
+        self.et = np.zeros((n_ports, self.simplex.stop))   # E^T, E = antenna sums
+        self.et[np.arange(n_ports), self.ant] = 1.0
+        # flat indices into the condensed port matrix: its diagonal, then the
+        # (x, y) and the (y, x) entry of each edge
+        rows, cols = self.edge_ports.reshape(2, -1)
+        self.h_diag = np.arange(n_ports) * (n_ports + 1)
+        self.h_upper, self.h_lower = rows * n_ports + cols, cols * n_ports + rows
 
     def a_mul(self, v):
         """A v: the antenna sums of (x, y), then t + s - x[row], t + w - y[col]."""
@@ -192,11 +197,11 @@ class _KktSolver:
         # 2x2 contribution [[ts(tt+tw), -ts*tw], [-ts*tw, tw(tt+ts)]]/sigma
         n_ports = lay.ports.stop
         h = np.zeros((n_ports, n_ports))
-        h[lay.diag, lay.diag] = theta[lay.ports] + np.bincount(
+        flat = h.ravel()
+        flat[lay.h_diag] = theta[lay.ports] + np.bincount(
             lay.edge_ports, weights=(th_sw * (th_t + th_sw[::-1]) / self.sigma).ravel(),
             minlength=n_ports)
-        rows, cols = lay.edge_ports.reshape(2, -1)
-        h[rows, cols] = h[cols, rows] = -th_sw[0] * th_sw[1] / self.sigma  # edges are unique
+        flat[lay.h_upper] = flat[lay.h_lower] = -th_sw[0] * th_sw[1] / self.sigma  # unique edges
         self.cho_h = _cho_factor_bumped(h)
 
         # Schur complement on the simplex duals: E H^{-1} E^T

@@ -18,16 +18,37 @@ Five algorithms share the SelectionResult interface:
 
 Every search (exhaustive, the reduced search of jcr-res, the random
 baseline and the coordinate ascent of jcr-ao) scores selections of the
-given channel in batches and builds no channel. Exhaustive search and
-jcr-res share one enumerator over per-antenna port sets: all N ports, or
-the kept ones. The Gram matrix on the side `capacity` uses is a sum of
-per-antenna rank-one terms: each is formed once per (antenna, port) and
-gathered per combination. log2 det(I + rho Gram) is then taken in closed
-form for Gram size 1 and 2 and by a batched Cholesky above that. Every
-combination runs the same arithmetic in the same order, so selections
-with equal effective channels score bit-identically and the tie rules
-below are exact. Batch scores agree with `capacity` to ~1e-14 relative;
-the scalar `capacity` only reports. Every algorithm ends in `_result`,
+given channel in batches and builds no channel. The Gram matrix on the
+side `capacity` uses, m x m for m the smaller antenna count, is a sum over
+the K antennas of the other side of rank-one terms rho v v^H, each packed
+as m*m reals. A search forms these terms once per call as a term table and
+scores a selection by gathering K entry lists from it and adding them in
+antenna order:
+
+  exhaustive,  `_GridTerms` over per-antenna port sets (all N ports, or
+  jcr-res      the kept ones), with every pair of Gram-side ports:
+               (m + m(m-1) L) L floats per port of a summed antenna, L
+               ports per set. The two share one enumerator, and exhaustive
+               search visits the whole grid anyway.
+  jcr-ao       `_AscentTerms`: each pair only against the partner's
+               current port, 2m - 1 floats per channel entry, re-tabulated
+               when a Gram-side port changes. Beyond _TABLE_LIMIT floats,
+               where the table stops paying for itself, `_RowSteps`
+               tabulates each step's candidates alone.
+  random       the samples' own terms, _BLOCK_ENTRIES floats at a time.
+
+Nothing is kept across calls but read-only index layouts. Every entry
+comes from the same real ufuncs on the same operands as forming the term
+from the gathered channel vector would, and the sums run in a fixed order:
+`+=` antenna by antenna in the enumerations, np.sum over the antenna axis
+of a (selection, antenna, entry) array in jcr-ao and random (which adds
+pairwise for one Gram-side antenna against eight or more). A selection
+therefore scores the same bits in every search that uses the same order,
+selections with equal effective channels score bit-identically, and the
+tie rules below are exact. log2 det(I + rho Gram) is taken in closed form
+for Gram size 1 and 2 and by a batched Cholesky above that. Batch scores
+agree with `capacity` to ~1e-14 relative; the scalar `capacity` only
+reports. Every algorithm ends in `_result`,
 the one constructor of a SelectionResult: it turns 0-based ports into
 the 1-based selection and sets capacity_bits to `capacity` of it. A
 score that is NaN or infinite (rho |g|^2 overflows float64) raises
@@ -44,6 +65,7 @@ there.
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -55,9 +77,13 @@ ALGORITHMS = ("exhaustive", "jcr-res", "jcr-ao", "random", "conventional")
 
 DEFAULT_EXHAUSTIVE_CAP = 10 ** 8
 _BATCH_LIMIT = 1 << 18  # evaluated combinations held in memory at once
-# packed matrix entries per block of `_summed_logdets`: a block stays under
-# 128 KiB of float64, the size from which glibc malloc maps fresh pages
-# on every call, and in cache
+# floats of a coordinate-ascent term table (`_AscentTerms`); beyond it the
+# table took longer to build and refresh than it saved (2-core x86 VM,
+# M = 2..6, N = 10..64), and memory stays linear in the step's candidates
+_TABLE_LIMIT = 1 << 15
+# packed matrix entries per block of `_GridTerms.capacities` and of the
+# random baseline's term table: a block stays under 128 KiB of float64, the
+# size from which glibc malloc maps fresh pages on every call, and in cache
 _BLOCK_ENTRIES = 15_000
 
 
@@ -131,91 +157,245 @@ def combination_count(config):
     return config.n_r ** config.m_r * config.n_t ** config.m_t
 
 
-def _combinations(sets, start, stop):
-    """Selections start..stop-1, in mixed-radix order, of one port per
-    antenna from that antenna's set: the first set is the most significant
-    digit and each digit runs through its set in order. Shape (stop - start,
-    len(sets))."""
-    digits = np.unravel_index(np.arange(start, stop), [len(s) for s in sets])
-    return np.stack([s[d] for s, d in zip(sets, digits)], axis=1)
+def _combinations(sizes, start, stop):
+    """Selections start..stop-1, in mixed-radix order, of one position per
+    antenna, antenna i having sizes[i] to choose from: the first antenna is
+    the most significant digit. Shape (stop - start, len(sizes))."""
+    return np.stack(np.unravel_index(np.arange(start, stop), sizes), axis=1)
 
 
-def _packed_terms(vectors, rho):
-    """rho v v^H for vectors v of shape (S, K, ..., m), axis 1 being the
-    antenna, each m x m Hermitian term packed as m*m reals (half the bytes
-    of the complex matrix): the diagonal, then the real and the imaginary
-    parts of the strict upper triangle in row order. Antenna 0 also
-    carries the identity, so a sum over axis 1 is I + rho G. Real ufuncs
-    only, so every element runs the same rounding wherever it sits in the
-    array."""
-    m = vectors.shape[-1]
+@lru_cache(maxsize=64)
+def _triangle(m):
+    """Row and column indices of the strict upper triangle of an m x m
+    matrix in row order, read-only: the pair order of the packed layout."""
     iu, ju = np.triu_indices(m, 1)
-    re, im = vectors.real, vectors.imag
-    terms = rho * np.concatenate([re * re + im * im,
-                                  re[..., iu] * re[..., ju] + im[..., iu] * im[..., ju],
-                                  im[..., iu] * re[..., ju] - re[..., iu] * im[..., ju]],
-                                 axis=-1)
-    terms[:, 0, ..., :m] += 1.0
-    return terms
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
 
 
-def _summed_logdets(vectors, combos, rho):
-    """log2 det(I + rho sum_k v v^H) with v = vectors[a, k, combos[b, k]].
+def _term_table(v, a, b, rho):
+    """Rank-one terms rho v v^H as a table T[r, k, :] of packed entries:
+    row r (a port, or one selection), antenna k of the summed side.
 
-    vectors has shape (A, K, N, m): per outer index a, the length-m vector
-    that antenna k contributes from port n. The rank-one terms are formed
-    once per (a, k, n), then gathered and added in antenna order, a block
-    of combinations at a time so that the block stays in cache. Returns
-    shape (B, A).
+    An entry list holds the diagonal entries rho |v|^2 of v (shape
+    (R, K, ...)), then `_pair_entries` of a and b; each block flattened.
+    Antenna 0 carries the identity on its diagonal entries, so the terms
+    of a selection, added in antenna order, give I + rho G packed as
+    `_packed_logdet` reads it. Real ufuncs only, so an entry has the same
+    bits wherever it sits.
     """
-    terms = np.ascontiguousarray(np.moveaxis(_packed_terms(vectors, rho), 0, -1))
-    out = np.empty((len(combos), terms.shape[-1]))
-    step = max(1, _BLOCK_ENTRIES // terms[0, 0].size)
-    for b0 in range(0, len(combos), step):
-        block = combos[b0:b0 + step]
-        total = terms[0][block[:, 0]]
-        for k in range(1, block.shape[1]):
-            total += terms[k][block[:, k]]
-        out[b0:b0 + step] = _packed_logdet(total.swapaxes(0, 1))
-    return out
+    diag = rho * (v.real * v.real + v.imag * v.imag)
+    table = np.concatenate([diag.reshape(v.shape[:2] + (-1,)), _pair_entries(a, b, rho)], axis=-1)
+    table[:, 0, :v[0, 0].size] += 1.0
+    return table
 
 
-def _batch_capacities(channel, rx_combos, tx_combos, rho):
-    """Capacity of every (rx_combo, tx_combo) pair, shape (A, B).
+def _pair_entries(a, b, rho):
+    """The real parts rho (re_a re_b + im_a im_b), then the imaginary parts
+    rho (im_a re_b - re_a im_b) of off-diagonal entries, flattened per
+    (row, antenna): a and b are the coefficients of the row and the column
+    antenna of each entry, broadcast together over (R, K, ...)."""
+    lead = a.shape[:2] + (-1,)
+    entries = np.concatenate([(a.real * b.real + a.imag * b.imag).reshape(lead),
+                              (a.imag * b.real - a.real * b.imag).reshape(lead)], axis=-1)
+    entries *= rho
+    return entries
 
-    Uses the Gram side of `capacity` without forming any channel: H H^H is
-    the sum of the outer products of the columns of H, and column j
-    depends only on the receive combination and the port of transmit
-    antenna j, so the m_t * n_t column outer products of each receive
-    combination are formed once and gathered per transmit combination.
-    When m_t < m_r the roles mirror: the rows of H give conj(H^H H), which
-    has the same determinant. Every combination runs the same arithmetic
-    in the same order, so combinations with equal effective channels get
-    bit-identical capacities and the first-maximizer tie rule is exact.
-    Agrees with the scalar `capacity` to ~1e-14 relative.
-    """
+
+def _summed_side(channel):
+    """The channel as g[q, k, i, p]: port q of antenna k of the side whose
+    rank-one terms are summed, then antenna i and port p of the Gram side.
+    The Gram matrix is the m x m one of the side with fewer antennas
+    (receive on a tie), as `capacity` uses: H H^H sums the outer products
+    of the columns of H, one per transmit antenna; when m_t < m_r the rows
+    of H give conj(H^H H), which has the same determinant. Returns
+    (g, mirrored), mirrored True when the Gram side is the transmit side."""
     c = channel.config
     g = channel.entries.reshape(c.m_r, c.n_r, c.m_t, c.n_t)
-    if c.m_t < c.m_r:
-        rows = g[:, :, np.arange(c.m_t), tx_combos]         # (m_r, n_r, B, m_t)
-        return _summed_logdets(rows.transpose(2, 0, 1, 3), rx_combos, rho)
-    cols = g[np.arange(c.m_r), rx_combos]                    # (A, m_r, m_t, n_t)
-    return _summed_logdets(cols.transpose(0, 2, 3, 1), tx_combos, rho).T
+    mirrored = c.m_t < c.m_r
+    return g.transpose((1, 0, 2, 3) if mirrored else (3, 2, 0, 1)), mirrored
 
 
-def _paired_capacities(channel, rx_combos, tx_combos, rho):
-    """Capacity of selection k = (rx_combos[k], tx_combos[k]), shape (S,)."""
+@lru_cache(maxsize=64)
+def _grid_layout(m, ports):
+    """Where the m*m packed entries of a selection sit in an entry list of
+    `_GridTerms`, with `ports` positions per Gram-side antenna: entry e of
+    the selection at positions x is at off[e] + x @ stride[:, e].
+    Read-only (off, stride)."""
+    iu, ju = _triangle(m)
+    pairs = np.arange(len(iu))
+    sq = ports * ports
+    off = np.concatenate([np.arange(m) * ports, m * ports + pairs * sq,
+                          m * ports + (len(iu) + pairs) * sq])
+    stride = np.zeros((m, m * m), dtype=np.intp)
+    stride[np.arange(m), np.arange(m)] = 1
+    for block in (m + pairs, m + len(iu) + pairs):
+        stride[iu, block] = ports
+        stride[ju, block] = 1
+    off.flags.writeable = stride.flags.writeable = False
+    return off, stride
+
+
+class _GridTerms:
+    """Term table over per-antenna port sets: receive antenna i may take
+    the ports rx_sets[i], transmit antenna j the ports tx_sets[j] (equal
+    lengths per side). Per (port, antenna) of the summed side it lists the
+    diagonal entry of every Gram-side (antenna, port) and the off-diagonal
+    entries of every pair of Gram-side antennas at every pair of their
+    ports: (m + m(m-1) L) L floats for L ports per antenna. Selections are
+    given as positions in the sets."""
+
+    def __init__(self, channel, rho, rx_sets, tx_sets):
+        g, self.mirrored = _summed_side(channel)
+        sets_k, sets_v = (rx_sets, tx_sets) if self.mirrored else (tx_sets, rx_sets)
+        sets_k, sets_v = np.asarray(sets_k), np.asarray(sets_v)
+        m = len(sets_v)
+        iu, ju = _triangle(m)
+        v = g[sets_k.T[:, :, None, None], np.arange(len(sets_k))[:, None, None],
+              np.arange(m)[:, None], sets_v]                   # (L_k, K, m, L)
+        self.table = _term_table(v, v[:, :, iu, :, None], v[:, :, ju, None, :], rho)
+        self.off, self.stride = _grid_layout(m, sets_v.shape[1])
+
+    def capacities(self, rx, tx):
+        """Capacity of every (rx[a], tx[b]) pair, shape (A, B): the terms
+        of each Gram-side selection are gathered once, then summed per
+        selection of the other side in antenna order."""
+        gram, summed = (tx, rx) if self.mirrored else (rx, tx)
+        terms = np.take(self.table, (self.off + gram @ self.stride).T, axis=2)
+        out = np.empty((len(summed), terms.shape[-1]))
+        step = max(1, _BLOCK_ENTRIES // terms[0, 0].size)
+        for b0 in range(0, len(summed), step):
+            block = summed[b0:b0 + step]
+            total = terms[block[:, 0], 0]
+            for k in range(1, block.shape[1]):
+                total += terms[block[:, k], k]
+            out[b0:b0 + step] = _packed_logdet(total.swapaxes(0, 1))
+        return out if self.mirrored else out.T
+
+
+def _row_capacities(channel, rho, rx, tx):
+    """Capacity of selection s = (rx[s], tx[s]), shape (S,), from a table
+    whose row s holds the terms of selection s alone, summed by np.sum
+    over the antenna axis."""
     c = channel.config
     g = channel.entries.reshape(c.m_r, c.n_r, c.m_t, c.n_t)
-    h = g[np.arange(c.m_r)[:, None], rx_combos[:, :, None],
-          np.arange(c.m_t), tx_combos[:, None, :]]           # (S, m_r, m_t)
-    vectors = h if c.m_t < c.m_r else h.swapaxes(1, 2)
-    return _packed_logdet(_packed_terms(vectors, rho).sum(axis=1).T)
+    h = g[np.arange(c.m_r)[:, None], rx[:, :, None], np.arange(c.m_t), tx[:, None, :]]
+    v = h if c.m_t < c.m_r else h.swapaxes(1, 2)               # (S, K, m)
+    iu, ju = _triangle(v.shape[-1])
+    return _packed_logdet(_term_table(v, v[..., iu], v[..., ju], rho).sum(axis=1).T)
+
+
+@lru_cache(maxsize=64)
+def _ascent_layout(m, ports):
+    """Where the m*m packed entries of a selection sit in an entry list of
+    `_AscentTerms`, for m Gram-side antennas of `ports` ports each, as
+    read-only (off, who, moves, shifts): with ports p, entry e is at
+    off[i, e] + p[who[i, e]] for any antenna i; with antenna i moved to
+    port n it is at off[i, e] + p[who[i, e]] - p[i] * moves[i, e] +
+    shifts[i, n, e], moves[i] marking the entries of antenna i."""
+    iu, ju = _triangle(m)
+    pairs, antennas = np.arange(len(iu)), np.arange(m)[:, None]
+    held = ju == antennas                       # antenna i is the pair's column
+    pair_off = (m + pairs + len(iu) * held) * ports
+    pair_who = np.where(held, antennas, iu)
+    off = np.concatenate([np.broadcast_to(antennas.T * ports, (m, m)), pair_off,
+                          pair_off + 2 * len(iu) * ports], axis=1)
+    who = np.concatenate([np.broadcast_to(antennas.T, (m, m)), pair_who, pair_who], axis=1)
+    moves = (who == antennas).astype(np.intp)
+    shifts = np.arange(ports)[:, None] * moves[:, None, :]
+    for arr in (off, who, moves, shifts):
+        arr.flags.writeable = False
+    return off, who, moves, shifts
+
+
+class _AscentTerms:
+    """Scores for coordinate ascent from one term table, for the ports
+    [rx, tx] (arrays that `commit` updates). Per (port, antenna) of the
+    summed side it lists the diagonal entry of every Gram-side (antenna,
+    port) and the off-diagonal entry of each pair i < j twice: with i at
+    each of its ports against j at its current port, and with j at each
+    of its ports against i at its current one. That is 2m - 1 floats per
+    channel entry; a Gram-side port change re-tabulates the pairs."""
+
+    def __init__(self, channel, rho, ports):
+        self.g, mirrored = _summed_side(channel)
+        self.rho, self.ports, self.gram_side = rho, ports, int(mirrored)
+        self.gram, self.summed = ports[self.gram_side], ports[1 - self.gram_side]
+        n_rows, n_k, m, n_ports = self.g.shape
+        self.off, self.who, self.moves, self.shifts = _ascent_layout(m, n_ports)
+        self.iu, self.ju = _triangle(m)
+        self.gram_ports = np.arange(n_ports)
+        self.summed_ports = np.arange(n_rows)[:, None]
+        self.antennas = np.arange(n_k)[:, None]
+        self.onehot = np.eye(n_k, dtype=bool)
+        self.table = _term_table(self.g, *self._pairs(), rho)
+        self._reindex()
+
+    def _pairs(self):
+        """Coefficients of the row and the column antenna of each pair: the
+        row antenna at each of its ports against the column antenna at its
+        current port, then the other way round."""
+        iu, ju, ports = self.iu[:, None], self.ju[:, None], self.gram_ports
+        first = np.array([True, False])[:, None, None]
+        return (self.g[:, :, iu, np.where(first, ports, self.gram[iu])],
+                self.g[:, :, ju, np.where(first, self.gram[ju], ports)])
+
+    def _reindex(self):
+        now = self.off + self.gram[self.who]
+        self.current = now[:1]
+        self.moved = now - self.gram[:, None] * self.moves
+
+    def _scores(self, rows, inner):
+        """log2 det of the term sums of selections s: summed-side antenna
+        k at port rows[s, k] contributes its entries inner[s] (either
+        broadcasts); np.sum over the antenna axis adds them."""
+        terms = self.table[rows[:, :, None], self.antennas, inner[:, None, :]]
+        return _packed_logdet(terms.sum(axis=1).T)
+
+    def score(self):
+        """Score of the current selection."""
+        return self._scores(self.summed[None], self.current)[0]
+
+    def step(self, side, antenna):
+        """Scores of the selections that move antenna `antenna` of `side`
+        (0 receive, 1 transmit) to each of its ports."""
+        if side == self.gram_side:
+            return self._scores(self.summed[None], self.moved[antenna] + self.shifts[antenna])
+        return self._scores(np.where(self.onehot[antenna], self.summed_ports, self.summed),
+                            self.current)
+
+    def commit(self, side, antenna, port):
+        moved = self.ports[side][antenna] != port
+        self.ports[side][antenna] = port
+        if moved and side == self.gram_side:
+            self.table[..., self.g[0, 0].size:] = _pair_entries(*self._pairs(), self.rho)
+            self._reindex()
+
+
+class _RowSteps:
+    """The scores of `_AscentTerms` from a table of each step's candidates
+    alone (`_row_capacities`), for channels where that table would exceed
+    _TABLE_LIMIT floats: memory linear in the candidates."""
+
+    def __init__(self, channel, rho, ports):
+        self.channel, self.rho, self.ports = channel, rho, ports
+
+    def score(self):
+        return _row_capacities(self.channel, self.rho, self.ports[0][None], self.ports[1][None])[0]
+
+    def step(self, side, antenna):
+        n = (self.channel.config.n_r, self.channel.config.n_t)[side]
+        candidates = [np.tile(p, (n, 1)) for p in self.ports]
+        candidates[side][:, antenna] = np.arange(n)
+        return _row_capacities(self.channel, self.rho, *candidates)
+
+    def commit(self, side, antenna, port):
+        self.ports[side][antenna] = port
 
 
 def _packed_logdet(b):
     """log2 det B for stacked Hermitian positive definite B = I + rho G,
-    packed as by `_packed_terms` along axis 0; clipped at 0 like
+    packed as by `_term_table` along axis 0; clipped at 0 like
     `capacity`.
 
     Closed forms for m = 1 and m = 2; for larger m the matrices are
@@ -227,7 +407,7 @@ def _packed_logdet(b):
     elif m == 2:
         det = b[0] * b[1] - (b[2] * b[2] + b[3] * b[3])
     else:
-        iu, ju = np.triu_indices(m, 1)
+        iu, ju = _triangle(m)
         upper = np.moveaxis(b[m:m + len(iu)] + 1j * b[m + len(iu):], 0, -1)
         full = np.empty(b.shape[1:] + (m, m), dtype=np.complex128)
         full[..., np.arange(m), np.arange(m)] = np.moveaxis(b[:m], 0, -1)
@@ -244,27 +424,31 @@ def _enumerate_best(channel, rho, rx_sets, tx_sets):
     tx_sets[j] (ascending 0-based ports). Returns (rx, tx, combinations).
 
     Streams the (rx, tx) product in chunks of consecutive flat indices:
-    whole rx rows, or one rx row split over tx chunks. np.argmax picks the
-    earliest maximizer of a chunk and a later chunk wins only when strictly
-    greater, so the tie rule is exact regardless of chunking.
+    whole rx rows, or one rx row split over tx chunks. The first row that
+    holds a chunk's maximum and the first maximizer in that row are its
+    earliest maximizer (or its first NaN), and a later chunk wins only when
+    strictly greater, so the tie rule is exact regardless of chunking.
     """
-    combos_r = math.prod(len(s) for s in rx_sets)
-    combos_t = math.prod(len(s) for s in tx_sets)
+    sizes_r, sizes_t = [len(s) for s in rx_sets], [len(s) for s in tx_sets]
+    combos_r, combos_t = math.prod(sizes_r), math.prod(sizes_t)
     tx_chunk = min(combos_t, _BATCH_LIMIT)
     rx_chunk = max(1, _BATCH_LIMIT // tx_chunk)
 
     best_val = -np.inf
     with _quiet():
+        terms = _GridTerms(channel, rho, rx_sets, tx_sets)
         for r0 in range(0, combos_r, rx_chunk):
-            rxc = _combinations(rx_sets, r0, min(r0 + rx_chunk, combos_r))
+            rxc = _combinations(sizes_r, r0, min(r0 + rx_chunk, combos_r))
             for t0 in range(0, combos_t, tx_chunk):
-                txc = _combinations(tx_sets, t0, min(t0 + tx_chunk, combos_t))
-                caps = _batch_capacities(channel, rxc, txc, rho)
-                a, b = np.unravel_index(np.argmax(caps), caps.shape)
+                txc = _combinations(sizes_t, t0, min(t0 + tx_chunk, combos_t))
+                caps = terms.capacities(rxc, txc)
+                a = int(np.argmax(caps.max(axis=1)))
+                b = int(np.argmax(caps[a]))
                 val = _finite(caps[a, b])
                 if val > best_val:
                     best_val, rx, tx = val, rxc[a], txc[b]
-    return rx, tx, combos_r * combos_t
+    return ([s[p] for s, p in zip(rx_sets, rx)], [s[p] for s, p in zip(tx_sets, tx)],
+            combos_r * combos_t)
 
 
 def exhaustive_search(channel, rho, cap=DEFAULT_EXHAUSTIVE_CAP):
@@ -364,24 +548,23 @@ def jcr_ao(channel, rho, epsilon=1e-3, max_iters=20, relaxed=None):
     rx, tx, margin, margin_rel = _kept_ports(relaxed, 1, 1)   # ao_round's start
     ports = [np.concatenate(rx), np.concatenate(tx)]
     steps = [(0, i, c.n_r) for i in range(c.m_r)] + [(1, j, c.n_t) for j in range(c.m_t)]
+    tabulate = (2 * min(c.m_r, c.m_t) - 1) * channel.entries.size <= _TABLE_LIMIT
 
     c_old = 0.0
     evaluations = 1
     sweeps = 0
     with _quiet():
-        c_new = c_best = _finite(
-            _paired_capacities(channel, ports[0][None], ports[1][None], rho)[0])
+        terms = (_AscentTerms if tabulate else _RowSteps)(channel, rho, ports)
+        c_new = c_best = _finite(terms.score())
         trace = [c_new]
         while abs(c_new - c_old) > abs(c_old) * epsilon and sweeps < max_iters:
             c_old = c_new
             for side, antenna, n in steps:
-                candidates = [np.tile(p, (n, 1)) for p in ports]
-                candidates[side][:, antenna] = np.arange(n)
-                vals = _paired_capacities(channel, *candidates, rho)
+                vals = terms.step(side, antenna)
                 best = n - 1 - int(np.argmax(vals[::-1]))
                 if _finite(vals[best]) >= c_best:
                     c_best = float(vals[best])
-                    ports[side][antenna] = best
+                    terms.commit(side, antenna, best)
                 evaluations += n
             c_new = c_best
             sweeps += 1
@@ -403,7 +586,8 @@ def random_selection(channel, rho, samples=None, seed=0):
 
     Deterministic given `seed`: a single PCG64 stream draws all receive
     port matrices first, then all transmit ones. The first-drawn maximizer
-    wins ties.
+    wins ties. The samples are scored a block at a time, so the term table
+    stays within _BLOCK_ENTRIES floats.
     """
     c = channel.config
     if samples is None:
@@ -413,8 +597,11 @@ def random_selection(channel, rho, samples=None, seed=0):
     rng = np.random.default_rng(seed)
     rx_all = rng.integers(1, c.n_r + 1, size=(samples, c.m_r)) - 1
     tx_all = rng.integers(1, c.n_t + 1, size=(samples, c.m_t)) - 1
+    step = max(1, _BLOCK_ENTRIES // (c.m_r * c.m_t * min(c.m_r, c.m_t)))
     with _quiet():
-        caps = _paired_capacities(channel, rx_all, tx_all, rho)
+        caps = np.concatenate([_row_capacities(channel, rho, rx_all[s0:s0 + step],
+                                               tx_all[s0:s0 + step])
+                               for s0 in range(0, samples, step)])
     best = int(np.argmax(caps))
     _finite(caps[best])
     return _result(channel, rho, "random", rx_all[best], tx_all[best], samples)

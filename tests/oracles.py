@@ -6,6 +6,11 @@ eigenvalues of the Gram matrix, the exhaustive oracle is a plain nested
 loop over itertools.product, the coordinate-ascent oracle scores one port
 at a time, and the relaxation oracles are enumeration and grid search.
 Tests compare the package against these, never the other way round.
+
+The packed-term references are the exception: they are the selection
+kernel's earlier formulas (rank-one terms formed from gathered channel
+vectors on every call), kept so that tests can check the term tables
+bit for bit. They take the package's packed log-det as an argument.
 """
 
 import itertools
@@ -134,6 +139,55 @@ def loop_coordinate_ascent(config, start, capacity_fn, epsilon=1e-3, max_iters=2
         sweeps += 1
         trace.append(c_new)
     return tuple(rx), tuple(tx), sweeps, evaluations, trace
+
+
+def packed_terms(vectors, rho):
+    """rho v v^H for vectors v of shape (S, K, ..., m), axis 1 being the
+    antenna, each m x m Hermitian term packed as m*m reals: the diagonal,
+    then the real and the imaginary parts of the strict upper triangle in
+    row order. Antenna 0 also carries the identity, so a sum over axis 1
+    is I + rho G."""
+    m = vectors.shape[-1]
+    iu, ju = np.triu_indices(m, 1)
+    re, im = vectors.real, vectors.imag
+    terms = rho * np.concatenate([re * re + im * im,
+                                  re[..., iu] * re[..., ju] + im[..., iu] * im[..., ju],
+                                  im[..., iu] * re[..., ju] - re[..., iu] * im[..., ju]],
+                                 axis=-1)
+    terms[:, 0, ..., :m] += 1.0
+    return terms
+
+
+def _channel_blocks(channel):
+    c = channel.config
+    return c, channel.entries.reshape(c.m_r, c.n_r, c.m_t, c.n_t)
+
+
+def reference_batch_capacities(channel, rx_combos, tx_combos, rho, packed_logdet):
+    """Capacity of every (rx_combo, tx_combo) pair of 0-based ports, shape
+    (A, B): per-antenna terms gathered per combination of the other side
+    and added in antenna order."""
+    c, g = _channel_blocks(channel)
+    if c.m_t < c.m_r:
+        vectors, combos = g[:, :, np.arange(c.m_t), tx_combos].transpose(2, 0, 1, 3), rx_combos
+    else:
+        vectors, combos = g[np.arange(c.m_r), rx_combos].transpose(0, 2, 3, 1), tx_combos
+    terms = np.ascontiguousarray(np.moveaxis(packed_terms(vectors, rho), 0, -1))
+    total = terms[0][combos[:, 0]]
+    for k in range(1, combos.shape[1]):
+        total += terms[k][combos[:, k]]
+    caps = packed_logdet(total.swapaxes(0, 1))
+    return caps if c.m_t < c.m_r else caps.T
+
+
+def reference_paired_capacities(channel, rx_combos, tx_combos, rho, packed_logdet):
+    """Capacity of selection s = (rx_combos[s], tx_combos[s]), 0-based
+    ports, shape (S,): the terms summed by np.sum over the antenna axis."""
+    c, g = _channel_blocks(channel)
+    h = g[np.arange(c.m_r)[:, None], rx_combos[:, :, None],
+          np.arange(c.m_t), tx_combos[:, None, :]]
+    vectors = h if c.m_t < c.m_r else h.swapaxes(1, 2)
+    return packed_logdet(packed_terms(vectors, rho).sum(axis=1).T)
 
 
 def binary_selections(config):

@@ -23,17 +23,28 @@ from fluidmimo import (
 from fluidmimo.ipm import SolverStats
 from fluidmimo.selection import (
     SelectionResult,
-    _batch_capacities,
+    _AscentTerms,
+    _ascent_layout,
     _combinations,
-    _paired_capacities,
+    _grid_layout,
+    _GridTerms,
+    _packed_logdet,
+    _row_capacities,
+    _RowSteps,
     _top_ports,
+    _triangle,
     combination_count,
     default_random_samples,
     reduced_port_count,
 )
 
 from conftest import make_channel, random_instance
-from oracles import loop_coordinate_ascent, loop_exhaustive
+from oracles import (
+    loop_coordinate_ascent,
+    loop_exhaustive,
+    reference_batch_capacities,
+    reference_paired_capacities,
+)
 
 
 def _relaxed(x_hat, y_hat, m_r, n_r, m_t, n_t):
@@ -118,15 +129,16 @@ class TestExhaustive:
         for snr_db in (-5.0, 5.0, 15.0):
             cfg = FluidMimoConfig(m_r=m_r, m_t=m_t, n_r=3, n_t=2, snr_db=snr_db, w=0.5)
             ch = generate_channel(cfg, int(rng.integers(0, 2 ** 63)))
-            rx = _combinations([np.arange(3)] * m_r, 0, 3 ** m_r)
-            tx = _combinations([np.arange(2)] * m_t, 0, 2 ** m_t)
-            caps = _batch_capacities(ch, rx, tx, cfg.rho)
+            rx = _combinations([3] * m_r, 0, 3 ** m_r)
+            tx = _combinations([2] * m_t, 0, 2 ** m_t)
+            caps = _GridTerms(ch, cfg.rho, [np.arange(3)] * m_r,
+                              [np.arange(2)] * m_t).capacities(rx, tx)
             assert caps.shape == (len(rx), len(tx))
             expected = np.array([[capacity(extract_effective(ch, PortSelection(r + 1, t + 1)),
                                            cfg.rho) for t in tx] for r in rx])
             np.testing.assert_allclose(caps, expected, rtol=1e-12, atol=0.0)
-            paired = _paired_capacities(ch, np.repeat(rx, len(tx), axis=0),
-                                        np.tile(tx, (len(rx), 1)), cfg.rho)
+            paired = _row_capacities(ch, cfg.rho, np.repeat(rx, len(tx), axis=0),
+                                     np.tile(tx, (len(rx), 1)))
             np.testing.assert_allclose(paired, expected.ravel(), rtol=1e-12, atol=0.0)
 
     def test_matches_loop_oracle_m2_n3(self, rng):
@@ -157,11 +169,13 @@ class TestExhaustive:
         for _ in range(6):
             ch = random_instance(rng, m_max=3, n_max=3)
             relaxed = solve_jcr(ch)
-            full = [exhaustive_search(ch, 1.0), jcr_res(ch, 1.0, relaxed=relaxed)]
+            runs = (lambda: exhaustive_search(ch, 1.0), lambda: jcr_res(ch, 1.0, relaxed=relaxed),
+                    lambda: random_selection(ch, 1.0, seed=3))
+            full = [run() for run in runs]
             for limit in (7, 3):
                 monkeypatch.setattr(sel_mod, "_BATCH_LIMIT", limit)
                 monkeypatch.setattr(sel_mod, "_BLOCK_ENTRIES", 1)
-                assert [exhaustive_search(ch, 1.0), jcr_res(ch, 1.0, relaxed=relaxed)] == full
+                assert [run() for run in runs] == full
             monkeypatch.undo()
 
 
@@ -483,6 +497,133 @@ class TestOptimalitySandwich:
             # relaxation bound sandwiches the optimum from above
             rel = solve_jcr(ch)
             assert ex.capacity_bits <= capacity_upper_bound(rel.u_star, rho) + 1e-9
+
+
+# (m_r, m_t, n_r, n_t, w): both Gram sides (m_r < m_t and m_t < m_r), M = 1,
+# one Gram-side antenna against eight summed ones (np.sum then adds
+# pairwise), the Cholesky branch (Gram size 3 and 4), n_r != n_t, W = 0
+CONTRACT_SHAPES = [(2, 2, 5, 5, 0.5), (2, 3, 4, 3, 0.5), (3, 2, 3, 4, 2.0), (1, 1, 6, 4, 0.5),
+                   (1, 8, 2, 2, 0.5), (3, 3, 3, 3, 0.5), (4, 4, 2, 2, 1.0), (2, 2, 4, 6, 0.0),
+                   (3, 1, 2, 7, 0.5)]
+
+
+def _contract_cases(shape):
+    """Two channels of the shape, each at rho = 1e-3, the config's, 300."""
+    m_r, m_t, n_r, n_t, w = shape
+    rng = np.random.default_rng([m_r, m_t, n_r, n_t])
+    for _ in range(2):
+        cfg = FluidMimoConfig(m_r=m_r, m_t=m_t, n_r=n_r, n_t=n_t,
+                              snr_db=float(rng.uniform(-5, 15)), w=w)
+        ch = generate_channel(cfg, int(rng.integers(0, 2 ** 63)))
+        for rho in (1e-3, cfg.rho, 300.0):
+            yield ch, rho, rng
+
+
+class TestBitwiseScores:
+    """Every search scores a selection with the bits of the kernel's earlier
+    formulas, the terms formed from gathered channel vectors on every call
+    (oracles.packed_terms): np.array_equal, not approx."""
+
+    @pytest.mark.parametrize("shape", CONTRACT_SHAPES)
+    def test_exhaustive_and_reduced_grids(self, shape):
+        for ch, rho, rng in _contract_cases(shape):
+            c = ch.config
+            every = [np.arange(c.n_r)] * c.m_r, [np.arange(c.n_t)] * c.m_t
+            rx = _combinations([c.n_r] * c.m_r, 0, c.n_r ** c.m_r)
+            tx = _combinations([c.n_t] * c.m_t, 0, c.n_t ** c.m_t)
+            caps = _GridTerms(ch, rho, *every).capacities(rx, tx)
+            assert np.array_equal(caps, reference_batch_capacities(ch, rx, tx, rho,
+                                                                   _packed_logdet))
+
+            # jcr-res: a table over kept sets, selections as positions in them
+            keep_r, keep_t = reduced_port_count(c.n_r), reduced_port_count(c.n_t)
+            rx_sets = [np.sort(rng.permutation(c.n_r)[:keep_r]) for _ in range(c.m_r)]
+            tx_sets = [np.sort(rng.permutation(c.n_t)[:keep_t]) for _ in range(c.m_t)]
+            rx = _combinations([keep_r] * c.m_r, 0, keep_r ** c.m_r)
+            tx = _combinations([keep_t] * c.m_t, 0, keep_t ** c.m_t)
+            caps = _GridTerms(ch, rho, rx_sets, tx_sets).capacities(rx, tx)
+            expected = reference_batch_capacities(
+                ch, np.asarray(rx_sets)[np.arange(c.m_r), rx],
+                np.asarray(tx_sets)[np.arange(c.m_t), tx], rho, _packed_logdet)
+            assert np.array_equal(caps, expected)
+
+    @pytest.mark.parametrize("shape", CONTRACT_SHAPES)
+    def test_random_rows(self, shape):
+        for ch, rho, rng in _contract_cases(shape):
+            c = ch.config
+            rx = rng.integers(0, c.n_r, size=(40, c.m_r))
+            tx = rng.integers(0, c.n_t, size=(40, c.m_t))
+            assert np.array_equal(_row_capacities(ch, rho, rx, tx),
+                                  reference_paired_capacities(ch, rx, tx, rho, _packed_logdet))
+
+    @pytest.mark.parametrize("steps", [_AscentTerms, _RowSteps])
+    @pytest.mark.parametrize("shape", CONTRACT_SHAPES)
+    def test_ascent_steps_through_port_changes(self, shape, steps):
+        # every step's candidate scores, the ports moved between steps as
+        # commits move them (a Gram-side move re-tabulates the pairs)
+        for ch, rho, rng in _contract_cases(shape):
+            c = ch.config
+            ports = [rng.integers(0, c.n_r, size=c.m_r), rng.integers(0, c.n_t, size=c.m_t)]
+            terms = steps(ch, rho, ports)
+            if steps is _AscentTerms:
+                assert terms.table.size == (2 * min(c.m_r, c.m_t) - 1) * ch.entries.size
+            for _ in range(2):
+                for side, n in ((0, c.n_r), (1, c.n_t)):
+                    for antenna in range(len(ports[side])):
+                        candidates = [np.tile(p, (n, 1)) for p in ports]
+                        candidates[side][:, antenna] = np.arange(n)
+                        expected = reference_paired_capacities(ch, *candidates, rho,
+                                                               _packed_logdet)
+                        assert np.array_equal(terms.step(side, antenna), expected)
+                        terms.commit(side, antenna, int(rng.integers(0, n)))
+                        assert terms.score() == reference_paired_capacities(
+                            ch, ports[0][None], ports[1][None], rho, _packed_logdet)[0]
+
+    @pytest.mark.parametrize("table_limit", [None, 0])
+    @pytest.mark.parametrize("shape", CONTRACT_SHAPES)
+    def test_jcr_ao_trace(self, shape, table_limit, monkeypatch):
+        # the default limit tabulates every contract shape; 0 tabulates none
+        import fluidmimo.selection as sel_mod
+        if table_limit is not None:
+            monkeypatch.setattr(sel_mod, "_TABLE_LIMIT", table_limit)
+        relaxations = {}
+        for ch, rho, _ in _contract_cases(shape):
+            rel = relaxations.setdefault(id(ch), (ch, solve_jcr(ch)))[1]
+            res = jcr_ao(ch, rho, relaxed=rel)
+
+            def reference(rx, tx):
+                return reference_paired_capacities(ch, np.array([rx]) - 1, np.array([tx]) - 1,
+                                                   rho, _packed_logdet)[0]
+
+            start = ao_round(rel)
+            rx, tx, sweeps, evaluations, trace = loop_coordinate_ascent(
+                ch.config, (start.rx_ports, start.tx_ports), reference)
+            assert res.capacity_trace == tuple(trace)
+            assert (res.selection, res.iterations, res.evaluations) == (
+                PortSelection(rx, tx), sweeps, evaluations)
+
+    def test_ascent_table_within_the_limit_only(self, monkeypatch):
+        # M = 2, N = 4: 64 channel entries, an ascent table of 3 * 64 floats
+        import fluidmimo.selection as sel_mod
+        ch = generate_channel(FluidMimoConfig(m_r=2, m_t=2, n_r=4, n_t=4), 1)
+        built = []
+        monkeypatch.setattr(sel_mod, "_AscentTerms",
+                            lambda *args: built.append(args) or _AscentTerms(*args))
+        results = []
+        for limit, tabulated in ((192, True), (191, False)):
+            monkeypatch.setattr(sel_mod, "_TABLE_LIMIT", limit)
+            built.clear()
+            results.append(jcr_ao(ch, 1.0))
+            assert bool(built) == tabulated
+        assert results[0] == results[1]
+
+    def test_cached_layouts_are_read_only(self):
+        for m in (1, 2, 3, 5):
+            assert _triangle(m) is _triangle(m)
+            for arr in (*_triangle(m), *_grid_layout(m, 4), *_ascent_layout(m, 4)):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[...] = 0
 
 
 class TestOverflow:
