@@ -28,21 +28,21 @@ antenna order:
   exhaustive,  `_GridTerms` over per-antenna port sets (all N ports, or
   jcr-res      the kept ones), with every pair of Gram-side ports:
                (m + m(m-1) L) L floats per port of a summed antenna, L
-               ports per set. The two share one enumerator, and exhaustive
-               search visits the whole grid anyway.
+               ports per set. The two share one enumerator. Exhaustive
+               search visits the whole grid anyway and tabulates it whole:
+               N_r N_t floats at M = 1, as many as the channel has
+               entries, and 4.0e6 floats (32 MB) at M = 2, N = 100.
   jcr-ao       `_AscentTerms`: each pair only against the partner's
                current port, 2m - 1 floats per channel entry, re-tabulated
-               when a Gram-side port changes. Beyond _TABLE_LIMIT floats,
-               where the table stops paying for itself, `_RowSteps`
-               tabulates each step's candidates alone.
+               when a Gram-side port changes.
   random       the samples' own terms, _BLOCK_ENTRIES floats at a time.
 
 Nothing is kept across calls but read-only index layouts. Every entry
 comes from the same real ufuncs on the same operands as forming the term
 from the gathered channel vector would, and the sums run in a fixed order:
-`+=` antenna by antenna in the enumerations, np.sum over the antenna axis
-of a (selection, antenna, entry) array in jcr-ao and random (which adds
-pairwise for one Gram-side antenna against eight or more). A selection
+`+=` antenna by antenna in the enumerations, `_antenna_sum` in jcr-ao and
+random (np.sum along a fixed layout, which adds pairwise from eight summed
+antennas on when the Gram side is the receive side). A selection
 therefore scores the same bits in every search that uses the same order,
 selections with equal effective channels score bit-identically, and the
 tie rules below are exact. log2 det(I + rho Gram) is taken in closed form
@@ -77,12 +77,8 @@ ALGORITHMS = ("exhaustive", "jcr-res", "jcr-ao", "random", "conventional")
 
 DEFAULT_EXHAUSTIVE_CAP = 10 ** 8
 _BATCH_LIMIT = 1 << 18  # evaluated combinations held in memory at once
-# floats of a coordinate-ascent term table (`_AscentTerms`); beyond it the
-# table took longer to build and refresh than it saved (2-core x86 VM,
-# M = 2..6, N = 10..64), and memory stays linear in the step's candidates
-_TABLE_LIMIT = 1 << 15
-# packed matrix entries per block of `_GridTerms.capacities` and of the
-# random baseline's term table: a block stays under 128 KiB of float64, the
+# packed matrix entries per block of `_GridTerms.capacities` and of
+# `_row_capacities`' term table: a block stays under 128 KiB of float64, the
 # size from which glibc malloc maps fresh pages on every call, and in cache
 _BLOCK_ENTRIES = 15_000
 
@@ -273,16 +269,37 @@ class _GridTerms:
         return out if self.mirrored else out.T
 
 
+def _antenna_sum(terms, mirrored):
+    """Packed I + rho G of each selection: the sum of its terms (S, K, E)
+    over the K summed antennas, in an order that does not depend on how
+    the terms were laid out. np.sum runs over a C-ordered array (a copy
+    unless the terms already are one) whose antenna axis is the outer one
+    when the Gram side is the transmit side (mirrored), which adds antenna
+    by antenna, and the innermost one otherwise, which adds pairwise once
+    there are eight antennas or more."""
+    if mirrored:
+        return np.ascontiguousarray(terms).sum(axis=1)
+    return np.ascontiguousarray(terms.swapaxes(1, 2)).sum(axis=2)
+
+
 def _row_capacities(channel, rho, rx, tx):
     """Capacity of selection s = (rx[s], tx[s]), shape (S,), from a table
-    whose row s holds the terms of selection s alone, summed by np.sum
-    over the antenna axis."""
+    whose row s holds the terms of selection s alone, added by
+    `_antenna_sum`; the table is built a block of selections at a time,
+    _BLOCK_ENTRIES floats or one selection."""
     c = channel.config
     g = channel.entries.reshape(c.m_r, c.n_r, c.m_t, c.n_t)
-    h = g[np.arange(c.m_r)[:, None], rx[:, :, None], np.arange(c.m_t), tx[:, None, :]]
-    v = h if c.m_t < c.m_r else h.swapaxes(1, 2)               # (S, K, m)
-    iu, ju = _triangle(v.shape[-1])
-    return _packed_logdet(_term_table(v, v[..., iu], v[..., ju], rho).sum(axis=1).T)
+    iu, ju = _triangle(min(c.m_r, c.m_t))
+    mirrored = c.m_t < c.m_r
+    out = np.empty(len(rx))
+    step = max(1, _BLOCK_ENTRIES // (c.m_r * c.m_t * min(c.m_r, c.m_t)))
+    for s0 in range(0, len(rx), step):
+        h = g[np.arange(c.m_r)[:, None], rx[s0:s0 + step, :, None], np.arange(c.m_t),
+              tx[s0:s0 + step, None, :]]
+        v = h if mirrored else h.swapaxes(1, 2)                # (S, K, m)
+        out[s0:s0 + step] = _packed_logdet(
+            _antenna_sum(_term_table(v, v[..., iu], v[..., ju], rho), mirrored).T)
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -318,8 +335,8 @@ class _AscentTerms:
     channel entry; a Gram-side port change re-tabulates the pairs."""
 
     def __init__(self, channel, rho, ports):
-        self.g, mirrored = _summed_side(channel)
-        self.rho, self.ports, self.gram_side = rho, ports, int(mirrored)
+        self.g, self.mirrored = _summed_side(channel)
+        self.rho, self.ports, self.gram_side = rho, ports, int(self.mirrored)
         self.gram, self.summed = ports[self.gram_side], ports[1 - self.gram_side]
         n_rows, n_k, m, n_ports = self.g.shape
         self.off, self.who, self.moves, self.shifts = _ascent_layout(m, n_ports)
@@ -348,9 +365,13 @@ class _AscentTerms:
     def _scores(self, rows, inner):
         """log2 det of the term sums of selections s: summed-side antenna
         k at port rows[s, k] contributes its entries inner[s] (either
-        broadcasts); np.sum over the antenna axis adds them."""
-        terms = self.table[rows[:, :, None], self.antennas, inner[:, None, :]]
-        return _packed_logdet(terms.sum(axis=1).T)
+        broadcasts), added by `_antenna_sum`. They are gathered in the
+        layout it sums in, so it copies nothing."""
+        if self.mirrored:
+            terms = self.table[rows[:, :, None], self.antennas, inner[:, None, :]]
+        else:
+            terms = self.table[rows[:, None, :], self.antennas.T, inner[:, :, None]].swapaxes(1, 2)
+        return _packed_logdet(_antenna_sum(terms, self.mirrored).T)
 
     def score(self):
         """Score of the current selection."""
@@ -370,27 +391,6 @@ class _AscentTerms:
         if moved and side == self.gram_side:
             self.table[..., self.g[0, 0].size:] = _pair_entries(*self._pairs(), self.rho)
             self._reindex()
-
-
-class _RowSteps:
-    """The scores of `_AscentTerms` from a table of each step's candidates
-    alone (`_row_capacities`), for channels where that table would exceed
-    _TABLE_LIMIT floats: memory linear in the candidates."""
-
-    def __init__(self, channel, rho, ports):
-        self.channel, self.rho, self.ports = channel, rho, ports
-
-    def score(self):
-        return _row_capacities(self.channel, self.rho, self.ports[0][None], self.ports[1][None])[0]
-
-    def step(self, side, antenna):
-        n = (self.channel.config.n_r, self.channel.config.n_t)[side]
-        candidates = [np.tile(p, (n, 1)) for p in self.ports]
-        candidates[side][:, antenna] = np.arange(n)
-        return _row_capacities(self.channel, self.rho, *candidates)
-
-    def commit(self, side, antenna, port):
-        self.ports[side][antenna] = port
 
 
 def _packed_logdet(b):
@@ -548,13 +548,12 @@ def jcr_ao(channel, rho, epsilon=1e-3, max_iters=20, relaxed=None):
     rx, tx, margin, margin_rel = _kept_ports(relaxed, 1, 1)   # ao_round's start
     ports = [np.concatenate(rx), np.concatenate(tx)]
     steps = [(0, i, c.n_r) for i in range(c.m_r)] + [(1, j, c.n_t) for j in range(c.m_t)]
-    tabulate = (2 * min(c.m_r, c.m_t) - 1) * channel.entries.size <= _TABLE_LIMIT
 
     c_old = 0.0
     evaluations = 1
     sweeps = 0
     with _quiet():
-        terms = (_AscentTerms if tabulate else _RowSteps)(channel, rho, ports)
+        terms = _AscentTerms(channel, rho, ports)
         c_new = c_best = _finite(terms.score())
         trace = [c_new]
         while abs(c_new - c_old) > abs(c_old) * epsilon and sweeps < max_iters:
@@ -597,11 +596,8 @@ def random_selection(channel, rho, samples=None, seed=0):
     rng = np.random.default_rng(seed)
     rx_all = rng.integers(1, c.n_r + 1, size=(samples, c.m_r)) - 1
     tx_all = rng.integers(1, c.n_t + 1, size=(samples, c.m_t)) - 1
-    step = max(1, _BLOCK_ENTRIES // (c.m_r * c.m_t * min(c.m_r, c.m_t)))
     with _quiet():
-        caps = np.concatenate([_row_capacities(channel, rho, rx_all[s0:s0 + step],
-                                               tx_all[s0:s0 + step])
-                               for s0 in range(0, samples, step)])
+        caps = _row_capacities(channel, rho, rx_all, tx_all)
     best = int(np.argmax(caps))
     _finite(caps[best])
     return _result(channel, rho, "random", rx_all[best], tx_all[best], samples)

@@ -30,7 +30,6 @@ from fluidmimo.selection import (
     _GridTerms,
     _packed_logdet,
     _row_capacities,
-    _RowSteps,
     _top_ports,
     _triangle,
     combination_count,
@@ -500,11 +499,12 @@ class TestOptimalitySandwich:
 
 
 # (m_r, m_t, n_r, n_t, w): both Gram sides (m_r < m_t and m_t < m_r), M = 1,
-# one Gram-side antenna against eight summed ones (np.sum then adds
-# pairwise), the Cholesky branch (Gram size 3 and 4), n_r != n_t, W = 0
+# eight or more summed antennas on both sides (np.sum adds pairwise along
+# a contiguous antenna axis, so the order of the terms' axes decides the
+# bits), the Cholesky branch (Gram size 3 and 4), n_r != n_t, W = 0
 CONTRACT_SHAPES = [(2, 2, 5, 5, 0.5), (2, 3, 4, 3, 0.5), (3, 2, 3, 4, 2.0), (1, 1, 6, 4, 0.5),
-                   (1, 8, 2, 2, 0.5), (3, 3, 3, 3, 0.5), (4, 4, 2, 2, 1.0), (2, 2, 4, 6, 0.0),
-                   (3, 1, 2, 7, 0.5)]
+                   (1, 8, 2, 2, 0.5), (2, 9, 2, 2, 0.5), (9, 2, 2, 2, 0.5), (3, 3, 3, 3, 0.5),
+                   (4, 4, 2, 2, 1.0), (2, 2, 4, 6, 0.0), (3, 1, 2, 7, 0.5)]
 
 
 def _contract_cases(shape):
@@ -548,25 +548,29 @@ class TestBitwiseScores:
             assert np.array_equal(caps, expected)
 
     @pytest.mark.parametrize("shape", CONTRACT_SHAPES)
-    def test_random_rows(self, shape):
+    def test_random_rows(self, shape, monkeypatch):
+        import fluidmimo.selection as sel_mod
         for ch, rho, rng in _contract_cases(shape):
             c = ch.config
             rx = rng.integers(0, c.n_r, size=(40, c.m_r))
             tx = rng.integers(0, c.n_t, size=(40, c.m_t))
-            assert np.array_equal(_row_capacities(ch, rho, rx, tx),
-                                  reference_paired_capacities(ch, rx, tx, rho, _packed_logdet))
+            expected = reference_paired_capacities(ch, rx, tx, rho, _packed_logdet)
+            assert np.array_equal(_row_capacities(ch, rho, rx, tx), expected)
+            # blocks of six selections, the last one of four
+            monkeypatch.setattr(sel_mod, "_BLOCK_ENTRIES",
+                                7 * c.m_r * c.m_t * min(c.m_r, c.m_t) - 1)
+            assert np.array_equal(_row_capacities(ch, rho, rx, tx), expected)
+            monkeypatch.undo()
 
-    @pytest.mark.parametrize("steps", [_AscentTerms, _RowSteps])
     @pytest.mark.parametrize("shape", CONTRACT_SHAPES)
-    def test_ascent_steps_through_port_changes(self, shape, steps):
+    def test_ascent_steps_through_port_changes(self, shape):
         # every step's candidate scores, the ports moved between steps as
         # commits move them (a Gram-side move re-tabulates the pairs)
         for ch, rho, rng in _contract_cases(shape):
             c = ch.config
             ports = [rng.integers(0, c.n_r, size=c.m_r), rng.integers(0, c.n_t, size=c.m_t)]
-            terms = steps(ch, rho, ports)
-            if steps is _AscentTerms:
-                assert terms.table.size == (2 * min(c.m_r, c.m_t) - 1) * ch.entries.size
+            terms = _AscentTerms(ch, rho, ports)
+            assert terms.table.size == (2 * min(c.m_r, c.m_t) - 1) * ch.entries.size
             for _ in range(2):
                 for side, n in ((0, c.n_r), (1, c.n_t)):
                     for antenna in range(len(ports[side])):
@@ -579,13 +583,8 @@ class TestBitwiseScores:
                         assert terms.score() == reference_paired_capacities(
                             ch, ports[0][None], ports[1][None], rho, _packed_logdet)[0]
 
-    @pytest.mark.parametrize("table_limit", [None, 0])
     @pytest.mark.parametrize("shape", CONTRACT_SHAPES)
-    def test_jcr_ao_trace(self, shape, table_limit, monkeypatch):
-        # the default limit tabulates every contract shape; 0 tabulates none
-        import fluidmimo.selection as sel_mod
-        if table_limit is not None:
-            monkeypatch.setattr(sel_mod, "_TABLE_LIMIT", table_limit)
+    def test_jcr_ao_trace(self, shape):
         relaxations = {}
         for ch, rho, _ in _contract_cases(shape):
             rel = relaxations.setdefault(id(ch), (ch, solve_jcr(ch)))[1]
@@ -601,21 +600,6 @@ class TestBitwiseScores:
             assert res.capacity_trace == tuple(trace)
             assert (res.selection, res.iterations, res.evaluations) == (
                 PortSelection(rx, tx), sweeps, evaluations)
-
-    def test_ascent_table_within_the_limit_only(self, monkeypatch):
-        # M = 2, N = 4: 64 channel entries, an ascent table of 3 * 64 floats
-        import fluidmimo.selection as sel_mod
-        ch = generate_channel(FluidMimoConfig(m_r=2, m_t=2, n_r=4, n_t=4), 1)
-        built = []
-        monkeypatch.setattr(sel_mod, "_AscentTerms",
-                            lambda *args: built.append(args) or _AscentTerms(*args))
-        results = []
-        for limit, tabulated in ((192, True), (191, False)):
-            monkeypatch.setattr(sel_mod, "_TABLE_LIMIT", limit)
-            built.clear()
-            results.append(jcr_ao(ch, 1.0))
-            assert bool(built) == tabulated
-        assert results[0] == results[1]
 
     def test_cached_layouts_are_read_only(self):
         for m in (1, 2, 3, 5):
