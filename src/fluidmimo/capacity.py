@@ -74,9 +74,9 @@ def extract_effective(channel, sel):
     """M_R x M_T effective channel for the selected ports."""
     c = channel.config
     sel.validate(c)
-    rows = [i * c.n_r + p - 1 for i, p in enumerate(sel.rx_ports)]
-    cols = [j * c.n_t + p - 1 for j, p in enumerate(sel.tx_ports)]
-    return channel.entries[np.ix_(rows, cols)]
+    rows = np.array([i * c.n_r + p - 1 for i, p in enumerate(sel.rx_ports)])
+    cols = np.array([j * c.n_t + p - 1 for j, p in enumerate(sel.tx_ports)])
+    return channel.entries[rows[:, None], cols]
 
 
 def capacity(effective, rho):

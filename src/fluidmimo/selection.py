@@ -467,27 +467,27 @@ def reduced_port_count(n):
 
 
 def _top_ports(weights, keep):
-    """Indices (0-based, ascending) of the `keep` largest weights; ties go
-    to the lower port index."""
-    order = np.argsort(-weights, kind="stable")[:keep]
-    return np.sort(order)
+    """Indices (0-based, ascending) of the `keep` largest weights along the
+    last axis, one row per antenna; ties go to the lower port index."""
+    order = np.argsort(-weights, axis=-1, kind="stable")[..., :keep]
+    return np.sort(order, axis=-1)
 
 
 def _kept_ports(relaxed, keep_r, keep_t):
-    """`_top_ports` of each antenna's relaxed weights: the keep-sets of the
-    receive antennas, then those of the transmit antennas, then the
-    score margin and its relative form (see SelectionResult)."""
-    weights = ([(w, keep_r) for w in relaxed.x_hat.reshape(relaxed.m_r, relaxed.n_r)]
-               + [(w, keep_t) for w in relaxed.y_hat.reshape(relaxed.m_t, relaxed.n_t)])
-    kept = [_top_ports(w, keep) for w, keep in weights]
-    ranked = [(np.sort(w), keep) for w, keep in weights]
-    gaps = [float(s[-keep] - s[-keep - 1]) for s, keep in ranked if keep < len(s)]
+    """`_top_ports` of each antenna's relaxed weights, one (M, keep) array
+    per side: the keep-sets of the receive antennas, then those of the
+    transmit antennas, then the score margin and its relative form (see
+    SelectionResult)."""
+    sides = [(relaxed.x_hat.reshape(relaxed.m_r, relaxed.n_r), keep_r),
+             (relaxed.y_hat.reshape(relaxed.m_t, relaxed.n_t), keep_t)]
+    ranked = [(np.sort(w, axis=1), keep) for w, keep in sides]
+    gaps = [(s[:, -keep] - s[:, -keep - 1]).min() for s, keep in ranked if keep < s.shape[1]]
     margin = margin_rel = None
     if gaps:
-        margin = min(gaps)
-        spread = max(float(s[-1] - s[0]) for s, _ in ranked)
+        margin = float(min(gaps))
+        spread = float(max((s[:, -1] - s[:, 0]).max() for s, _ in ranked))
         margin_rel = margin / spread if spread > 0 else 0.0
-    return kept[:relaxed.m_r], kept[relaxed.m_r:], margin, margin_rel
+    return _top_ports(*sides[0]), _top_ports(*sides[1]), margin, margin_rel
 
 
 def _relaxation_of(channel, relaxed):

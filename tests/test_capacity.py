@@ -41,6 +41,19 @@ class TestExtractEffective:
                 mask = eff[np.ix_(np.any(eff != 0, axis=1), np.any(eff != 0, axis=0))]
                 assert np.array_equal(stripped, mask)
 
+    def test_gathers_a_c_contiguous_copy(self, rng):
+        # the operand layout capacity()'s Gram product sees
+        for _ in range(10):
+            ch = random_instance(rng, m_max=3, n_max=4)
+            c = ch.config
+            rx = tuple(int(rng.integers(1, c.n_r + 1)) for _ in range(c.m_r))
+            tx = tuple(int(rng.integers(1, c.n_t + 1)) for _ in range(c.m_t))
+            eff = extract_effective(ch, PortSelection(rx, tx))
+            rows = [i * c.n_r + p - 1 for i, p in enumerate(rx)]
+            cols = [j * c.n_t + p - 1 for j, p in enumerate(tx)]
+            assert np.array_equal(eff, ch.entries[np.ix_(rows, cols)])
+            assert eff.flags.c_contiguous and not np.shares_memory(eff, ch.entries)
+
     def test_out_of_range_port(self):
         ch = make_channel([[1, 2], [3, 4]], 1, 1, 2, 2)
         with pytest.raises(ValueError, match="port 3"):

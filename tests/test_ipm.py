@@ -1,3 +1,9 @@
+import subprocess
+import sys
+import textwrap
+from dataclasses import fields, replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dpotrf
@@ -6,8 +12,8 @@ from hypothesis import strategies as st
 
 from fluidmimo import (FluidMimoConfig, IpmFailure, OverallChannel, SolverStats, build_lp,
                        generate_channel)
-from fluidmimo.ipm import (_cho_factor_bumped, _cho_solve, _KktSolver, _Layout,
-                           solve_epigraph_lp)
+from fluidmimo.ipm import (_cho_factor_bumped, _cho_solve, _KktSolver, _structure,
+                           _structure_of, solve_epigraph_lp)
 from scipy.linalg import cho_factor, cho_solve
 
 from conftest import random_instance
@@ -49,7 +55,7 @@ def test_kkt_solver_matches_dense_augmented_system(rng, scaling):
             theta = np.exp(rng.uniform(-1, 1, n)) * 10.0 ** rng.choice([-8, -4, 0, 4, 8], n)
         f = rng.standard_normal(n)
         g = rng.standard_normal(m)
-        dv, dlam = _KktSolver(_Layout(lp), theta).solve(f, g)
+        dv, dlam = _KktSolver(_structure(lp)[0], theta).solve(f, g)
         aug = np.block([[np.diag(-theta), a.T], [a, np.zeros((m, m))]])
         ref = np.linalg.solve(aug, np.concatenate([f, g]))
         sol = np.concatenate([dv, dlam])
@@ -65,7 +71,7 @@ def test_residuals_are_small_even_under_extreme_scaling(rng):
     theta = np.exp(rng.uniform(-1, 1, n)) * 10.0 ** rng.choice([-10, -5, 0, 5, 10], n)
     f = rng.standard_normal(n)
     g = rng.standard_normal(m)
-    dv, dlam = _KktSolver(_Layout(lp), theta).solve(f, g)
+    dv, dlam = _KktSolver(_structure(lp)[0], theta).solve(f, g)
     res_dual = -theta * dv + a.T @ dlam - f
     res_primal = a @ dv - g
     scale = max(1.0, np.abs(dv).max(), np.abs(dlam).max())
@@ -184,3 +190,115 @@ def test_overflowing_costs_fail_with_stats(n, gain, message):
     with pytest.raises(IpmFailure, match=message) as err:
         solve_epigraph_lp(build_lp(ch))
     assert isinstance(err.value.stats, SolverStats)
+
+
+def solution_bytes(sol):
+    """Every field of an LpSolution, as the bytes of its values."""
+    return [np.asarray(getattr(sol, f.name)).tobytes() if f.name != "stats"
+            else repr(sol.stats).encode() for f in fields(sol)]
+
+
+def test_cold_and_warm_structure_give_the_same_bits(rng):
+    lps = [build_lp(random_instance(rng, m_max=3, n_max=6)) for _ in range(6)]
+    _structure_of.cache_clear()
+    cold = [solution_bytes(solve_epigraph_lp(lp)) for lp in lps]
+    assert _structure_of.cache_info().misses == len({
+        (lp.m_r, lp.m_t, lp.n_r, lp.n_t, lp.t_rows.tobytes(), lp.t_cols.tobytes()) for lp in lps})
+    warm = [solution_bytes(solve_epigraph_lp(lp)) for lp in lps]
+    assert _structure_of.cache_info().hits >= len(lps)
+    assert cold == warm
+
+
+def test_structure_is_keyed_on_the_edges_not_the_shape():
+    cfg = FluidMimoConfig(m_r=2, m_t=2, n_r=3, n_t=3)
+    entries = generate_channel(cfg, 4).entries
+    lps = []
+    for zero in ((0, 0), (5, 2)):
+        holed = entries.copy()
+        holed[zero] = 0.0
+        lps.append(build_lp(OverallChannel(cfg, holed)))
+    first, second = (_structure(lp)[0] for lp in lps)
+    assert first is not second
+    assert not np.array_equal(first.edge_ports, second.edge_ports)
+    # the same edges in another dtype share the one structure
+    same = replace(lps[0], t_rows=lps[0].t_rows.astype(np.int32))
+    assert _structure(same)[0] is first
+    for lp in lps:
+        sol = solve_epigraph_lp(lp)
+        assert sol.stats.duality_gap <= 1e-7 and len(sol.t) == 35
+
+
+def test_cached_structure_is_read_only(rng):
+    lay, eye, v_start = _structure(build_lp(random_instance(rng)))
+    arrays = [a for obj in (lay, eye) for a in vars(obj).values() if isinstance(a, np.ndarray)]
+    assert len(arrays) >= 10
+    for a in (*arrays, v_start):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(code):
+    """Run `code` in a fresh interpreter that imports fluidmimo from src/."""
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], cwd=SRC,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cli_runs_without_importing_scipy_linalg(tmp_path):
+    out = run_python(f"""
+        import contextlib, io, sys
+        import fluidmimo.cli as cli
+        assert "scipy.linalg" not in sys.modules, "import fluidmimo.cli"
+        channel = {str(tmp_path / "ch.csv")!r}
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["generate", "--m", "2", "--n", "4", "--seed", "3",
+                             "--out", channel]) == 0
+            assert cli.main(["solve", "--channel", channel, "--algo", "all"]) == 0
+        assert "scipy.linalg" not in sys.modules, "fluidmimo solve --algo all"
+        assert not [name for name in sys.modules if name.startswith("scipy")]
+        import scipy.linalg
+        from fluidmimo import ipm
+        assert ipm.dpotrf is scipy.linalg.lapack.dpotrf
+        assert ipm.dpotrs is scipy.linalg._flapack.dpotrs
+        print("ok")
+    """)
+    assert out.split() == ["ok"]
+
+
+def test_lapack_falls_back_to_scipy_linalg():
+    # with no spec for scipy, the routines come from scipy.linalg.lapack,
+    # and the solver gives the same bits
+    out = run_python("""
+        import importlib, sys
+        from dataclasses import astuple
+        from unittest import mock
+        import numpy as np
+        from fluidmimo import FluidMimoConfig, build_lp, generate_channel
+        from fluidmimo import ipm
+
+        cfg = FluidMimoConfig(m_r=2, m_t=2, n_r=6, n_t=6)
+        lps = [build_lp(generate_channel(cfg, seed)) for seed in range(4)]
+        direct = [ipm.solve_epigraph_lp(lp) for lp in lps]
+        assert "scipy.linalg" not in sys.modules
+        with mock.patch("importlib.util.find_spec", return_value=None):
+            importlib.reload(ipm)
+        assert "scipy.linalg" in sys.modules
+        import scipy.linalg.lapack
+        assert ipm.dpotrf is scipy.linalg.lapack.dpotrf
+        assert ipm.dpotrs is scipy.linalg.lapack.dpotrs
+        for lp, before in zip(lps, direct):
+            after = ipm.solve_epigraph_lp(lp)
+            for name in ("x", "y", "t", "rx_duals", "tx_duals", "coupling_duals_x",
+                         "coupling_duals_y", "reduced_costs"):
+                assert np.array_equal(getattr(after, name), getattr(before, name)), name
+            # the reload makes a new SolverStats class: compare the values
+            assert after.objective == before.objective
+            assert astuple(after.stats) == astuple(before.stats)
+        print("ok")
+    """)
+    assert out.split() == ["ok"]

@@ -28,6 +28,7 @@ from fluidmimo.selection import (
     _combinations,
     _grid_layout,
     _GridTerms,
+    _kept_ports,
     _packed_logdet,
     _row_capacities,
     _top_ports,
@@ -278,6 +279,30 @@ class TestScoreMargin:
         assert self._run(jcr_res, [0.7, 0.3], [0.4, 0.6], 2, 2).score_margin is None
         res = self._run(jcr_ao, [1.0], [1.0], 1, 1)
         assert (res.score_margin, res.score_margin_rel) == (None, None)
+
+    @pytest.mark.parametrize("m_r, m_t, n_r, n_t", [(2, 3, 4, 1), (3, 2, 5, 6), (4, 4, 2, 3)])
+    def test_keep_sets_per_side_match_per_antenna(self, rng, m_r, m_t, n_r, n_t):
+        # the per-antenna form of the keep-sets and margins, on weights drawn
+        # from a few levels so that ties and near-ties occur
+        levels = [0.1, 0.2, 0.2 + 2 ** -55, 0.5]
+        for _ in range(20):
+            x, y = rng.choice(levels, m_r * n_r), rng.choice(levels, m_t * n_t)
+            relaxed = _relaxed(x, y, m_r, n_r, m_t, n_t)
+            for keep_r, keep_t in ((1, 1), (reduced_port_count(n_r), reduced_port_count(n_t)),
+                                   (n_r, n_t)):
+                rx, tx, margin, margin_rel = _kept_ports(relaxed, keep_r, keep_t)
+                sides = ([(w, keep_r) for w in x.reshape(m_r, n_r)]
+                         + [(w, keep_t) for w in y.reshape(m_t, n_t)])
+                kept = [np.sort(np.argsort(-w, kind="stable")[:keep]) for w, keep in sides]
+                assert [k.tolist() for k in (*rx, *tx)] == [k.tolist() for k in kept]
+                ranked = [(np.sort(w), keep) for w, keep in sides]
+                gaps = [float(s[-keep] - s[-keep - 1]) for s, keep in ranked if keep < len(s)]
+                if not gaps:
+                    assert (margin, margin_rel) == (None, None)
+                    continue
+                spread = max(float(s[-1] - s[0]) for s, _ in ranked)
+                assert margin == min(gaps)
+                assert margin_rel == (margin / spread if spread > 0 else 0.0)
 
     def test_other_algorithms_carry_none(self, rng):
         ch = random_instance(rng, m_max=2, n_max=4)
