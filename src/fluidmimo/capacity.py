@@ -21,7 +21,9 @@ which coincides with ||Q||_F^2 on binary selections, and
 `capacity_upper_bound` is the resulting bound C <= (rho / ln 2) * U.
 """
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,11 +86,19 @@ def capacity(effective, rho):
     h = np.asarray(effective, dtype=np.complex128)
     if h.ndim != 2:
         raise ValueError(f"effective channel must be 2-D, got shape {h.shape}")
-    if not np.all(np.isfinite(h)):
+    if not np.isfinite(h).all():
         raise ValueError("effective channel has non-finite entries")
-    if not np.isfinite(rho) or rho < 0:
+    if not (math.isfinite(rho) and rho >= 0):
         raise ValueError(f"rho must be finite and >= 0, got {rho}")
     return _gram_logdet(h, rho)
+
+
+@lru_cache(maxsize=16)
+def _identity(m):
+    """Read-only m x m identity."""
+    eye = np.eye(m)
+    eye.flags.writeable = False
+    return eye
 
 
 def _gram_logdet(h, rho):
@@ -97,9 +107,8 @@ def _gram_logdet(h, rho):
         gram = h.conj().T @ h
     else:
         gram = h @ h.conj().T
-    b = np.eye(gram.shape[0]) + rho * gram
-    diag = np.real(np.diagonal(np.linalg.cholesky(b)))
-    return max(0.0, 2.0 * float(np.sum(np.log2(diag))))
+    b = _identity(len(gram)) + rho * gram
+    return max(0.0, 2.0 * float(np.log2(np.linalg.cholesky(b).diagonal().real).sum()))
 
 
 def capacity_q_form(channel, sel, rho):

@@ -3,8 +3,9 @@ and the two baselines.
 
 Five algorithms share the SelectionResult interface:
 
-  exhaustive    - full mixed-radix enumeration; the global optimum and the
-                  oracle every other strategy is judged against.
+  exhaustive    - mixed-radix enumeration, pruned by a bound without
+                  changing its result; the global optimum and the oracle
+                  every other strategy is judged against.
   jcr-res       - solve the convex relaxation, keep the ceil(log2(N+1))
                   highest-weighted ports per antenna, and enumerate the
                   kept ports of the channel itself.
@@ -28,10 +29,14 @@ antenna order:
   exhaustive,  `_GridTerms` over per-antenna port sets (all N ports, or
   jcr-res      the kept ones), with every pair of Gram-side ports:
                (m + m(m-1) L) L floats per port of a summed antenna, L
-               ports per set. The two share one enumerator. Exhaustive
-               search visits the whole grid anyway and tabulates it whole:
+               ports per set. The two share one enumerator, which sums
+               the K entry lists of a row (one selection of the summed
+               side) once and gathers each Gram-side selection's entries
+               from that sum. Exhaustive search tabulates every port:
                N_r N_t floats at M = 1, as many as the channel has
-               entries, and 4.0e6 floats (32 MB) at M = 2, N = 100.
+               entries, and 4.0e6 floats (32 MB) at M = 2, N = 100. One
+               search peaks at 66 MB there while it builds the table, and
+               at 128 MB at M = 1, N = 2000 (tracemalloc).
   jcr-ao       `_AscentTerms`: each pair only against the partner's
                current port, 2m - 1 floats per channel entry, re-tabulated
                when a Gram-side port changes.
@@ -55,6 +60,23 @@ score that is NaN or infinite (rho |g|^2 overflows float64) raises
 OverflowError instead of deciding; each search silences numpy's overflow
 warnings, so that error is the one report.
 
+The enumeration is pruned by Hadamard's inequality, det B <= prod_i B_ii
+for B positive definite. A row's scores read its own diagonal entries,
+summed in the same order, so none exceeds its bound: log2 of the product
+over the Gram-side antennas of the antenna's largest diagonal entry in
+the row. That holds for the computed scores up to log2's rounding at
+m <= 2, whose determinant is at most the rounded product of its diagonal,
+and up to a few ulps of the Cholesky at m >= 3. The rows of highest bound
+are scored first (_FIRST_PASS selections); the best of their scores is
+the incumbent. Of the other rows, only those whose bound reaches the
+incumbent less _BOUND_SLACK * max(1, incumbent), a margin far above those
+errors, are scored. A row ruled out scores strictly below the incumbent,
+so below the maximum: the first maximizer among the scored rows is the
+first maximizer of the grid, and the tie rule is exact. When a bound
+exceeds _BOUND_CEILING or is NaN, scores may overflow and every row is
+scored, so a NaN score still raises. Grids of at most _FIRST_PASS
+selections are scored whole.
+
 Tie rules are fixed for determinism: enumeration returns the first
 maximizer in mixed-radix order (receive antennas are the outer digits,
 ports ascending); the relaxation rounding and the top-N keep-sets prefer
@@ -70,17 +92,23 @@ from typing import Optional
 
 import numpy as np
 
-from .capacity import PortSelection, capacity, extract_effective
+from .capacity import PortSelection, capacity
 from .relaxation import RelaxedSolution, solve_jcr
 
 ALGORITHMS = ("exhaustive", "jcr-res", "jcr-ao", "random", "conventional")
 
 DEFAULT_EXHAUSTIVE_CAP = 10 ** 8
 _BATCH_LIMIT = 1 << 18  # evaluated combinations held in memory at once
-# packed matrix entries per block of `_GridTerms.capacities` and of
+# packed matrix entries per block of `_GridTerms.scores` and of
 # `_row_capacities`' term table: a block stays under 128 KiB of float64, the
 # size from which glibc malloc maps fresh pages on every call, and in cache
 _BLOCK_ENTRIES = 15_000
+# pruned enumeration (see the module docstring): selections scored before
+# the first rows are ruled out, the margin below the incumbent, relative,
+# and the largest bound, in bits, at which rows are ruled out (log2 1e300)
+_FIRST_PASS = 2048
+_BOUND_SLACK = 1e-9
+_BOUND_CEILING = 996.0
 
 
 class CombinationCapError(RuntimeError):
@@ -99,10 +127,12 @@ class SelectionResult:
     """Outcome of one strategy on one channel realization.
 
     iterations is the coordinate-ascent sweep count (0 for the other
-    algorithms); evaluations counts capacity evaluations performed by the
-    search itself; capacity_trace, for jcr-ao, holds the batch-kernel score
-    of the selection after the initial rounding and after each sweep
-    (within ~1e-14 relative of `capacity`, which gives capacity_bits).
+    algorithms); evaluations counts the selections the search covered:
+    those it scored, and in exhaustive search and jcr-res also those the
+    bound ruled out (every combination); capacity_trace, for jcr-ao, holds
+    the batch-kernel score of the selection after the initial rounding and
+    after each sweep (within ~1e-14 relative of `capacity`, which gives
+    capacity_bits).
     relaxation, for jcr-res and jcr-ao, is the RelaxedSolution they
     rounded, so a later heuristic on the same channel can reuse it.
     score_margin, for them, is how close the relaxed weights came to
@@ -140,10 +170,14 @@ def _finite(score):
 
 def _result(channel, rho, algorithm, rx, tx, evaluations, iterations=0, **fields):
     """SelectionResult for the 0-based ports rx, tx; capacity_bits is
-    `capacity` of that selection."""
-    sel = PortSelection(tuple(int(p) + 1 for p in rx), tuple(int(p) + 1 for p in tx))
+    `capacity` of that selection, its effective channel gathered from the
+    ports as `extract_effective` does, without validating them again."""
+    c = channel.config
+    rows = np.arange(c.m_r) * c.n_r + np.asarray(rx, dtype=np.intp)
+    cols = np.arange(c.m_t) * c.n_t + np.asarray(tx, dtype=np.intp)
     with _quiet():
-        bits = _finite(capacity(extract_effective(channel, sel), rho))
+        bits = _finite(capacity(channel.entries[rows[:, None], cols], rho))
+    sel = PortSelection(tuple(int(p) + 1 for p in rx), tuple(int(p) + 1 for p in tx))
     return SelectionResult(selection=sel, algorithm=algorithm, iterations=iterations,
                            capacity_bits=bits, evaluations=evaluations, **fields)
 
@@ -192,8 +226,11 @@ def _pair_entries(a, b, rho):
     (row, antenna): a and b are the coefficients of the row and the column
     antenna of each entry, broadcast together over (R, K, ...)."""
     lead = a.shape[:2] + (-1,)
-    entries = np.concatenate([(a.real * b.real + a.imag * b.imag).reshape(lead),
-                              (a.imag * b.real - a.real * b.imag).reshape(lead)], axis=-1)
+    re = a.real * b.real
+    re += a.imag * b.imag
+    im = a.imag * b.real
+    im -= a.real * b.imag
+    entries = np.concatenate([re.reshape(lead), im.reshape(lead)], axis=-1)
     entries *= rho
     return entries
 
@@ -212,12 +249,13 @@ def _summed_side(channel):
     return g.transpose((1, 0, 2, 3) if mirrored else (3, 2, 0, 1)), mirrored
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=16)
 def _grid_layout(m, ports):
-    """Where the m*m packed entries of a selection sit in an entry list of
-    `_GridTerms`, with `ports` positions per Gram-side antenna: entry e of
-    the selection at positions x is at off[e] + x @ stride[:, e].
-    Read-only (off, stride)."""
+    """Where the m*m packed entries of each Gram-side selection sit in an
+    entry list of `_GridTerms`, with `ports` positions per antenna: column
+    x holds them for the selection with flat index x in mixed-radix order
+    (the first antenna is the most significant digit). Read-only, shape
+    (m*m, ports**m)."""
     iu, ju = _triangle(m)
     pairs = np.arange(len(iu))
     sq = ports * ports
@@ -228,8 +266,9 @@ def _grid_layout(m, ports):
     for block in (m + pairs, m + len(iu) + pairs):
         stride[iu, block] = ports
         stride[ju, block] = 1
-    off.flags.writeable = stride.flags.writeable = False
-    return off, stride
+    cols = np.ascontiguousarray((off + _combinations([ports] * m, 0, ports ** m) @ stride).T)
+    cols.flags.writeable = False
+    return cols
 
 
 class _GridTerms:
@@ -239,33 +278,55 @@ class _GridTerms:
     diagonal entry of every Gram-side (antenna, port) and the off-diagonal
     entries of every pair of Gram-side antennas at every pair of their
     ports: (m + m(m-1) L) L floats for L ports per antenna. Selections are
-    given as positions in the sets."""
+    given as positions in the sets. A row is one selection of the summed
+    side, given as one array of positions per summed antenna; its entry
+    list is the sum of its antennas' ones, added in antenna order."""
 
     def __init__(self, channel, rho, rx_sets, tx_sets):
         g, self.mirrored = _summed_side(channel)
         sets_k, sets_v = (rx_sets, tx_sets) if self.mirrored else (tx_sets, rx_sets)
         sets_k, sets_v = np.asarray(sets_k), np.asarray(sets_v)
-        m = len(sets_v)
-        iu, ju = _triangle(m)
+        self.m, self.ports = sets_v.shape
+        iu, ju = _triangle(self.m)
         v = g[sets_k.T[:, :, None, None], np.arange(len(sets_k))[:, None, None],
-              np.arange(m)[:, None], sets_v]                   # (L_k, K, m, L)
+              np.arange(self.m)[:, None], sets_v]              # (L_k, K, m, L)
         self.table = _term_table(v, v[:, :, iu, :, None], v[:, :, ju, None, :], rho)
-        self.off, self.stride = _grid_layout(m, sets_v.shape[1])
+        self.cols = _grid_layout(self.m, self.ports)
+
+    def bounds(self, chunks):
+        """Hadamard bound of each row, for the rows of each chunk in turn:
+        log2 of the product over the Gram-side antennas of the antenna's
+        largest diagonal entry of I + rho G. The diagonal entries are the
+        rows' own, laid out port-major first."""
+        diag = np.ascontiguousarray(self.table[..., :self.m * self.ports].reshape(
+            self.table.shape[:2] + (self.m, self.ports)).transpose(1, 3, 2, 0))
+        out = []
+        for summed in chunks:
+            total = np.take(diag[0], summed[0], axis=2)        # (L, m, rows)
+            for k in range(1, len(summed)):
+                total += np.take(diag[k], summed[k], axis=2)
+            out.append(np.log2(total.max(axis=0).prod(axis=0)))
+        return np.concatenate(out)
+
+    def scores(self, summed, cols):
+        """Capacity of every (row, column) pair, shape (rows, columns), for
+        columns of `_grid_layout`: each row's entry list is summed once,
+        then the entries of each column are gathered from it; a block of
+        rows at a time."""
+        out = np.empty((len(summed[0]), cols.shape[1]))
+        step = max(1, _BLOCK_ENTRIES // max(cols.size, self.table.shape[-1]))
+        for s0 in range(0, len(out), step):
+            total = self.table[summed[0][s0:s0 + step], 0]
+            for k in range(1, len(summed)):
+                total += self.table[summed[k][s0:s0 + step], k]
+            out[s0:s0 + step] = _packed_logdet(np.take(total, cols, axis=1).swapaxes(0, 1))
+        return out
 
     def capacities(self, rx, tx):
-        """Capacity of every (rx[a], tx[b]) pair, shape (A, B): the terms
-        of each Gram-side selection are gathered once, then summed per
-        selection of the other side in antenna order."""
+        """Capacity of every (rx[a], tx[b]) pair, shape (A, B)."""
         gram, summed = (tx, rx) if self.mirrored else (rx, tx)
-        terms = np.take(self.table, (self.off + gram @ self.stride).T, axis=2)
-        out = np.empty((len(summed), terms.shape[-1]))
-        step = max(1, _BLOCK_ENTRIES // terms[0, 0].size)
-        for b0 in range(0, len(summed), step):
-            block = summed[b0:b0 + step]
-            total = terms[block[:, 0], 0]
-            for k in range(1, block.shape[1]):
-                total += terms[block[:, k], k]
-            out[b0:b0 + step] = _packed_logdet(total.swapaxes(0, 1))
+        cols = self.cols[:, np.ravel_multi_index(tuple(gram.T), (self.ports,) * self.m)]
+        out = self.scores(tuple(summed.T), cols)
         return out if self.mirrored else out.T
 
 
@@ -421,33 +482,57 @@ def _packed_logdet(b):
 def _enumerate_best(channel, rho, rx_sets, tx_sets):
     """First-in-order maximizer over every selection that gives receive
     antenna i a port from rx_sets[i] and transmit antenna j one from
-    tx_sets[j] (ascending 0-based ports). Returns (rx, tx, combinations).
+    tx_sets[j] (ascending 0-based ports), pruned as the module docstring
+    describes. Returns (rx, tx, combinations).
 
-    Streams the (rx, tx) product in chunks of consecutive flat indices:
-    whole rx rows, or one rx row split over tx chunks. The first row that
-    holds a chunk's maximum and the first maximizer in that row are its
-    earliest maximizer (or its first NaN), and a later chunk wins only when
-    strictly greater, so the tie rule is exact regardless of chunking.
+    Rows are scored in ascending order against every Gram-side selection,
+    at most _BATCH_LIMIT selections at a time. The first maximum of a chunk
+    in flat order (np.argmax, which returns the first NaN if there is one)
+    replaces the best so far when it is greater, or equal and earlier.
     """
     sizes_r, sizes_t = [len(s) for s in rx_sets], [len(s) for s in tx_sets]
     combos_r, combos_t = math.prod(sizes_r), math.prod(sizes_t)
-    tx_chunk = min(combos_t, _BATCH_LIMIT)
-    rx_chunk = max(1, _BATCH_LIMIT // tx_chunk)
-
-    best_val = -np.inf
     with _quiet():
         terms = _GridTerms(channel, rho, rx_sets, tx_sets)
-        for r0 in range(0, combos_r, rx_chunk):
-            rxc = _combinations(sizes_r, r0, min(r0 + rx_chunk, combos_r))
-            for t0 in range(0, combos_t, tx_chunk):
-                txc = _combinations(sizes_t, t0, min(t0 + tx_chunk, combos_t))
-                caps = terms.capacities(rxc, txc)
-                a = int(np.argmax(caps.max(axis=1)))
-                b = int(np.argmax(caps[a]))
-                val = _finite(caps[a, b])
-                if val > best_val:
-                    best_val, rx, tx = val, rxc[a], txc[b]
-    return ([s[p] for s, p in zip(rx_sets, rx)], [s[p] for s, p in zip(tx_sets, tx)],
+        sizes_k, n_rows = (sizes_r, combos_r) if terms.mirrored else (sizes_t, combos_t)
+        n_gram = terms.cols.shape[1]
+        gram_chunk = min(n_gram, _BATCH_LIMIT)
+        row_chunk = max(1, _BATCH_LIMIT // gram_chunk)
+
+        def scan(rows, best):
+            """best, a (score, -flat index) pair, updated with the ascending
+            rows against every Gram-side selection."""
+            for r0 in range(0, len(rows), row_chunk):
+                chunk = rows[r0:r0 + row_chunk]
+                summed = np.unravel_index(chunk, sizes_k)
+                for g0 in range(0, n_gram, gram_chunk):
+                    caps = terms.scores(summed, terms.cols[:, g0:g0 + gram_chunk])
+                    if terms.mirrored:      # flat index: row * n_gram + column
+                        a, b = divmod(int(np.argmax(caps)), caps.shape[1])
+                        flat = int(chunk[a]) * n_gram + g0 + b
+                    else:                   # column * n_rows + row
+                        b, a = divmod(int(np.argmax(caps.T)), caps.shape[0])
+                        flat = (g0 + b) * n_rows + int(chunk[a])
+                    best = max(best, (_finite(caps[a, b]), -flat))
+            return best
+
+        best = (-math.inf, 0)
+        rows = np.arange(n_rows)
+        first = max(1, _FIRST_PASS // n_gram)
+        if first < n_rows:
+            step = max(1, _BATCH_LIMIT // (terms.m * terms.ports))
+            bound = terms.bounds(np.unravel_index(rows[r0:r0 + step], sizes_k)
+                                 for r0 in range(0, n_rows, step))
+            if bound.max() <= _BOUND_CEILING:
+                top = np.sort(np.argpartition(bound, n_rows - first)[n_rows - first:])
+                best = scan(top, best)
+                keep = bound >= best[0] - _BOUND_SLACK * max(1.0, best[0])
+                keep[top] = False
+                rows = np.flatnonzero(keep)
+        best = scan(rows, best)
+    r, t = divmod(-best[1], combos_t)
+    return ([s[p] for s, p in zip(rx_sets, np.unravel_index(r, sizes_r))],
+            [s[p] for s, p in zip(tx_sets, np.unravel_index(t, sizes_t))],
             combos_r * combos_t)
 
 

@@ -190,6 +190,19 @@ def reference_paired_capacities(channel, rx_combos, tx_combos, rho, packed_logde
     return packed_logdet(packed_terms(vectors, rho).sum(axis=1).T)
 
 
+def frozen_gram_logdet(h, rho):
+    """The scalar capacity's log2 det(I + rho Gram) as first written: the
+    reference its cheaper form must match bit for bit."""
+    m_r, m_t = h.shape
+    if m_t < m_r:
+        gram = h.conj().T @ h
+    else:
+        gram = h @ h.conj().T
+    b = np.eye(gram.shape[0]) + rho * gram
+    diag = np.real(np.diagonal(np.linalg.cholesky(b)))
+    return max(0.0, 2.0 * float(np.sum(np.log2(diag))))
+
+
 def binary_selections(config):
     """All feasible (rx_ports, tx_ports) tuples, 1-based."""
     rx_space = itertools.product(range(1, config.n_r + 1), repeat=config.m_r)

@@ -13,7 +13,13 @@ from fluidmimo import (
 )
 
 from conftest import make_channel, random_instance
-from oracles import binary_selections, eig_capacity, frobenius_u, q_matrix_from_selection
+from oracles import (
+    binary_selections,
+    eig_capacity,
+    frobenius_u,
+    frozen_gram_logdet,
+    q_matrix_from_selection,
+)
 
 
 class TestExtractEffective:
@@ -90,6 +96,15 @@ class TestCapacity:
         h = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
         caps = [capacity(h, rho) for rho in np.linspace(0.0, 10.0, 50)]
         assert all(b >= a for a, b in zip(caps, caps[1:]))
+
+    def test_bits_match_the_frozen_form(self, rng):
+        # every shape 1x1..4x4, so both Gram sides; rho over eight decades
+        for _ in range(40):
+            for m_r in range(1, 5):
+                for m_t in range(1, 5):
+                    h = rng.normal(size=(m_r, m_t)) + 1j * rng.normal(size=(m_r, m_t))
+                    rho = 10.0 ** rng.uniform(-3, 5)
+                    assert capacity(h, rho) == frozen_gram_logdet(h, rho)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

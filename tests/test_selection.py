@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluidmimo import (
     CombinationCapError,
@@ -21,6 +23,7 @@ from fluidmimo import (
     solve_jcr,
 )
 from fluidmimo.ipm import SolverStats
+import fluidmimo.selection as sel_mod
 from fluidmimo.selection import (
     SelectionResult,
     _AscentTerms,
@@ -97,7 +100,6 @@ class TestExhaustive:
         assert res.capacity_bits > 1.0
 
     def test_generated_zero_width_channel_ties(self, monkeypatch):
-        import fluidmimo.selection as sel_mod
         cfg = FluidMimoConfig(m_r=2, m_t=2, n_r=5, n_t=4, snr_db=5.0, w=0.0)
         ch = generate_channel(cfg, 17)
         first = ch.entries[np.ix_([0, 5], [0, 4])]
@@ -165,18 +167,143 @@ class TestExhaustive:
             exhaustive_search(ch, 1.0, cap=255)
 
     def test_chunked_enumeration_matches_unchunked(self, rng, monkeypatch):
-        import fluidmimo.selection as sel_mod
         for _ in range(6):
             ch = random_instance(rng, m_max=3, n_max=3)
             relaxed = solve_jcr(ch)
             runs = (lambda: exhaustive_search(ch, 1.0), lambda: jcr_res(ch, 1.0, relaxed=relaxed),
                     lambda: random_selection(ch, 1.0, seed=3))
             full = [run() for run in runs]
-            for limit in (7, 3):
-                monkeypatch.setattr(sel_mod, "_BATCH_LIMIT", limit)
-                monkeypatch.setattr(sel_mod, "_BLOCK_ENTRIES", 1)
-                assert [run() for run in runs] == full
-            monkeypatch.undo()
+            # first passes of one row and of a few rows prune grids of any
+            # size; the default leaves these small grids whole
+            for first_pass in (1, 16, sel_mod._FIRST_PASS):
+                for limit in (7, 3):
+                    monkeypatch.setattr(sel_mod, "_FIRST_PASS", first_pass)
+                    monkeypatch.setattr(sel_mod, "_BATCH_LIMIT", limit)
+                    monkeypatch.setattr(sel_mod, "_BLOCK_ENTRIES", 1)
+                    assert [run() for run in runs] == full
+                monkeypatch.undo()
+
+
+def _first_grid_maximizer(ch, rho, rx_sets, tx_sets):
+    """1-based ports of the first maximizer, in mixed-radix order, of the
+    whole grid's `_GridTerms.capacities`."""
+    rx = _combinations([len(s) for s in rx_sets], 0, math.prod(len(s) for s in rx_sets))
+    tx = _combinations([len(s) for s in tx_sets], 0, math.prod(len(s) for s in tx_sets))
+    caps = _GridTerms(ch, rho, rx_sets, tx_sets).capacities(rx, tx)
+    a, b = divmod(int(np.argmax(caps)), caps.shape[1])
+    return PortSelection(tuple(int(s[p]) + 1 for s, p in zip(rx_sets, rx[a])),
+                         tuple(int(s[p]) + 1 for s, p in zip(tx_sets, tx[b])))
+
+
+def _count_scored(monkeypatch):
+    """A list that gets the number of selections of every `_packed_logdet`
+    call of the searches."""
+    scored = []
+
+    def counting(b):
+        scored.append(b[0].size)
+        return _packed_logdet(b)
+
+    monkeypatch.setattr(sel_mod, "_packed_logdet", counting)
+    return scored
+
+
+class TestPrunedEnumeration:
+    """Exhaustive search and jcr-res score only the rows whose Hadamard bound
+    reaches the incumbent, and still return the grid's first maximizer."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(m_r=st.integers(1, 3), m_t=st.integers(1, 3), n_r=st.integers(1, 4),
+           n_t=st.integers(1, 4), w=st.sampled_from([0.0, 0.1, 0.5, 2.0]),
+           snr_db=st.floats(-10.0, 30.0), zeroed=st.sampled_from([0.0, 0.3]),
+           first_pass=st.sampled_from([1, 3, 40]), seed=st.integers(0, 2 ** 32))
+    def test_first_maximizer_of_the_full_grid(self, m_r, m_t, n_r, n_t, w, snr_db, zeroed,
+                                              first_pass, seed):
+        # m_t < m_r scores on the transmit side's Gram; m = 1 and m = 3
+        # (Cholesky) come up; W = 0 makes every port of an antenna tie, and
+        # zeroed entries tie whole rows at 0 bits
+        rng = np.random.default_rng(seed)
+        cfg = FluidMimoConfig(m_r=m_r, m_t=m_t, n_r=n_r, n_t=n_t, snr_db=snr_db, w=w)
+        entries = generate_channel(cfg, seed).entries.copy()
+        entries[rng.random(entries.shape) < zeroed] = 0.0
+        ch = make_channel(entries, m_r, m_t, n_r, n_t, snr_db=snr_db, w=w)
+        relaxed = _relaxed(rng.random(m_r * n_r), rng.random(m_t * n_t), m_r, n_r, m_t, n_t)
+        kept_rx, kept_tx, _, _ = _kept_ports(relaxed, reduced_port_count(n_r),
+                                             reduced_port_count(n_t))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sel_mod, "_FIRST_PASS", first_pass)
+            res = exhaustive_search(ch, cfg.rho)
+            reduced = jcr_res(ch, cfg.rho, relaxed=relaxed)
+        assert res.selection == _first_grid_maximizer(
+            ch, cfg.rho, [np.arange(n_r)] * m_r, [np.arange(n_t)] * m_t)
+        assert res.evaluations == combination_count(cfg)
+        assert reduced.selection == _first_grid_maximizer(ch, cfg.rho, kept_rx, kept_tx)
+
+    @pytest.mark.parametrize("first_pass", [1, 2048])
+    def test_ties_across_rows_and_columns_resolve_in_flat_order(self, first_pass, monkeypatch):
+        # two maximizers, which a row-major and a column-major scan of the
+        # scored grid would order apart: Gram side receive (m = 1), then
+        # transmit (m_t < m_r)
+        monkeypatch.setattr(sel_mod, "_FIRST_PASS", first_pass)
+        ch = make_channel([[1.0, 2.0], [2.0, 1.0]], 1, 1, 2, 2)
+        assert exhaustive_search(ch, 1.0).selection == PortSelection((1,), (2,))
+        ch = make_channel([[1.0, 2.0], [2.0, 1.0], [0.0, 0.0], [0.0, 0.0]], 2, 1, 2, 2)
+        assert exhaustive_search(ch, 1.0).selection == PortSelection((1, 1), (2,))
+
+    def test_tied_rows_of_the_first_pass_keep_the_tie_rule(self, monkeypatch):
+        # M = 1, Gram side receive: the rows are the transmit ports, and the
+        # first pass (two rows of three) holds two maximizers in one column
+        monkeypatch.setattr(sel_mod, "_FIRST_PASS", 6)
+        ch = make_channel([[2.0, 2.0, 0.1], [0.1, 0.1, 0.1], [0.1, 0.1, 0.1]], 1, 1, 3, 3)
+        assert exhaustive_search(ch, 1.0).selection == PortSelection((1,), (1,))
+
+    def test_nothing_is_ruled_out_above_the_ceiling(self, monkeypatch):
+        # scores near 1000 bits, each finite: rows are not ruled out there
+        cfg = FluidMimoConfig(m_r=1, m_t=1, n_r=8, n_t=8, snr_db=5.0, w=0.5)
+        ch = generate_channel(cfg, 3)
+        monkeypatch.setattr(sel_mod, "_FIRST_PASS", 1)
+        scored = _count_scored(monkeypatch)
+        for rho, expected in ((1.0, 8), (1e301, 64)):
+            scored.clear()
+            exhaustive_search(ch, rho)
+            assert sum(scored) == expected
+
+    def test_most_combinations_are_ruled_out(self, monkeypatch):
+        # M = 2, N = 20: 160,000 combinations; a fallback to the full grid
+        # would send every one of them through _packed_logdet
+        cfg = FluidMimoConfig(m_r=2, m_t=2, n_r=20, n_t=20, snr_db=5.0, w=0.5)
+        ch = generate_channel(cfg, 11)
+        scored = _count_scored(monkeypatch)
+        res = exhaustive_search(ch, cfg.rho)
+        assert res.evaluations == 160_000
+        assert 0 < sum(scored) < 16_000
+        monkeypatch.setattr(sel_mod, "_FIRST_PASS", 10 ** 6)    # the whole grid
+        scored.clear()
+        assert exhaustive_search(ch, cfg.rho) == res
+        assert sum(scored) == 160_000
+
+    def test_bounds_hold_every_score_of_their_row(self, rng):
+        for m_r, m_t in ((1, 1), (2, 2), (3, 2), (3, 3)):
+            cfg = FluidMimoConfig(m_r=m_r, m_t=m_t, n_r=4, n_t=3, snr_db=10.0, w=0.5)
+            ch = generate_channel(cfg, int(rng.integers(0, 2 ** 63)))
+            terms = _GridTerms(ch, cfg.rho, [np.arange(4)] * m_r, [np.arange(3)] * m_t)
+            sizes = [4] * m_r if terms.mirrored else [3] * m_t
+            rows = np.unravel_index(np.arange(math.prod(sizes)), sizes)
+            bounds = terms.bounds([rows])
+            slack = sel_mod._BOUND_SLACK * np.maximum(1.0, bounds)
+            assert np.all(terms.scores(rows, terms.cols).max(axis=1) <= bounds + slack)
+
+    def test_pruned_grid_with_overflowing_scores_raises(self, monkeypatch):
+        # bounds above the ceiling leave the grid whole, so a NaN score
+        # still raises instead of being ruled out
+        monkeypatch.setattr(sel_mod, "_FIRST_PASS", 1)
+        cfg = FluidMimoConfig(m_r=2, m_t=2, n_r=3, n_t=3, snr_db=3000.0)
+        for search in (exhaustive_search, jcr_res):
+            with pytest.raises(OverflowError, match="overflows"):
+                search(generate_channel(cfg, 1), cfg.rho)
+        ch = make_channel([[1.0, 1.0], [1.0, 1e150]], m_r=1, m_t=1, n_r=2, n_t=2)
+        with pytest.raises(OverflowError):
+            exhaustive_search(ch, 1e300)
 
 
 class TestReducedSearch:
@@ -574,7 +701,6 @@ class TestBitwiseScores:
 
     @pytest.mark.parametrize("shape", CONTRACT_SHAPES)
     def test_random_rows(self, shape, monkeypatch):
-        import fluidmimo.selection as sel_mod
         for ch, rho, rng in _contract_cases(shape):
             c = ch.config
             rx = rng.integers(0, c.n_r, size=(40, c.m_r))
