@@ -29,6 +29,7 @@ from .relaxation import LpProblem, RelaxedSolution, build_lp, solve_jcr
 from .selection import (
     ALGORITHMS,
     CombinationCapError,
+    Realization,
     SelectionResult,
     ao_round,
     conventional_mimo,
@@ -50,6 +51,7 @@ __all__ = [
     "OverallChannel",
     "PointSummary",
     "PortSelection",
+    "Realization",
     "RelaxedSolution",
     "SelectionResult",
     "SolverStats",

@@ -36,7 +36,7 @@ from .channel_io import ChannelFormatError, load_channel, save_channel
 from .harness import SweepSpec, SweepSpecError, run_algorithm, run_sweep, validate_spec
 from .ipm import IpmFailure
 from .reporting import write_records_csv, write_summary_csv
-from .selection import ALGORITHMS, DEFAULT_EXHAUSTIVE_CAP, CombinationCapError
+from .selection import ALGORITHMS, DEFAULT_EXHAUSTIVE_CAP, CombinationCapError, Realization
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -279,10 +279,10 @@ def cmd_solve(opt):
 
     algos = ALGORITHMS if opt.algo == "all" else (opt.algo,)
     outputs = []
-    relaxed = None
+    realization = Realization(channel)
     for algo in algos:
-        res, relaxed = run_algorithm(
-            algo, channel, rho, relaxed, cap=opt.cap, epsilon=opt.epsilon,
+        res = run_algorithm(
+            algo, channel, rho, realization, cap=opt.cap, epsilon=opt.epsilon,
             max_iters=opt.max_iters, samples=opt.samples, seed=opt.baseline_seed)
         stats = res.relaxation.solver_stats if res.relaxation is not None else None
         outputs.append({

@@ -15,20 +15,23 @@ SNR sweeps where it is 0: the channel law does not depend on the SNR, so
 all SNR points of a trial share one realization, making per-trial capacity
 curves monotone in the SNR by construction.
 
-Task unit and the shared relaxation: a sweep runs as tasks of one trial
+Task unit and the shared realization: a sweep runs as tasks of one trial
 each. For an SNR sweep a task covers all points of its trial: the channel
 is drawn once and each point reuses its entries under that point's
-config. Otherwise a task is one (point, trial). The JCR linear program
-depends only on |entries|^2 and is deterministic, so within a task it is
-solved once, by the first of jcr-res / jcr-ao to run, and its solution is
-handed to every later JCR run: one LP per channel realization, with
-records identical to solving it on every run.
+config. Otherwise a task is one (point, trial). Each task makes one
+`selection.Realization` of its channel and hands it to every run: what the
+searches derive from the entries without the SNR (the JCR relaxation, the
+keep-sets, the rho-free term tables, the random baseline's draws) is built
+once per task, by the first run that needs it, and reused by every later
+run at every point. One LP per channel realization, with records identical
+to building everything afresh on every run.
 
 Timing: records carry wall_time_ms = 0.0 unless measure_time=True is
 requested. Measured times would differ between reruns, and the records of
 a (SweepSpec, master_seed) pair are required to be byte-reproducible, so
-timing is an opt-in diagnostic. The shared LP's time is charged to the
-first JCR algorithm run on the channel; later JCR runs on it exclude it.
+timing is an opt-in diagnostic. Each shared build, the LP included, is
+charged to the first run that needs it; later runs on the channel exclude
+it.
 """
 
 import math
@@ -44,6 +47,7 @@ from .selection import (
     ALGORITHMS,
     DEFAULT_EXHAUSTIVE_CAP,
     CombinationCapError,
+    Realization,
     combination_count,
     conventional_mimo,
     exhaustive_search,
@@ -158,30 +162,29 @@ def validate_spec(spec):
             raise CombinationCapError(combos, spec.exhaustive_cap)
 
 
-def run_algorithm(name, channel, rho, relaxed, *, cap, epsilon, max_iters,
+def run_algorithm(name, channel, rho, realization, *, cap, epsilon, max_iters,
                   samples, seed):
-    """Run algorithm `name` on `channel` at SNR factor `rho`.
+    """Result of algorithm `name` on `channel` at SNR factor `rho`.
 
     The one map from an algorithm name to its call, for sweeps and `solve`.
-    `relaxed` is the JCR relaxation of the channel's entries, or None to
-    let the first JCR algorithm solve it. Returns (result, relaxed), where
-    relaxed is the relaxation to hand to the next run on the same entries.
-    The algorithms are looked up in this module's globals at call time, so
-    a wrapper set on one of these attributes sees every run.
+    `realization` is the channel's `Realization`, which every search on the
+    same entries shares, or None to let each search build its own. The
+    algorithms are looked up in this module's globals at call time, so a
+    wrapper set on one of these attributes sees every run.
     """
     if name == "exhaustive":
-        res = exhaustive_search(channel, rho, cap=cap)
-    elif name == "jcr-res":
-        res = jcr_res(channel, rho, relaxed=relaxed)
-    elif name == "jcr-ao":
-        res = jcr_ao(channel, rho, epsilon=epsilon, max_iters=max_iters, relaxed=relaxed)
-    elif name == "random":
-        res = random_selection(channel, rho, samples=samples, seed=seed)
-    elif name == "conventional":
-        res = conventional_mimo(channel, rho)
-    else:
-        raise ValueError(f"unknown algorithm {name!r}; valid: {', '.join(ALGORITHMS)}")
-    return res, relaxed if relaxed is not None else res.relaxation
+        return exhaustive_search(channel, rho, cap=cap, realization=realization)
+    if name == "jcr-res":
+        return jcr_res(channel, rho, realization=realization)
+    if name == "jcr-ao":
+        return jcr_ao(channel, rho, epsilon=epsilon, max_iters=max_iters,
+                      realization=realization)
+    if name == "random":
+        return random_selection(channel, rho, samples=samples, seed=seed,
+                                realization=realization)
+    if name == "conventional":
+        return conventional_mimo(channel, rho)
+    raise ValueError(f"unknown algorithm {name!r}; valid: {', '.join(ALGORITHMS)}")
 
 
 def run_trial(spec, point_indices, trial_index, measure_time=False):
@@ -189,23 +192,22 @@ def run_trial(spec, point_indices, trial_index, measure_time=False):
     points of an SNR sweep, else a single point), in point order and then
     spec.algorithms order.
 
-    The channel is drawn once and carries each point's config in turn. The
-    first JCR algorithm to run solves the relaxation; every later JCR run
-    in the trial, at any of the points, reuses it.
+    The channel is drawn once and carries each point's config in turn. One
+    `Realization` of it serves every run of the trial, at every point.
     """
     key = _point_key(spec, point_indices[0])
     channel = generate_channel(config_at(spec, spec.values[point_indices[0]]),
                                derive_seed(spec.master_seed, 0, key, trial_index))
     baseline_seed = derive_seed(spec.master_seed, 1, key, trial_index)
-    relaxed = None
+    realization = Realization(channel)
     records = []
     for point_index in point_indices:
         value = spec.values[point_index]
         channel = replace(channel, config=config_at(spec, value))
         for algo in spec.algorithms:
             start = time.perf_counter()
-            res, relaxed = run_algorithm(
-                algo, channel, channel.config.rho, relaxed, cap=spec.exhaustive_cap,
+            res = run_algorithm(
+                algo, channel, channel.config.rho, realization, cap=spec.exhaustive_cap,
                 epsilon=spec.ao_epsilon, max_iters=spec.ao_max_iters,
                 samples=spec.random_samples, seed=baseline_seed)
             elapsed = (time.perf_counter() - start) * 1000.0 if measure_time else 0.0

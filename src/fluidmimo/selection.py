@@ -22,9 +22,9 @@ baseline and the coordinate ascent of jcr-ao) scores selections of the
 given channel in batches and builds no channel. The Gram matrix on the
 side `capacity` uses, m x m for m the smaller antenna count, is a sum over
 the K antennas of the other side of rank-one terms rho v v^H, each packed
-as m*m reals. A search forms these terms once per call as a term table and
-scores a selection by gathering K entry lists from it and adding them in
-antenna order:
+as m*m reals. A search forms these terms as a term table and scores a
+selection by gathering K entry lists from it and adding them in antenna
+order:
 
   exhaustive,  `_GridTerms` over per-antenna port sets (all N ports, or
   jcr-res      the kept ones), with every pair of Gram-side ports:
@@ -42,9 +42,16 @@ antenna order:
                when a Gram-side port changes.
   random       the samples' own terms, _BLOCK_ENTRIES floats at a time.
 
-Nothing is kept across calls but read-only index layouts. Every entry
-comes from the same real ufuncs on the same operands as forming the term
-from the gathered channel vector would, and the sums run in a fixed order:
+The tables are built without rho, and a search multiplies one by its rho
+(`_scaled`). What a search derives from the entries without rho (these
+tables, the JCR relaxation, its keep-sets and the random draws) is kept
+in a `Realization` of the channel, which every search takes: one
+realization serves every search and SNR on the same entries, and a search
+given none builds its own. Besides a realization, only read-only index
+layouts are kept across calls. Every entry comes from the same real
+ufuncs on the same operands as forming the term from the gathered channel
+vector would, rho times the unscaled entry being the same IEEE product,
+and the sums run in a fixed order:
 `+=` antenna by antenna in the enumerations, `_antenna_sum` in jcr-ao and
 random (np.sum along a fixed layout, which adds pairwise from eight summed
 antennas on when the Gram side is the receive side). A selection
@@ -75,7 +82,9 @@ so below the maximum: the first maximizer among the scored rows is the
 first maximizer of the grid, and the tie rule is exact. When a bound
 exceeds _BOUND_CEILING or is NaN, scores may overflow and every row is
 scored, so a NaN score still raises. Grids of at most _FIRST_PASS
-selections are scored whole.
+selections are scored whole, and so is every grid with one Gram-side
+antenna: there a row's bound is its own best score, so the bound pass
+would only add work.
 
 Tie rules are fixed for determinism: enumeration returns the first
 maximizer in mixed-radix order (receive antennas are the outer digits,
@@ -85,6 +94,7 @@ port of an antenna when it scores >= the best so far, so later ports win
 there.
 """
 
+import copy
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -134,7 +144,8 @@ class SelectionResult:
     after each sweep (within ~1e-14 relative of `capacity`, which gives
     capacity_bits).
     relaxation, for jcr-res and jcr-ao, is the RelaxedSolution they
-    rounded, so a later heuristic on the same channel can reuse it.
+    rounded; Realization(channel, relaxation) hands it to later searches
+    on the same entries.
     score_margin, for them, is how close the relaxed weights came to
     another keep-set: the smallest gap, over the antennas that drop a port,
     between the weights of the last kept and the first dropped port (None
@@ -203,36 +214,44 @@ def _triangle(m):
     return iu, ju
 
 
-def _term_table(v, a, b, rho):
-    """Rank-one terms rho v v^H as a table T[r, k, :] of packed entries:
-    row r (a port, or one selection), antenna k of the summed side.
+def _unscaled_terms(v, a, b):
+    """Rank-one terms v v^H without rho, as a read-only table T[r, k, :] of
+    packed entries: row r (a port, or one selection), antenna k of the
+    summed side.
 
-    An entry list holds the diagonal entries rho |v|^2 of v (shape
-    (R, K, ...)), then `_pair_entries` of a and b; each block flattened.
-    Antenna 0 carries the identity on its diagonal entries, so the terms
-    of a selection, added in antenna order, give I + rho G packed as
-    `_packed_logdet` reads it. Real ufuncs only, so an entry has the same
-    bits wherever it sits.
+    An entry list holds the diagonal entries |v|^2 of v (shape (R, K, ...)),
+    then `_pair_entries` of a and b; each block flattened. Real ufuncs only,
+    so an entry has the same bits wherever it sits. `_scaled` turns it into
+    the terms at one rho.
     """
-    diag = rho * (v.real * v.real + v.imag * v.imag)
-    table = np.concatenate([diag.reshape(v.shape[:2] + (-1,)), _pair_entries(a, b, rho)], axis=-1)
-    table[:, 0, :v[0, 0].size] += 1.0
+    diag = v.real * v.real + v.imag * v.imag
+    table = np.concatenate([diag.reshape(v.shape[:2] + (-1,)), _pair_entries(a, b)], axis=-1)
+    table.flags.writeable = False
     return table
 
 
-def _pair_entries(a, b, rho):
-    """The real parts rho (re_a re_b + im_a im_b), then the imaginary parts
-    rho (im_a re_b - re_a im_b) of off-diagonal entries, flattened per
-    (row, antenna): a and b are the coefficients of the row and the column
-    antenna of each entry, broadcast together over (R, K, ...)."""
+def _scaled(unscaled, rho, n_diag):
+    """The terms rho v v^H of an `_unscaled_terms` table, a new array:
+    antenna 0 carries the identity on its n_diag diagonal entries, so the
+    terms of a selection, added in antenna order, give I + rho G packed as
+    `_packed_logdet` reads it. Each entry is the IEEE product of rho and
+    the unscaled one, as forming rho |v|^2 directly would give."""
+    table = unscaled * rho
+    table[:, 0, :n_diag] += 1.0
+    return table
+
+
+def _pair_entries(a, b):
+    """The real parts re_a re_b + im_a im_b, then the imaginary parts
+    im_a re_b - re_a im_b of off-diagonal entries without rho, flattened
+    per (row, antenna): a and b are the coefficients of the row and the
+    column antenna of each entry, broadcast together over (R, K, ...)."""
     lead = a.shape[:2] + (-1,)
     re = a.real * b.real
     re += a.imag * b.imag
     im = a.imag * b.real
     im -= a.real * b.imag
-    entries = np.concatenate([re.reshape(lead), im.reshape(lead)], axis=-1)
-    entries *= rho
-    return entries
+    return np.concatenate([re.reshape(lead), im.reshape(lead)], axis=-1)
 
 
 def _summed_side(channel):
@@ -280,18 +299,28 @@ class _GridTerms:
     ports: (m + m(m-1) L) L floats for L ports per antenna. Selections are
     given as positions in the sets. A row is one selection of the summed
     side, given as one array of positions per summed antenna; its entry
-    list is the sum of its antennas' ones, added in antenna order."""
+    list is the sum of its antennas' ones, added in antenna order.
 
-    def __init__(self, channel, rho, rx_sets, tx_sets):
+    The table is built without rho; `at` gives the copy that scores at one
+    rho, which is what the scoring methods run on."""
+
+    def __init__(self, channel, rx_sets, tx_sets):
         g, self.mirrored = _summed_side(channel)
+        self.sets = rx_sets, tx_sets
         sets_k, sets_v = (rx_sets, tx_sets) if self.mirrored else (tx_sets, rx_sets)
         sets_k, sets_v = np.asarray(sets_k), np.asarray(sets_v)
         self.m, self.ports = sets_v.shape
         iu, ju = _triangle(self.m)
         v = g[sets_k.T[:, :, None, None], np.arange(len(sets_k))[:, None, None],
               np.arange(self.m)[:, None], sets_v]              # (L_k, K, m, L)
-        self.table = _term_table(v, v[:, :, iu, :, None], v[:, :, ju, None, :], rho)
+        self.unscaled = _unscaled_terms(v, v[:, :, iu, :, None], v[:, :, ju, None, :])
         self.cols = _grid_layout(self.m, self.ports)
+
+    def at(self, rho):
+        """A copy whose table holds the terms at rho."""
+        terms = copy.copy(self)
+        terms.table = _scaled(self.unscaled, rho, self.m * self.ports)
+        return terms
 
     def bounds(self, chunks):
         """Hadamard bound of each row, for the rows of each chunk in turn:
@@ -343,24 +372,32 @@ def _antenna_sum(terms, mirrored):
     return np.ascontiguousarray(terms.swapaxes(1, 2)).sum(axis=2)
 
 
-def _row_capacities(channel, rho, rx, tx):
-    """Capacity of selection s = (rx[s], tx[s]), shape (S,), from a table
-    whose row s holds the terms of selection s alone, added by
-    `_antenna_sum`; the table is built a block of selections at a time,
-    _BLOCK_ENTRIES floats or one selection."""
-    c = channel.config
-    g = channel.entries.reshape(c.m_r, c.n_r, c.m_t, c.n_t)
-    iu, ju = _triangle(min(c.m_r, c.m_t))
-    mirrored = c.m_t < c.m_r
-    out = np.empty(len(rx))
-    step = max(1, _BLOCK_ENTRIES // (c.m_r * c.m_t * min(c.m_r, c.m_t)))
-    for s0 in range(0, len(rx), step):
-        h = g[np.arange(c.m_r)[:, None], rx[s0:s0 + step, :, None], np.arange(c.m_t),
-              tx[s0:s0 + step, None, :]]
-        v = h if mirrored else h.swapaxes(1, 2)                # (S, K, m)
-        out[s0:s0 + step] = _packed_logdet(
-            _antenna_sum(_term_table(v, v[..., iu], v[..., ju], rho), mirrored).T)
-    return out
+class _RowTerms:
+    """Terms of the selections s = (rx[s], tx[s]), without rho: row s of a
+    table holds the terms of selection s alone. The tables are built a
+    block of selections at a time, _BLOCK_ENTRIES floats or one selection,
+    and kept in `blocks`."""
+
+    def __init__(self, channel, rx, tx):
+        c = channel.config
+        g = channel.entries.reshape(c.m_r, c.n_r, c.m_t, c.n_t)
+        self.m = min(c.m_r, c.m_t)
+        self.mirrored = c.m_t < c.m_r
+        iu, ju = _triangle(self.m)
+        step = max(1, _BLOCK_ENTRIES // (c.m_r * c.m_t * self.m))
+        self.blocks = []
+        for s0 in range(0, len(rx), step):
+            h = g[np.arange(c.m_r)[:, None], rx[s0:s0 + step, :, None], np.arange(c.m_t),
+                  tx[s0:s0 + step, None, :]]
+            v = h if self.mirrored else h.swapaxes(1, 2)       # (S, K, m)
+            self.blocks.append(_unscaled_terms(v, v[..., iu], v[..., ju]))
+
+    def capacities(self, rho):
+        """Capacity of each selection at rho, shape (S,): its terms added by
+        `_antenna_sum`, a block at a time."""
+        return np.concatenate([_packed_logdet(_antenna_sum(_scaled(b, rho, self.m),
+                                                           self.mirrored).T)
+                               for b in self.blocks])
 
 
 @lru_cache(maxsize=64)
@@ -393,11 +430,14 @@ class _AscentTerms:
     port) and the off-diagonal entry of each pair i < j twice: with i at
     each of its ports against j at its current port, and with j at each
     of its ports against i at its current one. That is 2m - 1 floats per
-    channel entry; a Gram-side port change re-tabulates the pairs."""
+    channel entry; a Gram-side port change re-tabulates the pairs.
 
-    def __init__(self, channel, rho, ports):
+    The table at the start ports is built without rho; `at` gives the
+    copy that scores and commits at one rho, with ports of its own."""
+
+    def __init__(self, channel, ports):
         self.g, self.mirrored = _summed_side(channel)
-        self.rho, self.ports, self.gram_side = rho, ports, int(self.mirrored)
+        self.ports, self.gram_side = ports, int(self.mirrored)
         self.gram, self.summed = ports[self.gram_side], ports[1 - self.gram_side]
         n_rows, n_k, m, n_ports = self.g.shape
         self.off, self.who, self.moves, self.shifts = _ascent_layout(m, n_ports)
@@ -406,8 +446,18 @@ class _AscentTerms:
         self.summed_ports = np.arange(n_rows)[:, None]
         self.antennas = np.arange(n_k)[:, None]
         self.onehot = np.eye(n_k, dtype=bool)
-        self.table = _term_table(self.g, *self._pairs(), rho)
+        self.unscaled = _unscaled_terms(self.g, *self._pairs())
         self._reindex()
+
+    def at(self, rho):
+        """A copy that scores at rho, with its own copies of the ports and
+        of the table, which `commit` updates."""
+        terms = copy.copy(self)
+        terms.rho = rho
+        terms.ports = [np.array(p) for p in self.ports]
+        terms.gram, terms.summed = terms.ports[self.gram_side], terms.ports[1 - self.gram_side]
+        terms.table = _scaled(self.unscaled, rho, self.g[0, 0].size)
+        return terms
 
     def _pairs(self):
         """Coefficients of the row and the column antenna of each pair: the
@@ -450,13 +500,14 @@ class _AscentTerms:
         moved = self.ports[side][antenna] != port
         self.ports[side][antenna] = port
         if moved and side == self.gram_side:
-            self.table[..., self.g[0, 0].size:] = _pair_entries(*self._pairs(), self.rho)
+            np.multiply(_pair_entries(*self._pairs()), self.rho,
+                        out=self.table[..., self.g[0, 0].size:])
             self._reindex()
 
 
 def _packed_logdet(b):
     """log2 det B for stacked Hermitian positive definite B = I + rho G,
-    packed as by `_term_table` along axis 0; clipped at 0 like
+    packed as by `_scaled` along axis 0; clipped at 0 like
     `capacity`.
 
     Closed forms for m = 1 and m = 2; for larger m the matrices are
@@ -479,21 +530,23 @@ def _packed_logdet(b):
     return np.maximum(0.0, np.log2(det))
 
 
-def _enumerate_best(channel, rho, rx_sets, tx_sets):
-    """First-in-order maximizer over every selection that gives receive
-    antenna i a port from rx_sets[i] and transmit antenna j one from
-    tx_sets[j] (ascending 0-based ports), pruned as the module docstring
-    describes. Returns (rx, tx, combinations).
+def _enumerate_best(grid, rho):
+    """First-in-order maximizer at rho over every selection of the
+    `_GridTerms` grid, which gives receive antenna i a port from rx_sets[i]
+    and transmit antenna j one from tx_sets[j] (ascending 0-based ports),
+    pruned as the module docstring describes. Returns (rx, tx,
+    combinations).
 
     Rows are scored in ascending order against every Gram-side selection,
     at most _BATCH_LIMIT selections at a time. The first maximum of a chunk
     in flat order (np.argmax, which returns the first NaN if there is one)
     replaces the best so far when it is greater, or equal and earlier.
     """
+    rx_sets, tx_sets = grid.sets
     sizes_r, sizes_t = [len(s) for s in rx_sets], [len(s) for s in tx_sets]
     combos_r, combos_t = math.prod(sizes_r), math.prod(sizes_t)
     with _quiet():
-        terms = _GridTerms(channel, rho, rx_sets, tx_sets)
+        terms = grid.at(rho)
         sizes_k, n_rows = (sizes_r, combos_r) if terms.mirrored else (sizes_t, combos_t)
         n_gram = terms.cols.shape[1]
         gram_chunk = min(n_gram, _BATCH_LIMIT)
@@ -519,7 +572,7 @@ def _enumerate_best(channel, rho, rx_sets, tx_sets):
         best = (-math.inf, 0)
         rows = np.arange(n_rows)
         first = max(1, _FIRST_PASS // n_gram)
-        if first < n_rows:
+        if first < n_rows and terms.m > 1:
             step = max(1, _BATCH_LIMIT // (terms.m * terms.ports))
             bound = terms.bounds(np.unravel_index(rows[r0:r0 + step], sizes_k)
                                  for r0 in range(0, n_rows, step))
@@ -536,14 +589,18 @@ def _enumerate_best(channel, rho, rx_sets, tx_sets):
             combos_r * combos_t)
 
 
-def exhaustive_search(channel, rho, cap=DEFAULT_EXHAUSTIVE_CAP):
-    """Globally optimal selection by enumerating every feasible combination."""
+def exhaustive_search(channel, rho, cap=DEFAULT_EXHAUSTIVE_CAP, realization=None):
+    """Globally optimal selection by enumerating every feasible combination.
+
+    realization: the channel's `Realization`, whose table over every port
+    serves each SNR; a new one when None.
+    """
     c = channel.config
     combos = combination_count(c)
     if combos > cap:
         raise CombinationCapError(combos, cap)
-    return _result(channel, rho, "exhaustive", *_enumerate_best(
-        channel, rho, [np.arange(c.n_r)] * c.m_r, [np.arange(c.n_t)] * c.m_t))
+    return _result(channel, rho, "exhaustive",
+                   *_enumerate_best(_realization(channel, realization).grid(), rho))
 
 
 def reduced_port_count(n):
@@ -575,33 +632,129 @@ def _kept_ports(relaxed, keep_r, keep_t):
     return _top_ports(*sides[0]), _top_ports(*sides[1]), margin, margin_rel
 
 
-def _relaxation_of(channel, relaxed):
-    """`relaxed` if it fits the channel's shape, a fresh solve when None."""
-    if relaxed is None:
-        return solve_jcr(channel)
-    c = channel.config
-    shape = (c.m_r, c.m_t, c.n_r, c.n_t)
-    given = (relaxed.m_r, relaxed.m_t, relaxed.n_r, relaxed.n_t)
-    if given != shape:
-        raise ValueError(f"relaxation of shape (m_r, m_t, n_r, n_t) = {given} "
-                         f"does not fit a channel of shape {shape}")
-    return relaxed
+class Realization:
+    """What the searches derive from one channel realization's entries
+    without rho, each part built when a search first needs it and kept for
+    every later search on the same entries, at any SNR:
+
+      - the JCR relaxation, from `solve_jcr` unless given;
+      - the keep-sets and score margins of each keep count (`_kept_ports`);
+      - the `_GridTerms` table over every port (exhaustive search) and over
+        each family of keep-sets (jcr-res);
+      - the `_AscentTerms` table at jcr-ao's start, the keep-sets of one;
+      - the random baseline's draws and `_RowTerms` per (samples, seed).
+
+    A search forms its table at one rho from these (`_scaled`): the same
+    IEEE products as building it at that rho, so the scores keep their
+    bits. The arrays it builds are read-only. Every search takes the
+    realization of the channel it is given, or builds its own when given
+    none; one realization holds the entries of one channel, under any of
+    its configs (the SNR points of a sweep).
+    """
+
+    def __init__(self, channel, relaxed=None):
+        if relaxed is not None:
+            _check_shape("relaxation", relaxed, channel.config)
+        self.channel = channel
+        self._relaxed = relaxed
+        self._keep_sets = {}
+        self._grids = {}
+        self._ascent = None
+        self._draws = {}
+
+    def check(self, channel):
+        """ValueError unless `channel` has this realization's shape and
+        entries."""
+        _check_shape("realization", self.channel.config, channel.config)
+        if channel.entries is not self.channel.entries and not np.array_equal(
+                channel.entries, self.channel.entries):
+            raise ValueError("realization holds other channel entries than the channel given")
+
+    def relaxation(self):
+        """The channel's RelaxedSolution. It depends only on |entries|^2."""
+        if self._relaxed is None:
+            self._relaxed = solve_jcr(self.channel)
+        return self._relaxed
+
+    def keep_sets(self, keep_r, keep_t):
+        """`_kept_ports` of the relaxation: the rx and tx keep-sets, the
+        score margin and its relative form."""
+        key = keep_r, keep_t
+        if key not in self._keep_sets:
+            kept = _kept_ports(self.relaxation(), keep_r, keep_t)
+            for ports in kept[:2]:
+                ports.flags.writeable = False
+            self._keep_sets[key] = kept
+        return self._keep_sets[key]
+
+    def grid(self, keep=None):
+        """`_GridTerms` over every port (keep None) or over the keep-sets of
+        keep = (keep_r, keep_t)."""
+        if keep not in self._grids:
+            c = self.channel.config
+            sets = (([np.arange(c.n_r)] * c.m_r, [np.arange(c.n_t)] * c.m_t) if keep is None
+                    else self.keep_sets(*keep)[:2])
+            with _quiet():
+                self._grids[keep] = _GridTerms(self.channel, *sets)
+        return self._grids[keep]
+
+    def ascent(self):
+        """`_AscentTerms` at jcr-ao's start: each antenna at the port of
+        its largest relaxed weight."""
+        if self._ascent is None:
+            rx, tx, _, _ = self.keep_sets(1, 1)
+            ports = [rx[:, 0], tx[:, 0]]
+            with _quiet():
+                self._ascent = _AscentTerms(self.channel, ports)
+        return self._ascent
+
+    def draws(self, samples, seed):
+        """The random baseline's draws from `seed` as 0-based ports (rx,
+        tx), shapes (samples, M_R) and (samples, M_T), and their
+        `_RowTerms`."""
+        key = samples, seed
+        if key not in self._draws:
+            c = self.channel.config
+            rng = np.random.default_rng(seed)
+            rx = rng.integers(1, c.n_r + 1, size=(samples, c.m_r)) - 1
+            tx = rng.integers(1, c.n_t + 1, size=(samples, c.m_t)) - 1
+            rx.flags.writeable = tx.flags.writeable = False
+            with _quiet():
+                self._draws[key] = rx, tx, _RowTerms(self.channel, rx, tx)
+        return self._draws[key]
 
 
-def jcr_res(channel, rho, relaxed=None):
+def _check_shape(what, given, config):
+    """ValueError unless `given` (a config or a RelaxedSolution) has the
+    antenna and port counts of `config`."""
+    shape, own = [(x.m_r, x.m_t, x.n_r, x.n_t) for x in (given, config)]
+    if shape != own:
+        raise ValueError(f"{what} of shape (m_r, m_t, n_r, n_t) = {shape} "
+                         f"does not fit a channel of shape {own}")
+
+
+def _realization(channel, realization):
+    """`realization`, checked to hold the channel; a new one when None."""
+    if realization is None:
+        return Realization(channel)
+    realization.check(channel)
+    return realization
+
+
+def jcr_res(channel, rho, realization=None):
     """Convex relaxation followed by exhaustive search on the kept ports.
 
-    relaxed: the channel's RelaxedSolution from `solve_jcr`, e.g. another
-    heuristic's `result.relaxation`; solved here when None. The relaxation
-    depends only on |entries|^2, not on rho, so one solve serves every
-    heuristic and SNR on the same entries.
+    realization: the channel's `Realization`, whose relaxation, keep-sets
+    and kept-port table serve every heuristic and SNR on the same entries;
+    a new one, which solves the relaxation, when None.
     """
     c = channel.config
-    relaxed = _relaxation_of(channel, relaxed)
-    kept_rx, kept_tx, margin, margin_rel = _kept_ports(
-        relaxed, reduced_port_count(c.n_r), reduced_port_count(c.n_t))
-    return _result(channel, rho, "jcr-res", *_enumerate_best(channel, rho, kept_rx, kept_tx),
-                   relaxation=relaxed, score_margin=margin, score_margin_rel=margin_rel)
+    realization = _realization(channel, realization)
+    keep = reduced_port_count(c.n_r), reduced_port_count(c.n_t)
+    _, _, margin, margin_rel = realization.keep_sets(*keep)
+    return _result(channel, rho, "jcr-res", *_enumerate_best(realization.grid(keep), rho),
+                   relaxation=realization.relaxation(), score_margin=margin,
+                   score_margin_rel=margin_rel)
 
 
 def ao_round(relaxed):
@@ -611,7 +764,7 @@ def ao_round(relaxed):
     return PortSelection(tuple(int(p[0]) + 1 for p in rx), tuple(int(p[0]) + 1 for p in tx))
 
 
-def jcr_ao(channel, rho, epsilon=1e-3, max_iters=20, relaxed=None):
+def jcr_ao(channel, rho, epsilon=1e-3, max_iters=20, realization=None):
     """Convex relaxation, argmax rounding, then coordinate-ascent sweeps.
 
     Each sweep revisits every receive then every transmit antenna. The N
@@ -622,23 +775,23 @@ def jcr_ao(channel, rho, epsilon=1e-3, max_iters=20, relaxed=None):
     loop stops once the relative improvement is at most epsilon or after
     max_iters sweeps. capacity_trace holds these batch-kernel scores;
     capacity_bits is `capacity` of the final selection.
-    relaxed: a precomputed relaxation of the channel, as for `jcr_res`.
+    realization: the channel's `Realization`, as for `jcr_res`; its start
+    table serves every SNR.
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     c = channel.config
-    relaxed = _relaxation_of(channel, relaxed)
-    rx, tx, margin, margin_rel = _kept_ports(relaxed, 1, 1)   # ao_round's start
-    ports = [np.concatenate(rx), np.concatenate(tx)]
+    realization = _realization(channel, realization)
+    _, _, margin, margin_rel = realization.keep_sets(1, 1)    # ao_round's start
     steps = [(0, i, c.n_r) for i in range(c.m_r)] + [(1, j, c.n_t) for j in range(c.m_t)]
 
     c_old = 0.0
     evaluations = 1
     sweeps = 0
     with _quiet():
-        terms = _AscentTerms(channel, rho, ports)
+        terms = realization.ascent().at(rho)
         c_new = c_best = _finite(terms.score())
         trace = [c_new]
         while abs(c_new - c_old) > abs(c_old) * epsilon and sweeps < max_iters:
@@ -654,8 +807,8 @@ def jcr_ao(channel, rho, epsilon=1e-3, max_iters=20, relaxed=None):
             sweeps += 1
             trace.append(c_new)
 
-    return _result(channel, rho, "jcr-ao", *ports, evaluations, iterations=sweeps,
-                   capacity_trace=tuple(trace), relaxation=relaxed,
+    return _result(channel, rho, "jcr-ao", *terms.ports, evaluations, iterations=sweeps,
+                   capacity_trace=tuple(trace), relaxation=realization.relaxation(),
                    score_margin=margin, score_margin_rel=margin_rel)
 
 
@@ -665,24 +818,24 @@ def default_random_samples(config):
     return 5 * (config.m_r * config.n_r + config.m_t * config.n_t)
 
 
-def random_selection(channel, rho, samples=None, seed=0):
+def random_selection(channel, rho, samples=None, seed=0, realization=None):
     """Best of `samples` uniform feasible selections (with replacement).
 
     Deterministic given `seed`: a single PCG64 stream draws all receive
     port matrices first, then all transmit ones. The first-drawn maximizer
     wins ties. The samples are scored a block at a time, so the term table
-    stays within _BLOCK_ENTRIES floats.
+    stays within _BLOCK_ENTRIES floats. realization: the channel's
+    `Realization`, which keeps the draws and their terms for each
+    (samples, seed), so one draw serves every SNR; a new one when None.
     """
     c = channel.config
     if samples is None:
         samples = default_random_samples(c)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    rng = np.random.default_rng(seed)
-    rx_all = rng.integers(1, c.n_r + 1, size=(samples, c.m_r)) - 1
-    tx_all = rng.integers(1, c.n_t + 1, size=(samples, c.m_t)) - 1
+    rx_all, tx_all, terms = _realization(channel, realization).draws(samples, seed)
     with _quiet():
-        caps = _row_capacities(channel, rho, rx_all, tx_all)
+        caps = terms.capacities(rho)
     best = int(np.argmax(caps))
     _finite(caps[best])
     return _result(channel, rho, "random", rx_all[best], tx_all[best], samples)

@@ -152,7 +152,10 @@ class TestRunSweep:
         ("ports", (2, 3), 2),              # one task per (point, trial)
     ])
     def test_one_channel_and_one_lp_per_task(self, monkeypatch, variable, values, per_trial):
-        calls = {"generate": 0, "solve": 0}
+        # and one of each rho-free build: the two grid tables (every port,
+        # jcr-res's keep-sets), jcr-ao's start table, the keep-sets of its
+        # two keep counts and the random baseline's draws
+        calls = {"generate": 0, "solve": 0, "grid": 0, "ascent": 0, "keep": 0, "draws": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -163,24 +166,32 @@ class TestRunSweep:
         monkeypatch.setattr(harness, "generate_channel",
                             counting("generate", harness.generate_channel))
         monkeypatch.setattr(selection, "solve_jcr", counting("solve", selection.solve_jcr))
-        spec = small_spec(variable=variable, values=values, trials=4,
-                          algorithms=("jcr-res", "jcr-ao", "conventional"))
+        for name, attr in (("grid", "_GridTerms"), ("ascent", "_AscentTerms"),
+                           ("keep", "_kept_ports"), ("draws", "_RowTerms")):
+            monkeypatch.setattr(selection, attr, counting(name, getattr(selection, attr)))
+        spec = small_spec(variable=variable, values=values, trials=4, algorithms=ALGORITHMS)
         records, _ = run_sweep(spec)
-        assert len(records) == 3 * len(values) * 4
-        assert calls == {"generate": 4 * per_trial, "solve": 4 * per_trial}
+        assert len(records) == len(ALGORITHMS) * len(values) * 4
+        tasks = 4 * per_trial
+        assert calls == {"generate": tasks, "solve": tasks, "grid": 2 * tasks,
+                         "ascent": tasks, "keep": 2 * tasks, "draws": tasks}
 
     def test_shared_channel_and_lp_leave_records_unchanged(self):
-        # the per-point path draws the channel and solves the LP afresh at
-        # every point and for every JCR algorithm
-        spec = small_spec(variable="snr_db", values=(-5.0, 5.0, 15.0), trials=3,
-                          algorithms=ALGORITHMS)
-        records, _ = run_sweep(spec)
-        fresh = []
-        for algo in ALGORITHMS:
-            alone = replace(spec, algorithms=(algo,))
-            fresh += [rec for p in range(3) for t in range(3) for rec in run_trial(alone, (p,), t)]
-        fresh.sort(key=lambda r: (r.point_value, r.trial_index, r.algorithm))
-        assert records == fresh
+        # the per-point path draws the channel and builds every rho-free part
+        # afresh at every point and for every algorithm. Shapes: the Gram
+        # side receive; transmit (m_t < m_r); and nine summed antennas, which
+        # `_antenna_sum` adds pairwise
+        for base in (BASE, replace(BASE, m_r=3, m_t=2), replace(BASE, m_r=1, m_t=9, n_t=2)):
+            spec = small_spec(base=base, variable="snr_db", values=(-5.0, 5.0, 15.0), trials=3,
+                              algorithms=ALGORITHMS)
+            records, _ = run_sweep(spec)
+            fresh = []
+            for algo in ALGORITHMS:
+                alone = replace(spec, algorithms=(algo,))
+                fresh += [rec for p in range(3) for t in range(3)
+                          for rec in run_trial(alone, (p,), t)]
+            fresh.sort(key=lambda r: (r.point_value, r.trial_index, r.algorithm))
+            assert records == fresh
 
     def test_run_algorithm_rejects_unknown_name(self):
         channel = harness.generate_channel(BASE, 1)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from fluidmimo import (
 from fluidmimo.ipm import SolverStats
 import fluidmimo.selection as sel_mod
 from fluidmimo.selection import (
+    Realization,
     SelectionResult,
     _AscentTerms,
     _ascent_layout,
@@ -33,7 +35,7 @@ from fluidmimo.selection import (
     _GridTerms,
     _kept_ports,
     _packed_logdet,
-    _row_capacities,
+    _RowTerms,
     _top_ports,
     _triangle,
     combination_count,
@@ -122,7 +124,8 @@ class TestExhaustive:
                                       reduced_port_count(n_r)) for i in range(m_r)]
                 kept_tx = [_top_ports(relaxed.y_hat[j * n_t:(j + 1) * n_t],
                                       reduced_port_count(n_t)) for j in range(m_t)]
-                assert jcr_res(ch, cfg.rho, relaxed=relaxed).selection == PortSelection(
+                res = jcr_res(ch, cfg.rho, realization=Realization(ch, relaxed))
+                assert res.selection == PortSelection(
                     tuple(int(k[0]) + 1 for k in kept_rx), tuple(int(k[0]) + 1 for k in kept_tx))
 
     @pytest.mark.parametrize("m_r", [1, 2, 3])
@@ -133,14 +136,14 @@ class TestExhaustive:
             ch = generate_channel(cfg, int(rng.integers(0, 2 ** 63)))
             rx = _combinations([3] * m_r, 0, 3 ** m_r)
             tx = _combinations([2] * m_t, 0, 2 ** m_t)
-            caps = _GridTerms(ch, cfg.rho, [np.arange(3)] * m_r,
-                              [np.arange(2)] * m_t).capacities(rx, tx)
+            caps = _GridTerms(ch, [np.arange(3)] * m_r,
+                              [np.arange(2)] * m_t).at(cfg.rho).capacities(rx, tx)
             assert caps.shape == (len(rx), len(tx))
             expected = np.array([[capacity(extract_effective(ch, PortSelection(r + 1, t + 1)),
                                            cfg.rho) for t in tx] for r in rx])
             np.testing.assert_allclose(caps, expected, rtol=1e-12, atol=0.0)
-            paired = _row_capacities(ch, cfg.rho, np.repeat(rx, len(tx), axis=0),
-                                     np.tile(tx, (len(rx), 1)))
+            paired = _RowTerms(ch, np.repeat(rx, len(tx), axis=0),
+                               np.tile(tx, (len(rx), 1))).capacities(cfg.rho)
             np.testing.assert_allclose(paired, expected.ravel(), rtol=1e-12, atol=0.0)
 
     def test_matches_loop_oracle_m2_n3(self, rng):
@@ -170,7 +173,10 @@ class TestExhaustive:
         for _ in range(6):
             ch = random_instance(rng, m_max=3, n_max=3)
             relaxed = solve_jcr(ch)
-            runs = (lambda: exhaustive_search(ch, 1.0), lambda: jcr_res(ch, 1.0, relaxed=relaxed),
+            # a new realization per run, so every run builds its tables under
+            # the patched limits
+            runs = (lambda: exhaustive_search(ch, 1.0),
+                    lambda: jcr_res(ch, 1.0, realization=Realization(ch, relaxed)),
                     lambda: random_selection(ch, 1.0, seed=3))
             full = [run() for run in runs]
             # first passes of one row and of a few rows prune grids of any
@@ -189,7 +195,7 @@ def _first_grid_maximizer(ch, rho, rx_sets, tx_sets):
     whole grid's `_GridTerms.capacities`."""
     rx = _combinations([len(s) for s in rx_sets], 0, math.prod(len(s) for s in rx_sets))
     tx = _combinations([len(s) for s in tx_sets], 0, math.prod(len(s) for s in tx_sets))
-    caps = _GridTerms(ch, rho, rx_sets, tx_sets).capacities(rx, tx)
+    caps = _GridTerms(ch, rx_sets, tx_sets).at(rho).capacities(rx, tx)
     a, b = divmod(int(np.argmax(caps)), caps.shape[1])
     return PortSelection(tuple(int(s[p]) + 1 for s, p in zip(rx_sets, rx[a])),
                          tuple(int(s[p]) + 1 for s, p in zip(tx_sets, tx[b])))
@@ -233,7 +239,7 @@ class TestPrunedEnumeration:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sel_mod, "_FIRST_PASS", first_pass)
             res = exhaustive_search(ch, cfg.rho)
-            reduced = jcr_res(ch, cfg.rho, relaxed=relaxed)
+            reduced = jcr_res(ch, cfg.rho, realization=Realization(ch, relaxed))
         assert res.selection == _first_grid_maximizer(
             ch, cfg.rho, [np.arange(n_r)] * m_r, [np.arange(n_t)] * m_t)
         assert res.evaluations == combination_count(cfg)
@@ -251,22 +257,42 @@ class TestPrunedEnumeration:
         assert exhaustive_search(ch, 1.0).selection == PortSelection((1, 1), (2,))
 
     def test_tied_rows_of_the_first_pass_keep_the_tie_rule(self, monkeypatch):
-        # M = 1, Gram side receive: the rows are the transmit ports, and the
-        # first pass (two rows of three) holds two maximizers in one column
-        monkeypatch.setattr(sel_mod, "_FIRST_PASS", 6)
-        ch = make_channel([[2.0, 2.0, 0.1], [0.1, 0.1, 0.1], [0.1, 0.1, 0.1]], 1, 1, 3, 3)
-        assert exhaustive_search(ch, 1.0).selection == PortSelection((1,), (1,))
+        # W = 0: every port of an antenna has the same coefficients, so every
+        # selection ties and every row has the same bound; the first pass
+        # (two rows of nine Gram-side selections) holds tied maximizers.
+        # Gram side receive, then transmit (m_t < m_r)
+        monkeypatch.setattr(sel_mod, "_FIRST_PASS", 18)
+        for m_r, m_t in ((2, 2), (3, 2)):
+            cfg = FluidMimoConfig(m_r=m_r, m_t=m_t, n_r=3, n_t=3, snr_db=5.0, w=0.0)
+            res = exhaustive_search(generate_channel(cfg, 17), cfg.rho)
+            assert res.selection == PortSelection((1,) * m_r, (1,) * m_t)
 
     def test_nothing_is_ruled_out_above_the_ceiling(self, monkeypatch):
         # scores near 1000 bits, each finite: rows are not ruled out there
-        cfg = FluidMimoConfig(m_r=1, m_t=1, n_r=8, n_t=8, snr_db=5.0, w=0.5)
+        cfg = FluidMimoConfig(m_r=2, m_t=2, n_r=4, n_t=4, snr_db=5.0, w=0.5)
         ch = generate_channel(cfg, 3)
         monkeypatch.setattr(sel_mod, "_FIRST_PASS", 1)
         scored = _count_scored(monkeypatch)
-        for rho, expected in ((1.0, 8), (1e301, 64)):
+        for rho, expected in ((1.0, 144), (1e150, 256)):
             scored.clear()
             exhaustive_search(ch, rho)
             assert sum(scored) == expected
+
+    def test_one_gram_antenna_scores_every_row_without_bounds(self, monkeypatch):
+        # with one Gram-side antenna a row's bound is its own best score, so
+        # the bound pass would only add work: it does not run
+        monkeypatch.setattr(sel_mod, "_FIRST_PASS", 1)
+        monkeypatch.setattr(_GridTerms, "bounds",
+                            lambda *args: pytest.fail("bound pass with one Gram-side antenna"))
+        scored = _count_scored(monkeypatch)
+        for m_r, m_t in ((1, 1), (2, 1), (1, 3)):
+            cfg = FluidMimoConfig(m_r=m_r, m_t=m_t, n_r=5, n_t=4, snr_db=5.0, w=0.5)
+            ch = generate_channel(cfg, 3)
+            scored.clear()
+            res = exhaustive_search(ch, cfg.rho)
+            assert sum(scored) == combination_count(cfg)
+            assert res.selection == _first_grid_maximizer(
+                ch, cfg.rho, [np.arange(5)] * m_r, [np.arange(4)] * m_t)
 
     def test_most_combinations_are_ruled_out(self, monkeypatch):
         # M = 2, N = 20: 160,000 combinations; a fallback to the full grid
@@ -286,7 +312,7 @@ class TestPrunedEnumeration:
         for m_r, m_t in ((1, 1), (2, 2), (3, 2), (3, 3)):
             cfg = FluidMimoConfig(m_r=m_r, m_t=m_t, n_r=4, n_t=3, snr_db=10.0, w=0.5)
             ch = generate_channel(cfg, int(rng.integers(0, 2 ** 63)))
-            terms = _GridTerms(ch, cfg.rho, [np.arange(4)] * m_r, [np.arange(3)] * m_t)
+            terms = _GridTerms(ch, [np.arange(4)] * m_r, [np.arange(3)] * m_t).at(cfg.rho)
             sizes = [4] * m_r if terms.mirrored else [3] * m_t
             rows = np.unravel_index(np.arange(math.prod(sizes)), sizes)
             bounds = terms.bounds([rows])
@@ -385,7 +411,7 @@ class TestScoreMargin:
 
     def _run(self, search, x, y, n_r, n_t):
         ch = generate_channel(FluidMimoConfig(m_r=1, m_t=1, n_r=n_r, n_t=n_t), 1)
-        return search(ch, 1.0, relaxed=_relaxed(x, y, 1, n_r, 1, n_t))
+        return search(ch, 1.0, realization=Realization(ch, _relaxed(x, y, 1, n_r, 1, n_t)))
 
     def test_jcr_res_last_kept_against_first_dropped(self):
         res = self._run(jcr_res, self.RX, self.TX, 3, 3)
@@ -535,7 +561,7 @@ class TestSharedRelaxation:
             rho = ch.config.rho
             rel = solve_jcr(ch)
             for fn in (jcr_res, jcr_ao):
-                own, shared = fn(ch, rho), fn(ch, rho, relaxed=rel)
+                own, shared = fn(ch, rho), fn(ch, rho, realization=Realization(ch, rel))
                 assert shared.selection == own.selection
                 assert shared.capacity_bits == own.capacity_bits
                 assert shared.iterations == own.iterations
@@ -548,7 +574,8 @@ class TestSharedRelaxation:
         rho = ch.config.rho
         res = jcr_res(ch, rho)
         assert res.relaxation.x_hat.tobytes() == solve_jcr(ch).x_hat.tobytes()
-        assert jcr_ao(ch, rho, relaxed=res.relaxation).relaxation is res.relaxation
+        shared = Realization(ch, res.relaxation)
+        assert jcr_ao(ch, rho, realization=shared).relaxation is res.relaxation
         for other in (exhaustive_search(ch, rho), random_selection(ch, rho),
                       conventional_mimo(ch, rho)):
             assert other.relaxation is None
@@ -567,9 +594,82 @@ class TestSharedRelaxation:
             other = generate_channel(FluidMimoConfig(m_r=m_r, m_t=m_t, n_r=n_r, n_t=n_t), 2)
             rel = solve_jcr(other)
             with pytest.raises(ValueError, match="does not fit"):
-                jcr_res(small, 1.0, relaxed=rel)
+                jcr_res(small, 1.0, realization=Realization(small, rel))
             with pytest.raises(ValueError, match="does not fit"):
-                jcr_ao(small, 1.0, relaxed=rel)
+                jcr_ao(small, 1.0, realization=Realization(small, rel))
+
+
+SEARCHES = (exhaustive_search, jcr_res, jcr_ao, random_selection)
+
+
+class TestRealization:
+    def test_other_shape_or_entries_rejected(self):
+        cfg = FluidMimoConfig(m_r=2, m_t=2, n_r=3, n_t=3)
+        ch = generate_channel(cfg, 1)
+        realization = Realization(ch)
+        others = [generate_channel(replace(cfg, n_t=4), 1), generate_channel(cfg, 2)]
+        for other, match in zip(others, ("does not fit", "other channel entries")):
+            with pytest.raises(ValueError, match=match):
+                realization.check(other)
+            for search in SEARCHES:
+                with pytest.raises(ValueError, match=match):
+                    search(other, cfg.rho, realization=realization)
+
+    def test_same_entries_under_another_config_accepted(self):
+        # the SNR points of a sweep: a new config, the same entries
+        cfg = FluidMimoConfig(m_r=2, m_t=2, n_r=3, n_t=3, snr_db=0.0)
+        ch = generate_channel(cfg, 1)
+        realization = Realization(ch)
+        for snr_db in (0.0, 10.0):
+            point = replace(ch, config=replace(cfg, snr_db=snr_db))
+            copied = replace(ch, entries=ch.entries.copy())
+            for search in SEARCHES:
+                shared = search(point, point.config.rho, realization=realization)
+                assert shared == search(point, point.config.rho)
+                assert search(copied, point.config.rho, realization=realization) == shared
+
+    def test_repeated_searches_leave_the_kept_parts_unchanged(self, rng):
+        # jcr-ao commits on a copy of the start table and ports; a second
+        # run on the same realization, at another rho and back, is the same
+        for _ in range(10):
+            ch = random_instance(rng, m_max=3, n_max=5)
+            realization = Realization(ch)
+            for search in SEARCHES:
+                first = search(ch, 2.0, realization=realization)
+                search(ch, 50.0, realization=realization)
+                again = search(ch, 2.0, realization=realization)
+                assert again == first
+                assert again.capacity_trace == first.capacity_trace
+                assert again == search(ch, 2.0)
+            for seed, samples in ((1, 7), (2, 7), (1, 9)):
+                assert random_selection(ch, 2.0, samples, seed, realization=realization) == (
+                    random_selection(ch, 2.0, samples, seed))
+
+    def test_keep_sets_per_keep_count(self):
+        # jcr-ao keeps (1, 1) ports, jcr-res (1, 3) here: the receive counts
+        # agree, and each search still gets its own keep-sets
+        cfg = FluidMimoConfig(m_r=2, m_t=2, n_r=1, n_t=5)
+        ch = generate_channel(cfg, 4)
+        realization = Realization(ch)
+        assert jcr_ao(ch, cfg.rho, realization=realization) == jcr_ao(ch, cfg.rho)
+        assert jcr_res(ch, cfg.rho, realization=realization) == jcr_res(ch, cfg.rho)
+
+    def test_kept_arrays_are_read_only(self, rng):
+        ch = random_instance(rng, m_max=3, n_max=5)
+        c = ch.config
+        realization = Realization(ch)
+        for search in SEARCHES:
+            search(ch, c.rho, realization=realization)
+        keep = reduced_port_count(c.n_r), reduced_port_count(c.n_t)
+        rx, tx, terms = realization.draws(default_random_samples(c), 0)
+        kept = [*realization.keep_sets(1, 1)[:2], *realization.keep_sets(*keep)[:2],
+                realization.grid().unscaled, realization.grid(keep).unscaled,
+                realization.ascent().unscaled, *realization.ascent().ports,
+                rx, tx, *terms.blocks]
+        for arr in kept:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
 
 
 class TestRandomSelection:
@@ -683,7 +783,7 @@ class TestBitwiseScores:
             every = [np.arange(c.n_r)] * c.m_r, [np.arange(c.n_t)] * c.m_t
             rx = _combinations([c.n_r] * c.m_r, 0, c.n_r ** c.m_r)
             tx = _combinations([c.n_t] * c.m_t, 0, c.n_t ** c.m_t)
-            caps = _GridTerms(ch, rho, *every).capacities(rx, tx)
+            caps = _GridTerms(ch, *every).at(rho).capacities(rx, tx)
             assert np.array_equal(caps, reference_batch_capacities(ch, rx, tx, rho,
                                                                    _packed_logdet))
 
@@ -693,7 +793,7 @@ class TestBitwiseScores:
             tx_sets = [np.sort(rng.permutation(c.n_t)[:keep_t]) for _ in range(c.m_t)]
             rx = _combinations([keep_r] * c.m_r, 0, keep_r ** c.m_r)
             tx = _combinations([keep_t] * c.m_t, 0, keep_t ** c.m_t)
-            caps = _GridTerms(ch, rho, rx_sets, tx_sets).capacities(rx, tx)
+            caps = _GridTerms(ch, rx_sets, tx_sets).at(rho).capacities(rx, tx)
             expected = reference_batch_capacities(
                 ch, np.asarray(rx_sets)[np.arange(c.m_r), rx],
                 np.asarray(tx_sets)[np.arange(c.m_t), tx], rho, _packed_logdet)
@@ -706,11 +806,11 @@ class TestBitwiseScores:
             rx = rng.integers(0, c.n_r, size=(40, c.m_r))
             tx = rng.integers(0, c.n_t, size=(40, c.m_t))
             expected = reference_paired_capacities(ch, rx, tx, rho, _packed_logdet)
-            assert np.array_equal(_row_capacities(ch, rho, rx, tx), expected)
+            assert np.array_equal(_RowTerms(ch, rx, tx).capacities(rho), expected)
             # blocks of six selections, the last one of four
             monkeypatch.setattr(sel_mod, "_BLOCK_ENTRIES",
                                 7 * c.m_r * c.m_t * min(c.m_r, c.m_t) - 1)
-            assert np.array_equal(_row_capacities(ch, rho, rx, tx), expected)
+            assert np.array_equal(_RowTerms(ch, rx, tx).capacities(rho), expected)
             monkeypatch.undo()
 
     @pytest.mark.parametrize("shape", CONTRACT_SHAPES)
@@ -720,7 +820,8 @@ class TestBitwiseScores:
         for ch, rho, rng in _contract_cases(shape):
             c = ch.config
             ports = [rng.integers(0, c.n_r, size=c.m_r), rng.integers(0, c.n_t, size=c.m_t)]
-            terms = _AscentTerms(ch, rho, ports)
+            terms = _AscentTerms(ch, ports).at(rho)
+            ports = terms.ports
             assert terms.table.size == (2 * min(c.m_r, c.m_t) - 1) * ch.entries.size
             for _ in range(2):
                 for side, n in ((0, c.n_r), (1, c.n_t)):
@@ -739,7 +840,7 @@ class TestBitwiseScores:
         relaxations = {}
         for ch, rho, _ in _contract_cases(shape):
             rel = relaxations.setdefault(id(ch), (ch, solve_jcr(ch)))[1]
-            res = jcr_ao(ch, rho, relaxed=rel)
+            res = jcr_ao(ch, rho, realization=Realization(ch, rel))
 
             def reference(rx, tx):
                 return reference_paired_capacities(ch, np.array([rx]) - 1, np.array([tx]) - 1,
@@ -794,7 +895,7 @@ class TestOverflow:
         ch = make_channel(entries, m_r=2, m_t=2, n_r=2, n_t=2)
         start = _relaxed([1, 0, 1, 0], [1, 0, 1, 0], 2, 2, 2, 2)
         with pytest.raises(OverflowError):
-            jcr_ao(ch, 1e10, relaxed=start)
+            jcr_ao(ch, 1e10, realization=Realization(ch, start))
 
     def test_overflowing_reported_capacity_raises(self):
         ch = make_channel([[1e150]], m_r=1, m_t=1, n_r=1, n_t=1)
