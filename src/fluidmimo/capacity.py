@@ -43,8 +43,12 @@ class PortSelection:
     tx_ports: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "rx_ports", tuple(int(p) for p in self.rx_ports))
-        object.__setattr__(self, "tx_ports", tuple(int(p) for p in self.tx_ports))
+        for side in ("rx_ports", "tx_ports"):
+            ports = tuple(getattr(self, side))
+            for p in ports:
+                if not isinstance(p, (int, np.integer)) or isinstance(p, bool):
+                    raise ValueError(f"selection field {side} must hold integers, got {p!r}")
+            object.__setattr__(self, side, tuple(int(p) for p in ports))
         if not self.rx_ports or not self.tx_ports:
             raise ValueError("selection must cover at least one antenna per side")
 

@@ -66,6 +66,10 @@ class FluidMimoConfig:
                 raise ValueError(f"config field {name} must be an integer, got {val!r}")
             if val < 1:
                 raise ValueError(f"config field {name} must be >= 1, got {val}")
+        for name in ("snr_db", "w"):
+            val = getattr(self, name)
+            if isinstance(val, (bool, np.bool_)):
+                raise ValueError(f"config field {name} must be a real number, got {val!r}")
         try:
             linear = self.snr_linear
         except OverflowError:

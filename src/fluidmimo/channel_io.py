@@ -72,6 +72,8 @@ def _parse(lines):
         key, _, val = token.partition("=")
         if not _ or key not in _HEADER_KEYS:
             raise ChannelFormatError(f"line 1: unexpected header token {token!r}")
+        if key in fields:
+            raise ChannelFormatError(f"line 1: duplicate header key {key!r}")
         fields[key] = val
     missing = [k for k in _HEADER_KEYS if k not in fields]
     if missing:

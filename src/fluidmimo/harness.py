@@ -17,14 +17,14 @@ curves monotone in the SNR by construction.
 
 Task unit and the shared realization: a sweep runs as tasks of one trial
 each. For an SNR sweep a task covers all points of its trial: the channel
-is drawn once and each point reuses its entries under that point's
-config. Otherwise a task is one (point, trial). Each task makes one
-`selection.Realization` of its channel and hands it to every run: what the
-searches derive from the entries without the SNR (the JCR relaxation, the
-keep-sets, the rho-free term tables, the random baseline's draws) is built
-once per task, by the first run that needs it, and reused by every later
-run at every point. One LP per channel realization, with records identical
-to building everything afresh on every run.
+is drawn once and every point runs on it at the point's rho. Otherwise a
+task is one (point, trial). Each task makes one `selection.Realization`
+of its channel and hands it to every run: what the searches derive from
+the entries without the SNR (the JCR relaxation, the keep-sets, the
+rho-free term tables, the random baseline's draws) is built once per
+task, by the first run that needs it, and reused by every later run at
+every point. One LP per channel realization, with records identical to
+building everything afresh on every run.
 
 Timing: records carry wall_time_ms = 0.0 unless measure_time=True is
 requested. Measured times would differ between reruns, and the records of
@@ -192,8 +192,10 @@ def run_trial(spec, point_indices, trial_index, measure_time=False):
     points of an SNR sweep, else a single point), in point order and then
     spec.algorithms order.
 
-    The channel is drawn once and carries each point's config in turn. One
-    `Realization` of it serves every run of the trial, at every point.
+    The channel is drawn once, at the first point's config, and every point
+    runs on it at the rho of its own config: the searches read only the
+    antenna and port counts from a channel's config. One `Realization` of
+    it serves every run of the trial, at every point.
     """
     key = _point_key(spec, point_indices[0])
     channel = generate_channel(config_at(spec, spec.values[point_indices[0]]),
@@ -203,11 +205,11 @@ def run_trial(spec, point_indices, trial_index, measure_time=False):
     records = []
     for point_index in point_indices:
         value = spec.values[point_index]
-        channel = replace(channel, config=config_at(spec, value))
+        rho = config_at(spec, value).rho
         for algo in spec.algorithms:
             start = time.perf_counter()
             res = run_algorithm(
-                algo, channel, channel.config.rho, realization, cap=spec.exhaustive_cap,
+                algo, channel, rho, realization, cap=spec.exhaustive_cap,
                 epsilon=spec.ao_epsilon, max_iters=spec.ao_max_iters,
                 samples=spec.random_samples, seed=baseline_seed)
             elapsed = (time.perf_counter() - start) * 1000.0 if measure_time else 0.0

@@ -301,8 +301,8 @@ class _GridTerms:
     side, given as one array of positions per summed antenna; its entry
     list is the sum of its antennas' ones, added in antenna order.
 
-    The table is built without rho; `at` gives the copy that scores at one
-    rho, which is what the scoring methods run on."""
+    The table is built without rho and is read-only; a search scores the
+    `_scaled` copy of `unscaled` at its rho, which it passes as `table`."""
 
     def __init__(self, channel, rx_sets, tx_sets):
         g, self.mirrored = _summed_side(channel)
@@ -316,19 +316,13 @@ class _GridTerms:
         self.unscaled = _unscaled_terms(v, v[:, :, iu, :, None], v[:, :, ju, None, :])
         self.cols = _grid_layout(self.m, self.ports)
 
-    def at(self, rho):
-        """A copy whose table holds the terms at rho."""
-        terms = copy.copy(self)
-        terms.table = _scaled(self.unscaled, rho, self.m * self.ports)
-        return terms
-
-    def bounds(self, chunks):
+    def bounds(self, table, chunks):
         """Hadamard bound of each row, for the rows of each chunk in turn:
         log2 of the product over the Gram-side antennas of the antenna's
         largest diagonal entry of I + rho G. The diagonal entries are the
         rows' own, laid out port-major first."""
-        diag = np.ascontiguousarray(self.table[..., :self.m * self.ports].reshape(
-            self.table.shape[:2] + (self.m, self.ports)).transpose(1, 3, 2, 0))
+        diag = np.ascontiguousarray(table[..., :self.m * self.ports].reshape(
+            table.shape[:2] + (self.m, self.ports)).transpose(1, 3, 2, 0))
         out = []
         for summed in chunks:
             total = np.take(diag[0], summed[0], axis=2)        # (L, m, rows)
@@ -337,26 +331,20 @@ class _GridTerms:
             out.append(np.log2(total.max(axis=0).prod(axis=0)))
         return np.concatenate(out)
 
-    def scores(self, summed, cols):
+    @staticmethod
+    def scores(table, summed, cols):
         """Capacity of every (row, column) pair, shape (rows, columns), for
         columns of `_grid_layout`: each row's entry list is summed once,
         then the entries of each column are gathered from it; a block of
         rows at a time."""
         out = np.empty((len(summed[0]), cols.shape[1]))
-        step = max(1, _BLOCK_ENTRIES // max(cols.size, self.table.shape[-1]))
+        step = max(1, _BLOCK_ENTRIES // max(cols.size, table.shape[-1]))
         for s0 in range(0, len(out), step):
-            total = self.table[summed[0][s0:s0 + step], 0]
+            total = table[summed[0][s0:s0 + step], 0]
             for k in range(1, len(summed)):
-                total += self.table[summed[k][s0:s0 + step], k]
+                total += table[summed[k][s0:s0 + step], k]
             out[s0:s0 + step] = _packed_logdet(np.take(total, cols, axis=1).swapaxes(0, 1))
         return out
-
-    def capacities(self, rx, tx):
-        """Capacity of every (rx[a], tx[b]) pair, shape (A, B)."""
-        gram, summed = (tx, rx) if self.mirrored else (rx, tx)
-        cols = self.cols[:, np.ravel_multi_index(tuple(gram.T), (self.ports,) * self.m)]
-        out = self.scores(tuple(summed.T), cols)
-        return out if self.mirrored else out.T
 
 
 def _antenna_sum(terms, mirrored):
@@ -537,18 +525,20 @@ def _enumerate_best(grid, rho):
     pruned as the module docstring describes. Returns (rx, tx,
     combinations).
 
-    Rows are scored in ascending order against every Gram-side selection,
-    at most _BATCH_LIMIT selections at a time. The first maximum of a chunk
-    in flat order (np.argmax, which returns the first NaN if there is one)
-    replaces the best so far when it is greater, or equal and earlier.
+    The grid's table at rho is formed once (`_scaled`) and serves the
+    bounds and every score. Rows are scored in ascending order against
+    every Gram-side selection, at most _BATCH_LIMIT selections at a time.
+    The first maximum of a chunk in flat order (np.argmax, which returns
+    the first NaN if there is one) replaces the best so far when it is
+    greater, or equal and earlier.
     """
     rx_sets, tx_sets = grid.sets
     sizes_r, sizes_t = [len(s) for s in rx_sets], [len(s) for s in tx_sets]
     combos_r, combos_t = math.prod(sizes_r), math.prod(sizes_t)
     with _quiet():
-        terms = grid.at(rho)
-        sizes_k, n_rows = (sizes_r, combos_r) if terms.mirrored else (sizes_t, combos_t)
-        n_gram = terms.cols.shape[1]
+        table = _scaled(grid.unscaled, rho, grid.m * grid.ports)
+        sizes_k, n_rows = (sizes_r, combos_r) if grid.mirrored else (sizes_t, combos_t)
+        n_gram = grid.cols.shape[1]
         gram_chunk = min(n_gram, _BATCH_LIMIT)
         row_chunk = max(1, _BATCH_LIMIT // gram_chunk)
 
@@ -559,8 +549,8 @@ def _enumerate_best(grid, rho):
                 chunk = rows[r0:r0 + row_chunk]
                 summed = np.unravel_index(chunk, sizes_k)
                 for g0 in range(0, n_gram, gram_chunk):
-                    caps = terms.scores(summed, terms.cols[:, g0:g0 + gram_chunk])
-                    if terms.mirrored:      # flat index: row * n_gram + column
+                    caps = grid.scores(table, summed, grid.cols[:, g0:g0 + gram_chunk])
+                    if grid.mirrored:       # flat index: row * n_gram + column
                         a, b = divmod(int(np.argmax(caps)), caps.shape[1])
                         flat = int(chunk[a]) * n_gram + g0 + b
                     else:                   # column * n_rows + row
@@ -572,10 +562,10 @@ def _enumerate_best(grid, rho):
         best = (-math.inf, 0)
         rows = np.arange(n_rows)
         first = max(1, _FIRST_PASS // n_gram)
-        if first < n_rows and terms.m > 1:
-            step = max(1, _BATCH_LIMIT // (terms.m * terms.ports))
-            bound = terms.bounds(np.unravel_index(rows[r0:r0 + step], sizes_k)
-                                 for r0 in range(0, n_rows, step))
+        if first < n_rows and grid.m > 1:
+            step = max(1, _BATCH_LIMIT // (grid.m * grid.ports))
+            bound = grid.bounds(table, (np.unravel_index(rows[r0:r0 + step], sizes_k)
+                                        for r0 in range(0, n_rows, step)))
             if bound.max() <= _BOUND_CEILING:
                 top = np.sort(np.argpartition(bound, n_rows - first)[n_rows - first:])
                 best = scan(top, best)
@@ -646,10 +636,9 @@ class Realization:
 
     A search forms its table at one rho from these (`_scaled`): the same
     IEEE products as building it at that rho, so the scores keep their
-    bits. The arrays it builds are read-only. Every search takes the
-    realization of the channel it is given, or builds its own when given
-    none; one realization holds the entries of one channel, under any of
-    its configs (the SNR points of a sweep).
+    bits. Its tables, keep-sets and draws are read-only, and no search
+    changes or adds to them. Every search takes the realization of the
+    channel it is given, or builds its own when given none.
     """
 
     def __init__(self, channel, relaxed=None):

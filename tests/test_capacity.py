@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,6 +66,22 @@ class TestExtractEffective:
         ch = make_channel([[1, 2], [3, 4]], 1, 1, 2, 2)
         with pytest.raises(ValueError, match="port 3"):
             extract_effective(ch, PortSelection((3,), (1,)))
+
+
+class TestPortSelection:
+    def test_keeps_python_and_numpy_integers(self):
+        sel = PortSelection((np.int64(2), np.int32(1)), [np.intp(3)])
+        assert sel == PortSelection((2, 1), (3,))
+        assert all(type(p) is int for p in sel.rx_ports + sel.tx_ports)
+
+    @pytest.mark.parametrize("bad", [1.7, "2", True, np.bool_(True), np.float64(2.0)])
+    @pytest.mark.parametrize("side", ["rx_ports", "tx_ports"])
+    def test_rejects_non_integer_ports(self, bad, side):
+        # 1.7 used to become port 1; "2" and True were accepted
+        ports = {"rx_ports": (1,), "tx_ports": (2,), side: (1, bad)}
+        shown = re.escape(repr(bad))
+        with pytest.raises(ValueError, match=f"{side} must hold integers, got {shown}"):
+            PortSelection(**ports)
 
 
 class TestCapacity:

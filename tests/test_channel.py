@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,15 @@ def test_config_validation_names_field():
         FluidMimoConfig(m_r=1, m_t=1, n_r=1, n_t=1, w=-0.5)
     with pytest.raises(ValueError, match="snr_db"):
         FluidMimoConfig(m_r=1, m_t=1, n_r=1, n_t=1, snr_db=float("nan"))
+
+
+@pytest.mark.parametrize("field", ["m_r", "n_t", "snr_db", "w"])
+@pytest.mark.parametrize("flag", [True, False, np.bool_(True)])
+def test_bools_are_rejected_in_every_field(field, flag):
+    # snr_db=True and w=False used to read as 1.0 and 0.0
+    fields = {**dict(m_r=1, m_t=1, n_r=1, n_t=1, snr_db=5.0, w=0.5), field: flag}
+    with pytest.raises(ValueError, match=f"config field {field} must be .*, got {re.escape(repr(flag))}"):
+        FluidMimoConfig(**fields)
 
 
 @pytest.mark.parametrize("snr_db", [4000.0, np.float64(3100.0), float("inf")])

@@ -147,6 +147,15 @@ def test_missing_header_key():
         load_channel(io.StringIO(text))
 
 
+def test_duplicate_header_key():
+    # the last m_r used to win without naming the conflict
+    text = ("# fluid-mimo channel m_r=2 m_t=1 n_r=1 n_t=1 snr_db=5.0 w=0.5 m_r=3\n"
+            "i,n,j,k,re,im\n"
+            "1,1,1,1,0.0,0.0\n")
+    with pytest.raises(ChannelFormatError, match="line 1: duplicate header key 'm_r'"):
+        load_channel(io.StringIO(text))
+
+
 def test_wrong_column_header():
     text = ("# fluid-mimo channel m_r=1 m_t=1 n_r=1 n_t=1 snr_db=5.0 w=0.5\n"
             "i,n,j,k,real,imag\n"

@@ -463,6 +463,16 @@ class TestExitCodes:
         assert run_cli("solve", "--channel", str(path), "--algo", algo) == 2
         assert "line 4: non-finite" in capsys.readouterr().err
 
+    def test_duplicate_channel_header_key_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "ch.csv"
+        run_cli("generate", "--m", "2", "--n", "2", "--seed", "1", "--out", str(path))
+        lines = path.read_text().splitlines()
+        lines[0] += " m_r=3"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("solve", "--channel", str(path), "--algo", "exhaustive") == 2
+        assert "line 1: duplicate header key 'm_r'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("algo", ["exhaustive", "jcr-res", "jcr-ao", "random",
                                       "conventional", "all"])
     def test_overflowing_channel_file_exits_2(self, tmp_path, capsys, algo):

@@ -8,6 +8,7 @@ from fluidmimo import (
     ALGORITHMS,
     CombinationCapError,
     FluidMimoConfig,
+    OverallChannel,
     SweepSpec,
     SweepSpecError,
     mean_approximation_ratio,
@@ -152,10 +153,12 @@ class TestRunSweep:
         ("ports", (2, 3), 2),              # one task per (point, trial)
     ])
     def test_one_channel_and_one_lp_per_task(self, monkeypatch, variable, values, per_trial):
-        # and one of each rho-free build: the two grid tables (every port,
-        # jcr-res's keep-sets), jcr-ao's start table, the keep-sets of its
-        # two keep counts and the random baseline's draws
-        calls = {"generate": 0, "solve": 0, "grid": 0, "ascent": 0, "keep": 0, "draws": 0}
+        # one channel object too (every SNR point runs on it at its own
+        # rho), and one of each rho-free build: the two grid tables (every
+        # port, jcr-res's keep-sets), jcr-ao's start table, the keep-sets of
+        # its two keep counts and the random baseline's draws
+        calls = {"generate": 0, "channel": 0, "solve": 0, "grid": 0, "ascent": 0, "keep": 0,
+                 "draws": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -165,6 +168,8 @@ class TestRunSweep:
 
         monkeypatch.setattr(harness, "generate_channel",
                             counting("generate", harness.generate_channel))
+        monkeypatch.setattr(OverallChannel, "__post_init__",
+                            counting("channel", OverallChannel.__post_init__))
         monkeypatch.setattr(selection, "solve_jcr", counting("solve", selection.solve_jcr))
         for name, attr in (("grid", "_GridTerms"), ("ascent", "_AscentTerms"),
                            ("keep", "_kept_ports"), ("draws", "_RowTerms")):
@@ -173,15 +178,17 @@ class TestRunSweep:
         records, _ = run_sweep(spec)
         assert len(records) == len(ALGORITHMS) * len(values) * 4
         tasks = 4 * per_trial
-        assert calls == {"generate": tasks, "solve": tasks, "grid": 2 * tasks,
+        assert calls == {"generate": tasks, "channel": tasks, "solve": tasks, "grid": 2 * tasks,
                          "ascent": tasks, "keep": 2 * tasks, "draws": tasks}
 
     def test_shared_channel_and_lp_leave_records_unchanged(self):
-        # the per-point path draws the channel and builds every rho-free part
-        # afresh at every point and for every algorithm. Shapes: the Gram
-        # side receive; transmit (m_t < m_r); and nine summed antennas, which
-        # `_antenna_sum` adds pairwise
-        for base in (BASE, replace(BASE, m_r=3, m_t=2), replace(BASE, m_r=1, m_t=9, n_t=2)):
+        # the per-point path draws the channel at the point's config and
+        # builds every rho-free part afresh at every point and for every
+        # algorithm. Shapes: the Gram side receive; transmit (m_t < m_r);
+        # nine summed antennas, which `_antenna_sum` adds pairwise; and nine
+        # summed receive antennas, which it adds antenna by antenna
+        for base in (BASE, replace(BASE, m_r=3, m_t=2), replace(BASE, m_r=1, m_t=9, n_t=2),
+                     replace(BASE, m_r=9, m_t=2, n_r=2, n_t=2)):
             spec = small_spec(base=base, variable="snr_db", values=(-5.0, 5.0, 15.0), trials=3,
                               algorithms=ALGORITHMS)
             records, _ = run_sweep(spec)

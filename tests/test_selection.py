@@ -36,6 +36,7 @@ from fluidmimo.selection import (
     _kept_ports,
     _packed_logdet,
     _RowTerms,
+    _scaled,
     _top_ports,
     _triangle,
     combination_count,
@@ -136,8 +137,8 @@ class TestExhaustive:
             ch = generate_channel(cfg, int(rng.integers(0, 2 ** 63)))
             rx = _combinations([3] * m_r, 0, 3 ** m_r)
             tx = _combinations([2] * m_t, 0, 2 ** m_t)
-            caps = _GridTerms(ch, [np.arange(3)] * m_r,
-                              [np.arange(2)] * m_t).at(cfg.rho).capacities(rx, tx)
+            grid = _GridTerms(ch, [np.arange(3)] * m_r, [np.arange(2)] * m_t)
+            caps = _grid_capacities(grid, cfg.rho, rx, tx)
             assert caps.shape == (len(rx), len(tx))
             expected = np.array([[capacity(extract_effective(ch, PortSelection(r + 1, t + 1)),
                                            cfg.rho) for t in tx] for r in rx])
@@ -190,12 +191,23 @@ class TestExhaustive:
                 monkeypatch.undo()
 
 
+def _grid_capacities(grid, rho, rx, tx):
+    """Capacity of every (rx[a], tx[b]) pair of positions in the port sets
+    of the `_GridTerms` grid, shape (A, B): `scores` of the table that
+    `_enumerate_best` forms at rho."""
+    table = _scaled(grid.unscaled, rho, grid.m * grid.ports)
+    gram, summed = (tx, rx) if grid.mirrored else (rx, tx)
+    cols = grid.cols[:, np.ravel_multi_index(tuple(gram.T), (grid.ports,) * grid.m)]
+    out = grid.scores(table, tuple(summed.T), cols)
+    return out if grid.mirrored else out.T
+
+
 def _first_grid_maximizer(ch, rho, rx_sets, tx_sets):
     """1-based ports of the first maximizer, in mixed-radix order, of the
-    whole grid's `_GridTerms.capacities`."""
+    whole grid's `_grid_capacities`."""
     rx = _combinations([len(s) for s in rx_sets], 0, math.prod(len(s) for s in rx_sets))
     tx = _combinations([len(s) for s in tx_sets], 0, math.prod(len(s) for s in tx_sets))
-    caps = _GridTerms(ch, rx_sets, tx_sets).at(rho).capacities(rx, tx)
+    caps = _grid_capacities(_GridTerms(ch, rx_sets, tx_sets), rho, rx, tx)
     a, b = divmod(int(np.argmax(caps)), caps.shape[1])
     return PortSelection(tuple(int(s[p]) + 1 for s, p in zip(rx_sets, rx[a])),
                          tuple(int(s[p]) + 1 for s, p in zip(tx_sets, tx[b])))
@@ -312,12 +324,13 @@ class TestPrunedEnumeration:
         for m_r, m_t in ((1, 1), (2, 2), (3, 2), (3, 3)):
             cfg = FluidMimoConfig(m_r=m_r, m_t=m_t, n_r=4, n_t=3, snr_db=10.0, w=0.5)
             ch = generate_channel(cfg, int(rng.integers(0, 2 ** 63)))
-            terms = _GridTerms(ch, [np.arange(4)] * m_r, [np.arange(3)] * m_t).at(cfg.rho)
-            sizes = [4] * m_r if terms.mirrored else [3] * m_t
+            grid = _GridTerms(ch, [np.arange(4)] * m_r, [np.arange(3)] * m_t)
+            table = _scaled(grid.unscaled, cfg.rho, grid.m * grid.ports)
+            sizes = [4] * m_r if grid.mirrored else [3] * m_t
             rows = np.unravel_index(np.arange(math.prod(sizes)), sizes)
-            bounds = terms.bounds([rows])
+            bounds = grid.bounds(table, [rows])
             slack = sel_mod._BOUND_SLACK * np.maximum(1.0, bounds)
-            assert np.all(terms.scores(rows, terms.cols).max(axis=1) <= bounds + slack)
+            assert np.all(grid.scores(table, rows, grid.cols).max(axis=1) <= bounds + slack)
 
     def test_pruned_grid_with_overflowing_scores_raises(self, monkeypatch):
         # bounds above the ceiling leave the grid whole, so a NaN score
@@ -671,6 +684,28 @@ class TestRealization:
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0
 
+    def test_grid_tables_stay_the_same_values(self, rng):
+        # exhaustive search and jcr-res score a scaled copy of each grid's
+        # table: after searches at three rho a grid has no new attribute
+        # and holds the same read-only arrays
+        for _ in range(5):
+            ch = random_instance(rng, m_max=3, n_max=4)
+            c = ch.config
+            realization = Realization(ch)
+            keep = reduced_port_count(c.n_r), reduced_port_count(c.n_t)
+            grids = [realization.grid(), realization.grid(keep)]
+            before = [dict(vars(grid)) for grid in grids]
+            for rho in (1e-3, c.rho, 300.0):
+                exhaustive_search(ch, rho, realization=realization)
+                jcr_res(ch, rho, realization=realization)
+            assert realization.grid() is grids[0] and realization.grid(keep) is grids[1]
+            for grid, attrs in zip(grids, before):
+                assert vars(grid).keys() == attrs.keys()
+                for name, value in attrs.items():
+                    assert vars(grid)[name] is value
+                for arr in (grid.unscaled, grid.cols):
+                    assert not arr.flags.writeable
+
 
 class TestRandomSelection:
     def test_deterministic_given_seed(self, rng):
@@ -783,7 +818,7 @@ class TestBitwiseScores:
             every = [np.arange(c.n_r)] * c.m_r, [np.arange(c.n_t)] * c.m_t
             rx = _combinations([c.n_r] * c.m_r, 0, c.n_r ** c.m_r)
             tx = _combinations([c.n_t] * c.m_t, 0, c.n_t ** c.m_t)
-            caps = _GridTerms(ch, *every).at(rho).capacities(rx, tx)
+            caps = _grid_capacities(_GridTerms(ch, *every), rho, rx, tx)
             assert np.array_equal(caps, reference_batch_capacities(ch, rx, tx, rho,
                                                                    _packed_logdet))
 
@@ -793,7 +828,7 @@ class TestBitwiseScores:
             tx_sets = [np.sort(rng.permutation(c.n_t)[:keep_t]) for _ in range(c.m_t)]
             rx = _combinations([keep_r] * c.m_r, 0, keep_r ** c.m_r)
             tx = _combinations([keep_t] * c.m_t, 0, keep_t ** c.m_t)
-            caps = _GridTerms(ch, rx_sets, tx_sets).at(rho).capacities(rx, tx)
+            caps = _grid_capacities(_GridTerms(ch, rx_sets, tx_sets), rho, rx, tx)
             expected = reference_batch_capacities(
                 ch, np.asarray(rx_sets)[np.arange(c.m_r), rx],
                 np.asarray(tx_sets)[np.arange(c.m_t), tx], rho, _packed_logdet)
