@@ -5,15 +5,22 @@ fluid antenna) under equal power split and AWGN is
 
     C = log2 det(I + rho H H^H) = log2 det(I + rho H^H H)   [bits/s/Hz]
 
-computed here on whichever Gram matrix is smaller (H^H H iff M_T < M_R).
-I + rho * Gram is Hermitian positive definite, so the log-determinant is
-accumulated from the diagonal of its Cholesky factor, which is both
-cheaper and better conditioned than a generic LU route.
+This module owns its one formula, which the searches of `selection` score
+with too. The Gram matrix, m x m for m the smaller antenna count (the
+receive side on a tie), is a sum over the K antennas of the other side,
+the summed side, of rank-one terms rho v v^H, each packed as m*m reals:
+the diagonal, then the real and the imaginary parts of the strict upper
+triangle in row order (`_unscaled_terms`, then `_scaled` at one rho, which
+puts the identity on antenna 0). `capacity` adds the terms of H antenna by
+antenna and takes log2 det of the sum with `_packed_logdet`: in closed
+form for m = 1 and 2, by Cholesky above. A search gathers the same
+entries from its tables and adds them in the same order, so a selection
+scores the same bits in every search and in `capacity`.
 
 `capacity_q_form` evaluates the same quantity through the padded matrix
-Q = diag(x) G diag(y) built from the binary selection vectors; the two
-routes agree identically and the Q form exists to let tests exercise that
-equivalence. `surrogate_u` is the jointly concave selection objective
+Q = diag(x) G diag(y) built from the binary selection vectors; it exists
+to let tests exercise that equivalence. `surrogate_u` is the jointly
+concave selection objective
 
     U(x, y) = sum |g[r,c]|^2 * min(x[r], y[c])
 
@@ -28,6 +35,11 @@ from functools import lru_cache
 import numpy as np
 
 _Q_FORM_MAX_ENTRIES = 10 ** 7  # the padded Q form is a test-scale tool only
+# packed matrix entries per block of a term table or of its sums (`capacity`,
+# and `_GridTerms.scores` and `_RowTerms` in `selection`): a block stays under
+# 128 KiB of float64, the size from which glibc malloc maps fresh pages on
+# every call, and in cache
+_BLOCK_ENTRIES = 15_000
 
 
 @dataclass(frozen=True)
@@ -86,7 +98,10 @@ def extract_effective(channel, sel):
 
 
 def capacity(effective, rho):
-    """log2 det(I + rho H H^H) in bits/s/Hz, via the smaller Gram matrix."""
+    """log2 det(I + rho H H^H) in bits/s/Hz: the packed terms of H added
+    antenna by antenna, then `_packed_logdet`. The terms are tabulated a
+    block of _BLOCK_ENTRIES floats at a time, so the padded Q form, with
+    M N antennas on a side, builds no table of all its terms."""
     h = np.asarray(effective, dtype=np.complex128)
     if h.ndim != 2:
         raise ValueError(f"effective channel must be 2-D, got shape {h.shape}")
@@ -94,25 +109,105 @@ def capacity(effective, rho):
         raise ValueError("effective channel has non-finite entries")
     if not (math.isfinite(rho) and rho >= 0):
         raise ValueError(f"rho must be finite and >= 0, got {rho}")
-    return _gram_logdet(h, rho)
+    m = min(h.shape)
+    iu, ju = _triangle(m)
+    v = h if h.shape[1] < h.shape[0] else h.T      # row k: antenna k of the summed side
+    step = max(1, _BLOCK_ENTRIES // (m * m))
+
+    def terms():
+        """The terms antenna by antenna, tabulated `step` antennas at a time."""
+        for k in range(0, len(v), step):
+            block = v[None, k:k + step]
+            yield from _scaled(_unscaled_terms(block, block[..., iu], block[..., ju]), rho,
+                               0 if k else m)[0]
+
+    each = terms()
+    total = next(each)
+    for term in each:
+        total += term
+    with np.errstate(over="ignore", invalid="ignore"):   # `_packed_logdet` rescues
+        return float(_packed_logdet(total.reshape(-1, 1))[0])
 
 
-@lru_cache(maxsize=16)
-def _identity(m):
-    """Read-only m x m identity."""
-    eye = np.eye(m)
-    eye.flags.writeable = False
-    return eye
+@lru_cache(maxsize=64)
+def _triangle(m):
+    """Row and column indices of the strict upper triangle of an m x m
+    matrix in row order, read-only: the pair order of the packed layout."""
+    iu, ju = np.triu_indices(m, 1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
 
 
-def _gram_logdet(h, rho):
-    m_r, m_t = h.shape
-    if m_t < m_r:
-        gram = h.conj().T @ h
-    else:
-        gram = h @ h.conj().T
-    b = _identity(len(gram)) + rho * gram
-    return max(0.0, 2.0 * float(np.log2(np.linalg.cholesky(b).diagonal().real).sum()))
+def _unscaled_terms(v, a, b):
+    """Rank-one terms v v^H without rho, as a read-only table T[r, k, :] of
+    packed entries: row r (a port, or one selection), antenna k of the
+    summed side.
+
+    An entry list holds the diagonal entries |v|^2 of v (shape (R, K, ...)),
+    then `_pair_entries` of a and b; each block flattened. Real ufuncs only,
+    so an entry has the same bits wherever it sits. `_scaled` turns it into
+    the terms at one rho.
+    """
+    diag = v.real * v.real + v.imag * v.imag
+    table = np.concatenate([diag.reshape(v.shape[:2] + (-1,)), _pair_entries(a, b)], axis=-1)
+    table.flags.writeable = False
+    return table
+
+
+def _scaled(unscaled, rho, n_diag):
+    """The terms rho v v^H of an `_unscaled_terms` table, a new array:
+    antenna 0 carries the identity on its n_diag diagonal entries, so the
+    terms of a selection, added in antenna order, give I + rho G packed as
+    `_packed_logdet` reads it. Each entry is the IEEE product of rho and
+    the unscaled one, as forming rho |v|^2 directly would give."""
+    table = unscaled * rho
+    table[:, 0, :n_diag] += 1.0
+    return table
+
+
+def _pair_entries(a, b):
+    """The real parts re_a re_b + im_a im_b, then the imaginary parts
+    im_a re_b - re_a im_b of off-diagonal entries without rho, flattened
+    per (row, antenna): a and b are the coefficients of the row and the
+    column antenna of each entry, broadcast together over (R, K, ...)."""
+    lead = a.shape[:2] + (-1,)
+    re = a.real * b.real
+    re += a.imag * b.imag
+    im = a.imag * b.real
+    im -= a.real * b.imag
+    return np.concatenate([re.reshape(lead), im.reshape(lead)], axis=-1)
+
+
+def _packed_logdet(b):
+    """log2 det B for stacked Hermitian positive definite B = I + rho G,
+    packed as by `_scaled` along axis 0; clipped at 0.
+
+    Closed forms for m = 1 and m = 2; for larger m the matrices are
+    unpacked and go through a batched Cholesky. A 2 x 2 determinant that
+    overflows although its entries do not is taken again of B 2^-e, e the
+    exponent of the largest entry, plus 2e: exact scaling, so only those
+    columns change, and the range is that of the entries (~1e308).
+    """
+    m = math.isqrt(len(b))
+    if m == 1:
+        return np.maximum(0.0, np.log2(b[0]))
+    if m == 2:
+        det = b[0] * b[1] - (b[2] * b[2] + b[3] * b[3])
+        out = np.log2(det)
+        if not math.isfinite(det.sum()):            # a NaN or infinite det, or a large sum
+            lost = ~np.isfinite(det) & np.isfinite(b).all(axis=0)
+            e = np.frexp(np.abs(b[:, lost]).max(axis=0))[1]
+            s = np.ldexp(b[:, lost], -e)
+            out[lost] = np.log2(s[0] * s[1] - (s[2] * s[2] + s[3] * s[3])) + 2.0 * e
+        return np.maximum(0.0, out)
+    iu, ju = _triangle(m)
+    upper = np.moveaxis(b[m:m + len(iu)] + 1j * b[m + len(iu):], 0, -1)
+    full = np.empty(b.shape[1:] + (m, m), dtype=np.complex128)
+    full[..., np.arange(m), np.arange(m)] = np.moveaxis(b[:m], 0, -1)
+    full[..., iu, ju] = upper
+    full[..., ju, iu] = upper.conj()
+    diag = np.diagonal(np.linalg.cholesky(full), axis1=-2, axis2=-1)
+    return np.maximum(0.0, 2.0 * np.sum(np.log2(diag.real), axis=-1))
 
 
 def capacity_q_form(channel, sel, rho):
@@ -132,7 +227,7 @@ def capacity_q_form(channel, sel, rho):
     sel.validate(c)
     x, y = sel.to_indicators(c.n_r, c.n_t)
     q = x[:, None] * channel.entries * y[None, :]
-    return _gram_logdet(q, rho)
+    return capacity(q, rho)
 
 
 def surrogate_u(channel, x, y):

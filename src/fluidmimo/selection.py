@@ -19,12 +19,11 @@ Five algorithms share the SelectionResult interface:
 
 Every search (exhaustive, the reduced search of jcr-res, the random
 baseline and the coordinate ascent of jcr-ao) scores selections of the
-given channel in batches and builds no channel. The Gram matrix on the
-side `capacity` uses, m x m for m the smaller antenna count, is a sum over
-the K antennas of the other side of rank-one terms rho v v^H, each packed
-as m*m reals. A search forms these terms as a term table and scores a
-selection by gathering K entry lists from it and adding them in antenna
-order:
+given channel in batches with the formula of `capacity`, and builds no
+channel: I + rho G packed as a sum over the K antennas of the summed side
+of rank-one terms (see the `capacity` module). A search forms these terms
+as a term table and scores a selection by gathering K entry lists from it
+and adding them in antenna order:
 
   exhaustive,  `_GridTerms` over per-antenna port sets (all N ports, or
   jcr-res      the kept ones), with every pair of Gram-side ports:
@@ -49,23 +48,18 @@ in a `Realization` of the channel, which every search takes: one
 realization serves every search and SNR on the same entries, and a search
 given none builds its own. Besides a realization, only read-only index
 layouts are kept across calls. Every entry comes from the same real
-ufuncs on the same operands as forming the term from the gathered channel
-vector would, rho times the unscaled entry being the same IEEE product,
-and the sums run in a fixed order:
-`+=` antenna by antenna in the enumerations, `_antenna_sum` in jcr-ao and
-random (np.sum along a fixed layout, which adds pairwise from eight summed
-antennas on when the Gram side is the receive side). A selection
-therefore scores the same bits in every search that uses the same order,
-selections with equal effective channels score bit-identically, and the
-tie rules below are exact. log2 det(I + rho Gram) is taken in closed form
-for Gram size 1 and 2 and by a batched Cholesky above that. Batch scores
-agree with `capacity` to ~1e-14 relative; the scalar `capacity` only
-reports. Every algorithm ends in `_result`,
-the one constructor of a SelectionResult: it turns 0-based ports into
-the 1-based selection and sets capacity_bits to `capacity` of it. A
-score that is NaN or infinite (rho |g|^2 overflows float64) raises
-OverflowError instead of deciding; each search silences numpy's overflow
-warnings, so that error is the one report.
+ufuncs on the same operands as `capacity` forms it with, rho times the
+unscaled entry being the same IEEE product, and every sum adds antenna by
+antenna (`+=` in the enumerations, `_antenna_sum` in jcr-ao and random).
+A selection therefore scores the same bits in every search and in
+`capacity`, selections with equal effective channels score
+bit-identically, and the tie rules below are exact. Each search reports
+the score that chose its selection; conventional, which searches
+nothing, calls `capacity`. Every algorithm ends in `_result`, the one
+constructor of a SelectionResult, which turns 0-based ports into the
+1-based selection. A score that is NaN or infinite (rho |g|^2 overflows
+float64) raises OverflowError instead of deciding; each search silences
+numpy's overflow warnings, so that error is the one report.
 
 The enumeration is pruned by Hadamard's inequality, det B <= prod_i B_ii
 for B positive definite. A row's scores read its own diagonal entries,
@@ -80,11 +74,11 @@ incumbent less _BOUND_SLACK * max(1, incumbent), a margin far above those
 errors, are scored. A row ruled out scores strictly below the incumbent,
 so below the maximum: the first maximizer among the scored rows is the
 first maximizer of the grid, and the tie rule is exact. When a bound
-exceeds _BOUND_CEILING or is NaN, scores may overflow and every row is
-scored, so a NaN score still raises. Grids of at most _FIRST_PASS
-selections are scored whole, and so is every grid with one Gram-side
-antenna: there a row's bound is its own best score, so the bound pass
-would only add work.
+exceeds _BOUND_CEILING or is NaN, a determinant may overflow (and be
+rescued) or a score be NaN, and every row is scored, so a NaN score
+still raises. Grids of at most _FIRST_PASS selections are scored whole,
+and so is every grid with one Gram-side antenna: there a row's bound is
+its own best score, so the bound pass would only add work.
 
 Tie rules are fixed for determinism: enumeration returns the first
 maximizer in mixed-radix order (receive antennas are the outer digits,
@@ -102,17 +96,14 @@ from typing import Optional
 
 import numpy as np
 
-from .capacity import PortSelection, capacity
+from .capacity import (_BLOCK_ENTRIES, PortSelection, _packed_logdet, _pair_entries, _scaled,
+                       _triangle, _unscaled_terms, capacity)
 from .relaxation import RelaxedSolution, solve_jcr
 
 ALGORITHMS = ("exhaustive", "jcr-res", "jcr-ao", "random", "conventional")
 
 DEFAULT_EXHAUSTIVE_CAP = 10 ** 8
 _BATCH_LIMIT = 1 << 18  # evaluated combinations held in memory at once
-# packed matrix entries per block of `_GridTerms.scores` and of
-# `_row_capacities`' term table: a block stays under 128 KiB of float64, the
-# size from which glibc malloc maps fresh pages on every call, and in cache
-_BLOCK_ENTRIES = 15_000
 # pruned enumeration (see the module docstring): selections scored before
 # the first rows are ruled out, the margin below the incumbent, relative,
 # and the largest bound, in bits, at which rows are ruled out (log2 1e300)
@@ -139,10 +130,10 @@ class SelectionResult:
     iterations is the coordinate-ascent sweep count (0 for the other
     algorithms); evaluations counts the selections the search covered:
     those it scored, and in exhaustive search and jcr-res also those the
-    bound ruled out (every combination); capacity_trace, for jcr-ao, holds
-    the batch-kernel score of the selection after the initial rounding and
-    after each sweep (within ~1e-14 relative of `capacity`, which gives
-    capacity_bits).
+    bound ruled out (every combination); capacity_bits is the score that
+    chose the selection, which is `capacity` of it bit for bit;
+    capacity_trace, for jcr-ao, holds the score of the selection after the
+    initial rounding and after each sweep, so it ends in capacity_bits.
     relaxation, for jcr-res and jcr-ao, is the RelaxedSolution they
     rounded; Realization(channel, relaxation) hands it to later searches
     on the same entries.
@@ -179,15 +170,9 @@ def _finite(score):
     return float(score)
 
 
-def _result(channel, rho, algorithm, rx, tx, evaluations, iterations=0, **fields):
-    """SelectionResult for the 0-based ports rx, tx; capacity_bits is
-    `capacity` of that selection, its effective channel gathered from the
-    ports as `extract_effective` does, without validating them again."""
-    c = channel.config
-    rows = np.arange(c.m_r) * c.n_r + np.asarray(rx, dtype=np.intp)
-    cols = np.arange(c.m_t) * c.n_t + np.asarray(tx, dtype=np.intp)
-    with _quiet():
-        bits = _finite(capacity(channel.entries[rows[:, None], cols], rho))
+def _result(algorithm, rx, tx, bits, evaluations, iterations=0, **fields):
+    """SelectionResult for the 0-based ports rx, tx, whose capacity the
+    search scored as `bits`."""
     sel = PortSelection(tuple(int(p) + 1 for p in rx), tuple(int(p) + 1 for p in tx))
     return SelectionResult(selection=sel, algorithm=algorithm, iterations=iterations,
                            capacity_bits=bits, evaluations=evaluations, **fields)
@@ -203,55 +188,6 @@ def _combinations(sizes, start, stop):
     antenna, antenna i having sizes[i] to choose from: the first antenna is
     the most significant digit. Shape (stop - start, len(sizes))."""
     return np.stack(np.unravel_index(np.arange(start, stop), sizes), axis=1)
-
-
-@lru_cache(maxsize=64)
-def _triangle(m):
-    """Row and column indices of the strict upper triangle of an m x m
-    matrix in row order, read-only: the pair order of the packed layout."""
-    iu, ju = np.triu_indices(m, 1)
-    iu.flags.writeable = ju.flags.writeable = False
-    return iu, ju
-
-
-def _unscaled_terms(v, a, b):
-    """Rank-one terms v v^H without rho, as a read-only table T[r, k, :] of
-    packed entries: row r (a port, or one selection), antenna k of the
-    summed side.
-
-    An entry list holds the diagonal entries |v|^2 of v (shape (R, K, ...)),
-    then `_pair_entries` of a and b; each block flattened. Real ufuncs only,
-    so an entry has the same bits wherever it sits. `_scaled` turns it into
-    the terms at one rho.
-    """
-    diag = v.real * v.real + v.imag * v.imag
-    table = np.concatenate([diag.reshape(v.shape[:2] + (-1,)), _pair_entries(a, b)], axis=-1)
-    table.flags.writeable = False
-    return table
-
-
-def _scaled(unscaled, rho, n_diag):
-    """The terms rho v v^H of an `_unscaled_terms` table, a new array:
-    antenna 0 carries the identity on its n_diag diagonal entries, so the
-    terms of a selection, added in antenna order, give I + rho G packed as
-    `_packed_logdet` reads it. Each entry is the IEEE product of rho and
-    the unscaled one, as forming rho |v|^2 directly would give."""
-    table = unscaled * rho
-    table[:, 0, :n_diag] += 1.0
-    return table
-
-
-def _pair_entries(a, b):
-    """The real parts re_a re_b + im_a im_b, then the imaginary parts
-    im_a re_b - re_a im_b of off-diagonal entries without rho, flattened
-    per (row, antenna): a and b are the coefficients of the row and the
-    column antenna of each entry, broadcast together over (R, K, ...)."""
-    lead = a.shape[:2] + (-1,)
-    re = a.real * b.real
-    re += a.imag * b.imag
-    im = a.imag * b.real
-    im -= a.real * b.imag
-    return np.concatenate([re.reshape(lead), im.reshape(lead)], axis=-1)
 
 
 def _summed_side(channel):
@@ -347,17 +283,13 @@ class _GridTerms:
         return out
 
 
-def _antenna_sum(terms, mirrored):
-    """Packed I + rho G of each selection: the sum of its terms (S, K, E)
-    over the K summed antennas, in an order that does not depend on how
-    the terms were laid out. np.sum runs over a C-ordered array (a copy
-    unless the terms already are one) whose antenna axis is the outer one
-    when the Gram side is the transmit side (mirrored), which adds antenna
-    by antenna, and the innermost one otherwise, which adds pairwise once
-    there are eight antennas or more."""
-    if mirrored:
-        return np.ascontiguousarray(terms).sum(axis=1)
-    return np.ascontiguousarray(terms.swapaxes(1, 2)).sum(axis=2)
+def _antenna_sum(terms):
+    """Packed I + rho G of each selection: its terms (S, K, E), a new array,
+    added antenna by antenna into terms[:, 0], which is returned."""
+    total = terms[:, 0]
+    for k in range(1, terms.shape[1]):
+        total += terms[:, k]
+    return total
 
 
 class _RowTerms:
@@ -370,21 +302,19 @@ class _RowTerms:
         c = channel.config
         g = channel.entries.reshape(c.m_r, c.n_r, c.m_t, c.n_t)
         self.m = min(c.m_r, c.m_t)
-        self.mirrored = c.m_t < c.m_r
         iu, ju = _triangle(self.m)
         step = max(1, _BLOCK_ENTRIES // (c.m_r * c.m_t * self.m))
         self.blocks = []
         for s0 in range(0, len(rx), step):
             h = g[np.arange(c.m_r)[:, None], rx[s0:s0 + step, :, None], np.arange(c.m_t),
                   tx[s0:s0 + step, None, :]]
-            v = h if self.mirrored else h.swapaxes(1, 2)       # (S, K, m)
+            v = h if c.m_t < c.m_r else h.swapaxes(1, 2)       # (S, K, m)
             self.blocks.append(_unscaled_terms(v, v[..., iu], v[..., ju]))
 
     def capacities(self, rho):
         """Capacity of each selection at rho, shape (S,): its terms added by
         `_antenna_sum`, a block at a time."""
-        return np.concatenate([_packed_logdet(_antenna_sum(_scaled(b, rho, self.m),
-                                                           self.mirrored).T)
+        return np.concatenate([_packed_logdet(_antenna_sum(_scaled(b, rho, self.m)).T)
                                for b in self.blocks])
 
 
@@ -424,8 +354,8 @@ class _AscentTerms:
     copy that scores and commits at one rho, with ports of its own."""
 
     def __init__(self, channel, ports):
-        self.g, self.mirrored = _summed_side(channel)
-        self.ports, self.gram_side = ports, int(self.mirrored)
+        self.g, mirrored = _summed_side(channel)
+        self.ports, self.gram_side = ports, int(mirrored)
         self.gram, self.summed = ports[self.gram_side], ports[1 - self.gram_side]
         n_rows, n_k, m, n_ports = self.g.shape
         self.off, self.who, self.moves, self.shifts = _ascent_layout(m, n_ports)
@@ -464,13 +394,9 @@ class _AscentTerms:
     def _scores(self, rows, inner):
         """log2 det of the term sums of selections s: summed-side antenna
         k at port rows[s, k] contributes its entries inner[s] (either
-        broadcasts), added by `_antenna_sum`. They are gathered in the
-        layout it sums in, so it copies nothing."""
-        if self.mirrored:
-            terms = self.table[rows[:, :, None], self.antennas, inner[:, None, :]]
-        else:
-            terms = self.table[rows[:, None, :], self.antennas.T, inner[:, :, None]].swapaxes(1, 2)
-        return _packed_logdet(_antenna_sum(terms, self.mirrored).T)
+        broadcasts), gathered as (S, K, E) and added by `_antenna_sum`."""
+        terms = self.table[rows[:, :, None], self.antennas, inner[:, None, :]]
+        return _packed_logdet(_antenna_sum(terms).T)
 
     def score(self):
         """Score of the current selection."""
@@ -493,36 +419,11 @@ class _AscentTerms:
             self._reindex()
 
 
-def _packed_logdet(b):
-    """log2 det B for stacked Hermitian positive definite B = I + rho G,
-    packed as by `_scaled` along axis 0; clipped at 0 like
-    `capacity`.
-
-    Closed forms for m = 1 and m = 2; for larger m the matrices are
-    unpacked and go through a batched Cholesky.
-    """
-    m = math.isqrt(len(b))
-    if m == 1:
-        det = b[0]
-    elif m == 2:
-        det = b[0] * b[1] - (b[2] * b[2] + b[3] * b[3])
-    else:
-        iu, ju = _triangle(m)
-        upper = np.moveaxis(b[m:m + len(iu)] + 1j * b[m + len(iu):], 0, -1)
-        full = np.empty(b.shape[1:] + (m, m), dtype=np.complex128)
-        full[..., np.arange(m), np.arange(m)] = np.moveaxis(b[:m], 0, -1)
-        full[..., iu, ju] = upper
-        full[..., ju, iu] = upper.conj()
-        diag = np.diagonal(np.linalg.cholesky(full), axis1=-2, axis2=-1)
-        return np.maximum(0.0, 2.0 * np.sum(np.log2(diag.real), axis=-1))
-    return np.maximum(0.0, np.log2(det))
-
-
 def _enumerate_best(grid, rho):
     """First-in-order maximizer at rho over every selection of the
     `_GridTerms` grid, which gives receive antenna i a port from rx_sets[i]
     and transmit antenna j one from tx_sets[j] (ascending 0-based ports),
-    pruned as the module docstring describes. Returns (rx, tx,
+    pruned as the module docstring describes. Returns (rx, tx, its score,
     combinations).
 
     The grid's table at rho is formed once (`_scaled`) and serves the
@@ -576,7 +477,7 @@ def _enumerate_best(grid, rho):
     r, t = divmod(-best[1], combos_t)
     return ([s[p] for s, p in zip(rx_sets, np.unravel_index(r, sizes_r))],
             [s[p] for s, p in zip(tx_sets, np.unravel_index(t, sizes_t))],
-            combos_r * combos_t)
+            best[0], combos_r * combos_t)
 
 
 def exhaustive_search(channel, rho, cap=DEFAULT_EXHAUSTIVE_CAP, realization=None):
@@ -589,8 +490,7 @@ def exhaustive_search(channel, rho, cap=DEFAULT_EXHAUSTIVE_CAP, realization=None
     combos = combination_count(c)
     if combos > cap:
         raise CombinationCapError(combos, cap)
-    return _result(channel, rho, "exhaustive",
-                   *_enumerate_best(_realization(channel, realization).grid(), rho))
+    return _result("exhaustive", *_enumerate_best(_realization(channel, realization).grid(), rho))
 
 
 def reduced_port_count(n):
@@ -741,7 +641,7 @@ def jcr_res(channel, rho, realization=None):
     realization = _realization(channel, realization)
     keep = reduced_port_count(c.n_r), reduced_port_count(c.n_t)
     _, _, margin, margin_rel = realization.keep_sets(*keep)
-    return _result(channel, rho, "jcr-res", *_enumerate_best(realization.grid(keep), rho),
+    return _result("jcr-res", *_enumerate_best(realization.grid(keep), rho),
                    relaxation=realization.relaxation(), score_margin=margin,
                    score_margin_rel=margin_rel)
 
@@ -762,8 +662,8 @@ def jcr_ao(channel, rho, epsilon=1e-3, max_iters=20, realization=None):
     when it scores >= the best score so far: later ports win ties, as in a
     port-by-port >= loop. The score after each sweep is nondecreasing; the
     loop stops once the relative improvement is at most epsilon or after
-    max_iters sweeps. capacity_trace holds these batch-kernel scores;
-    capacity_bits is `capacity` of the final selection.
+    max_iters sweeps. capacity_trace holds these scores; capacity_bits is
+    the last.
     realization: the channel's `Realization`, as for `jcr_res`; its start
     table serves every SNR.
     """
@@ -796,7 +696,7 @@ def jcr_ao(channel, rho, epsilon=1e-3, max_iters=20, realization=None):
             sweeps += 1
             trace.append(c_new)
 
-    return _result(channel, rho, "jcr-ao", *terms.ports, evaluations, iterations=sweeps,
+    return _result("jcr-ao", *terms.ports, c_best, evaluations, iterations=sweeps,
                    capacity_trace=tuple(trace), relaxation=realization.relaxation(),
                    score_margin=margin, score_margin_rel=margin_rel)
 
@@ -826,11 +726,13 @@ def random_selection(channel, rho, samples=None, seed=0, realization=None):
     with _quiet():
         caps = terms.capacities(rho)
     best = int(np.argmax(caps))
-    _finite(caps[best])
-    return _result(channel, rho, "random", rx_all[best], tx_all[best], samples)
+    return _result("random", rx_all[best], tx_all[best], _finite(caps[best]), samples)
 
 
 def conventional_mimo(channel, rho):
-    """Fixed-antenna reference: the first port of every fluid antenna."""
+    """Fixed-antenna reference: the first port of every fluid antenna,
+    scored by `capacity`."""
     c = channel.config
-    return _result(channel, rho, "conventional", [0] * c.m_r, [0] * c.m_t, 1)
+    with _quiet():
+        bits = _finite(capacity(channel.entries[::c.n_r, ::c.n_t], rho))
+    return _result("conventional", [0] * c.m_r, [0] * c.m_t, bits, 1)

@@ -9,8 +9,9 @@ Tests compare the package against these, never the other way round.
 
 The packed-term references are the exception: they are the selection
 kernel's earlier formulas (rank-one terms formed from gathered channel
-vectors on every call), kept so that tests can check the term tables
-bit for bit. They take the package's packed log-det as an argument.
+vectors on every call), kept so that tests can check the term tables and
+`capacity` bit for bit. They take the package's packed log-det as an
+argument.
 """
 
 import itertools
@@ -180,19 +181,35 @@ def reference_batch_capacities(channel, rx_combos, tx_combos, rho, packed_logdet
     return caps if c.m_t < c.m_r else caps.T
 
 
+def _antenna_order_sum(terms):
+    """Terms (S, K, E) added in antenna order, one antenna at a time."""
+    total = terms[:, 0]
+    for k in range(1, terms.shape[1]):
+        total = total + terms[:, k]
+    return total
+
+
 def reference_paired_capacities(channel, rx_combos, tx_combos, rho, packed_logdet):
     """Capacity of selection s = (rx_combos[s], tx_combos[s]), 0-based
-    ports, shape (S,): the terms summed by np.sum over the antenna axis."""
+    ports, shape (S,): the terms added in antenna order."""
     c, g = _channel_blocks(channel)
     h = g[np.arange(c.m_r)[:, None], rx_combos[:, :, None],
           np.arange(c.m_t), tx_combos[:, None, :]]
     vectors = h if c.m_t < c.m_r else h.swapaxes(1, 2)
-    return packed_logdet(packed_terms(vectors, rho).sum(axis=1).T)
+    return packed_logdet(_antenna_order_sum(packed_terms(vectors, rho)).T)
+
+
+def packed_capacity(h, rho, packed_logdet):
+    """log2 det(I + rho Gram) of one effective channel h from its packed
+    terms added in antenna order: the columns of h, or its rows when it
+    has fewer columns than rows."""
+    vectors = h if h.shape[1] < h.shape[0] else h.T
+    return float(packed_logdet(_antenna_order_sum(packed_terms(vectors[None], rho)).T)[0])
 
 
 def frozen_gram_logdet(h, rho):
-    """The scalar capacity's log2 det(I + rho Gram) as first written: the
-    reference its cheaper form must match bit for bit."""
+    """The scalar capacity's log2 det(I + rho Gram) as first written: a
+    BLAS Gram product, then a Cholesky."""
     m_r, m_t = h.shape
     if m_t < m_r:
         gram = h.conj().T @ h

@@ -13,6 +13,7 @@ from fluidmimo import (
     extract_effective,
     surrogate_u,
 )
+from fluidmimo.capacity import _packed_logdet
 
 from conftest import make_channel, random_instance
 from oracles import (
@@ -20,6 +21,7 @@ from oracles import (
     eig_capacity,
     frobenius_u,
     frozen_gram_logdet,
+    packed_capacity,
     q_matrix_from_selection,
 )
 
@@ -50,7 +52,7 @@ class TestExtractEffective:
                 assert np.array_equal(stripped, mask)
 
     def test_gathers_a_c_contiguous_copy(self, rng):
-        # the operand layout capacity()'s Gram product sees
+        # a copy that owns its memory, whatever the channel's layout
         for _ in range(10):
             ch = random_instance(rng, m_max=3, n_max=4)
             c = ch.config
@@ -115,14 +117,52 @@ class TestCapacity:
         caps = [capacity(h, rho) for rho in np.linspace(0.0, 10.0, 50)]
         assert all(b >= a for a, b in zip(caps, caps[1:]))
 
-    def test_bits_match_the_frozen_form(self, rng):
+    @staticmethod
+    def _shapes_and_rhos(rng):
         # every shape 1x1..4x4, so both Gram sides; rho over eight decades
         for _ in range(40):
             for m_r in range(1, 5):
                 for m_t in range(1, 5):
                     h = rng.normal(size=(m_r, m_t)) + 1j * rng.normal(size=(m_r, m_t))
-                    rho = 10.0 ** rng.uniform(-3, 5)
-                    assert capacity(h, rho) == frozen_gram_logdet(h, rho)
+                    yield h, 10.0 ** rng.uniform(-3, 5)
+
+    def test_bits_match_the_packed_oracle(self, rng):
+        # the searches' formula: packed terms added in antenna order
+        for h, rho in self._shapes_and_rhos(rng):
+            assert capacity(h, rho) == packed_capacity(h, rho, _packed_logdet)
+
+    def test_bits_match_the_frozen_form(self, rng):
+        # the Gram-product form it replaced, to the last few ulps of a
+        # capacity of at least one bit
+        for h, rho in self._shapes_and_rhos(rng):
+            expected = frozen_gram_logdet(h, rho)
+            assert abs(capacity(h, rho) - expected) <= 1e-14 * max(1.0, expected)
+
+    def test_overflowing_determinant_is_rescued(self, rng):
+        # rho |g|^2 ~ 1e300: the entries of I + rho G are finite, their 2 x 2
+        # determinant is not; it is taken of the matrix scaled by 2^-k, plus 2k
+        for _ in range(50):
+            h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            rho = 10.0 ** rng.uniform(290, 306)
+            b = np.eye(2) + rho * (h @ h.conj().T)
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert not np.isfinite(b[0, 0] * b[1, 1] - abs(b[0, 1]) ** 2)
+            k = np.frexp(np.abs(b).max())[1]
+            chol = np.linalg.cholesky(np.ldexp(b.real, -k) + 1j * np.ldexp(b.imag, -k))
+            expected = 2.0 * np.log2(chol.diagonal().real).sum() + 2 * k
+            assert capacity(h, rho) == pytest.approx(expected, rel=1e-12)
+
+    def test_rescue_leaves_finite_columns_alone(self, rng):
+        # a batch of ten selections, three of them with an overflowing
+        # determinant: the other seven keep the bits they score alone
+        b = rng.uniform(0.5, 2.0, size=(4, 10))
+        b[:2] += 2.0
+        b[:, [1, 4, 8]] *= 1e160
+        with np.errstate(over="ignore", invalid="ignore"):     # as in a search
+            out = _packed_logdet(b)
+        assert np.isfinite(out).all()
+        finite = [0, 2, 3, 5, 6, 7, 9]
+        assert np.array_equal(out[finite], _packed_logdet(b[:, finite]))
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,9 @@
 import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +12,8 @@ from fluidmimo import cli, load_channel
 from fluidmimo.cli import main
 from fluidmimo.harness import PointSummary, TrialRecord, summarize
 from fluidmimo.reporting import RECORDS_HEADER, SUMMARY_HEADER, write_summary_csv
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*argv):
@@ -196,6 +203,30 @@ class TestSweep:
         assert run_cli(*args, "--out-dir", str(tmp_path / "b")) == 0
         assert (tmp_path / "a/records.csv").read_bytes() == (tmp_path / "b/records.csv").read_bytes()
         assert (tmp_path / "a/summary.csv").read_bytes() == (tmp_path / "b/summary.csv").read_bytes()
+
+    @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                        reason="the Prescott core is an x86-64 one")
+    def test_records_do_not_depend_on_the_openblas_core(self, tmp_path):
+        """The non-JCR algorithms at M = 2 write the same records.csv under
+        OpenBLAS's default core and under Prescott (SSE3, which runs on any
+        x86-64). OPENBLAS_CORETYPE acts only on DYNAMIC_ARCH builds of
+        OpenBLAS: on other builds and other BLAS vendors both runs take the
+        same kernels and the test shows nothing. numpy's own SIMD dispatch
+        is not varied."""
+        digests = []
+        for core in (None, "Prescott"):
+            env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+            env.pop("OPENBLAS_CORETYPE", None)
+            if core:
+                env["OPENBLAS_CORETYPE"] = core
+            out_dir = tmp_path / (core or "default")
+            subprocess.run([sys.executable, "-m", "fluidmimo.cli", "sweep", "--variable", "snr",
+                            "--m", "2", "--n", "4", "--trials", "10", "--master-seed", "1",
+                            "--algos", "exhaustive,random,conventional", "--threads", "1",
+                            "--out-dir", str(out_dir)],
+                           env=env, check=True, capture_output=True, timeout=300)
+            digests.append((out_dir / "records.csv").read_bytes())
+        assert digests[0] == digests[1]
 
     def test_summary_matches_records_roundtrip(self, tmp_path, capsys):
         run_cli("sweep", "--m", "1", "--n", "3", "--values", "2,3", "--trials", "4",
@@ -523,9 +554,22 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("algo", ["exhaustive", "jcr-res", "jcr-ao", "random", "all"])
     def test_overflowing_scores_exit_2(self, capsys, algo):
-        # a finite linear SNR whose batch scores overflow
-        assert run_cli("solve", "--snr-db", "3000", "--m", "2", "--n", "3", "--algo", algo) == 2
+        # a finite linear SNR, 1e308, at which rho |g|^2 overflows
+        assert run_cli("solve", "--snr-db", "3080", "--m", "2", "--n", "3", "--algo", algo) == 2
         assert "overflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algo", ["exhaustive", "jcr-res", "jcr-ao", "random",
+                                      "conventional", "all"])
+    def test_overflowing_determinant_reports(self, capsys, algo):
+        # rho |g|^2 ~ 1e300 is finite, the 2 x 2 determinants are not: the
+        # scores are rescued, and every algorithm reports (before, every
+        # search exited 2 and only conventional reported)
+        argv = ("solve", "--snr-db", "3000", "--m", "2", "--n", "3", "--algo", algo, "--json")
+        assert run_cli(*argv) == 0
+        results = json.loads(capsys.readouterr().out)
+        assert len(results) == (5 if algo == "all" else 1)
+        assert all(np.isfinite(r["capacity_bits"]) and r["capacity_bits"] > 1900
+                   for r in results)
 
     @pytest.mark.parametrize("text, expected", [("yes", True), ("TRUE", True), ("1", True),
                                                 ("No", False), ("false", False), ("0", False)])

@@ -185,8 +185,7 @@ class TestRunSweep:
         # the per-point path draws the channel at the point's config and
         # builds every rho-free part afresh at every point and for every
         # algorithm. Shapes: the Gram side receive; transmit (m_t < m_r);
-        # nine summed antennas, which `_antenna_sum` adds pairwise; and nine
-        # summed receive antennas, which it adds antenna by antenna
+        # nine summed transmit antennas; and nine summed receive antennas
         for base in (BASE, replace(BASE, m_r=3, m_t=2), replace(BASE, m_r=1, m_t=9, n_t=2),
                      replace(BASE, m_r=9, m_t=2, n_r=2, n_t=2)):
             spec = small_spec(base=base, variable="snr_db", values=(-5.0, 5.0, 15.0), trials=3,

@@ -142,10 +142,10 @@ class TestExhaustive:
             assert caps.shape == (len(rx), len(tx))
             expected = np.array([[capacity(extract_effective(ch, PortSelection(r + 1, t + 1)),
                                            cfg.rho) for t in tx] for r in rx])
-            np.testing.assert_allclose(caps, expected, rtol=1e-12, atol=0.0)
+            assert np.array_equal(caps, expected)
             paired = _RowTerms(ch, np.repeat(rx, len(tx), axis=0),
                                np.tile(tx, (len(rx), 1))).capacities(cfg.rho)
-            np.testing.assert_allclose(paired, expected.ravel(), rtol=1e-12, atol=0.0)
+            assert np.array_equal(paired, expected.ravel())
 
     def test_matches_loop_oracle_m2_n3(self, rng):
         cfg_channel = random_instance(rng, m_max=2, n_max=3)
@@ -332,14 +332,25 @@ class TestPrunedEnumeration:
             slack = sel_mod._BOUND_SLACK * np.maximum(1.0, bounds)
             assert np.all(grid.scores(table, rows, grid.cols).max(axis=1) <= bounds + slack)
 
+    def test_pruned_grid_with_an_overflowing_determinant_scores_every_row(self, monkeypatch):
+        # rho |g|^2 ~ 1e300: bounds above the ceiling leave the grid whole,
+        # and the determinants that overflow are rescued, so the search
+        # returns the first maximizer of the whole grid
+        monkeypatch.setattr(sel_mod, "_FIRST_PASS", 1)
+        cfg = FluidMimoConfig(m_r=2, m_t=2, n_r=3, n_t=3, snr_db=3000.0)
+        ch = generate_channel(cfg, 1)
+        scored = _count_scored(monkeypatch)
+        res = exhaustive_search(ch, cfg.rho)
+        assert sum(scored) == combination_count(cfg)
+        with np.errstate(over="ignore", invalid="ignore"):     # as in a search
+            first = _first_grid_maximizer(ch, cfg.rho, [np.arange(3)] * 2, [np.arange(3)] * 2)
+        assert res.selection == first
+        assert math.isfinite(res.capacity_bits)
+
     def test_pruned_grid_with_overflowing_scores_raises(self, monkeypatch):
         # bounds above the ceiling leave the grid whole, so a NaN score
         # still raises instead of being ruled out
         monkeypatch.setattr(sel_mod, "_FIRST_PASS", 1)
-        cfg = FluidMimoConfig(m_r=2, m_t=2, n_r=3, n_t=3, snr_db=3000.0)
-        for search in (exhaustive_search, jcr_res):
-            with pytest.raises(OverflowError, match="overflows"):
-                search(generate_channel(cfg, 1), cfg.rho)
         ch = make_channel([[1.0, 1.0], [1.0, 1e150]], m_r=1, m_t=1, n_r=2, n_t=2)
         with pytest.raises(OverflowError):
             exhaustive_search(ch, 1e300)
@@ -786,9 +797,9 @@ class TestOptimalitySandwich:
 
 
 # (m_r, m_t, n_r, n_t, w): both Gram sides (m_r < m_t and m_t < m_r), M = 1,
-# eight or more summed antennas on both sides (np.sum adds pairwise along
-# a contiguous antenna axis, so the order of the terms' axes decides the
-# bits), the Cholesky branch (Gram size 3 and 4), n_r != n_t, W = 0
+# eight or more summed antennas on both sides (from eight on, np.sum along
+# a contiguous antenna axis would add pairwise; every search adds antenna
+# by antenna), the Cholesky branch (Gram size 3 and 4), n_r != n_t, W = 0
 CONTRACT_SHAPES = [(2, 2, 5, 5, 0.5), (2, 3, 4, 3, 0.5), (3, 2, 3, 4, 2.0), (1, 1, 6, 4, 0.5),
                    (1, 8, 2, 2, 0.5), (2, 9, 2, 2, 0.5), (9, 2, 2, 2, 0.5), (3, 3, 3, 3, 0.5),
                    (4, 4, 2, 2, 1.0), (2, 2, 4, 6, 0.0), (3, 1, 2, 7, 0.5)]
@@ -888,6 +899,34 @@ class TestBitwiseScores:
             assert (res.selection, res.iterations, res.evaluations) == (
                 PortSelection(rx, tx), sweeps, evaluations)
 
+    @pytest.mark.parametrize("m_r", [1, 2])
+    def test_grid_and_row_scores_agree(self, m_r):
+        # nine summed antennas on the transmit side: the grid and the row
+        # terms score every selection with the same bits
+        cfg = FluidMimoConfig(m_r=m_r, m_t=9, n_r=3, n_t=2, snr_db=5.0, w=0.5)
+        ch = generate_channel(cfg, 5)
+        rx = _combinations([3] * m_r, 0, 3 ** m_r)
+        tx = _combinations([2] * 9, 0, 2 ** 9)
+        for rho in (1e-3, cfg.rho, 300.0):
+            grid = _grid_capacities(_GridTerms(ch, [np.arange(3)] * m_r, [np.arange(2)] * 9),
+                                    rho, rx, tx)
+            rows = _RowTerms(ch, np.repeat(rx, len(tx), axis=0),
+                             np.tile(tx, (len(rx), 1))).capacities(rho)
+            assert np.array_equal(grid.ravel(), rows)
+
+    @pytest.mark.parametrize("shape", CONTRACT_SHAPES)
+    def test_reported_bits_are_the_capacity(self, shape):
+        # every algorithm reports the score that chose its selection, and
+        # that is `capacity` of the selection, bit for bit
+        for ch, rho, _ in _contract_cases(shape):
+            realization = Realization(ch)
+            for search in (*SEARCHES, conventional_mimo):
+                res = (search(ch, rho) if search is conventional_mimo
+                       else search(ch, rho, realization=realization))
+                assert res.capacity_bits == capacity(extract_effective(ch, res.selection), rho)
+                if search is jcr_ao:
+                    assert res.capacity_bits == res.capacity_trace[-1]
+
     def test_cached_layouts_are_read_only(self):
         for m in (1, 2, 3, 5):
             assert _triangle(m) is _triangle(m)
@@ -903,11 +942,24 @@ class TestOverflow:
 
     @pytest.mark.parametrize("search", [exhaustive_search, jcr_res, jcr_ao, random_selection])
     def test_search_with_overflowing_scores_raises(self, search):
-        # the closed-form 2x2 determinant overflows to NaN at rho ~ 1e300;
-        # before, exhaustive search decoded its -1 "best" to ports (3, 3)
-        cfg = FluidMimoConfig(m_r=2, m_t=2, n_r=3, n_t=3, snr_db=3000.0)
+        # rho |g|^2 itself overflows, so every score is NaN or infinite. The
+        # relaxation is given: an LP on |g|^2 ~ 1e300 would fail first
+        ch = generate_channel(FluidMimoConfig(m_r=2, m_t=2, n_r=3, n_t=3), 1)
+        ch = replace(ch, entries=ch.entries * 1e150)
+        start = _relaxed([1, 0, 0] * 2, [1, 0, 0] * 2, 2, 3, 2, 3)
         with pytest.raises(OverflowError, match="overflows"):
-            search(generate_channel(cfg, 1), cfg.rho)
+            search(ch, 1e10, realization=Realization(ch, start))
+
+    @pytest.mark.parametrize("search", SEARCHES)
+    def test_search_with_an_overflowing_determinant_reports(self, search):
+        # rho |g|^2 ~ 1e300 is finite, its 2 x 2 determinant is not: every
+        # search re-scores such selections exactly scaled, and reports the
+        # finite capacity of the one it chose, as conventional does
+        cfg = FluidMimoConfig(m_r=2, m_t=2, n_r=3, n_t=3, snr_db=3000.0)
+        ch = generate_channel(cfg, 1)
+        res = search(ch, cfg.rho)
+        assert math.isfinite(res.capacity_bits)
+        assert res.capacity_bits == capacity(extract_effective(ch, res.selection), cfg.rho)
 
     def test_conventional_reports_the_finite_scalar_capacity(self):
         cfg = FluidMimoConfig(m_r=2, m_t=2, n_r=3, n_t=3, snr_db=3000.0)
@@ -941,8 +993,9 @@ class TestOverflow:
 
 
 def test_scalar_capacity_only_reports(rng, monkeypatch):
-    # every search scores through the batch kernel; the scalar capacity is
-    # called once per run, for the reported capacity_bits
+    # every search reports the batch score that chose its selection and
+    # calls no `capacity`; conventional, which searches nothing, calls it
+    # once. Either way capacity_bits is `capacity` of the selection
     import fluidmimo.selection as selection_mod
 
     calls = []
@@ -954,10 +1007,10 @@ def test_scalar_capacity_only_reports(rng, monkeypatch):
     monkeypatch.setattr(selection_mod, "capacity", counting)
     ch = random_instance(rng, m_max=3, n_max=5)
     rho = ch.config.rho
-    for run in (lambda: exhaustive_search(ch, rho), lambda: jcr_res(ch, rho),
-                lambda: jcr_ao(ch, rho), lambda: random_selection(ch, rho),
-                lambda: conventional_mimo(ch, rho)):
+    for run, count in ((lambda: exhaustive_search(ch, rho), 0), (lambda: jcr_res(ch, rho), 0),
+                       (lambda: jcr_ao(ch, rho), 0), (lambda: random_selection(ch, rho), 0),
+                       (lambda: conventional_mimo(ch, rho), 1)):
         calls.clear()
         res = run()
-        assert len(calls) == 1
+        assert len(calls) == count
         assert res.capacity_bits == capacity(extract_effective(ch, res.selection), rho)
