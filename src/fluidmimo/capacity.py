@@ -97,6 +97,12 @@ def extract_effective(channel, sel):
     return channel.entries[rows[:, None], cols]
 
 
+def _check_rho(rho):
+    """ValueError unless the SNR factor rho is finite and >= 0."""
+    if not (math.isfinite(rho) and rho >= 0):
+        raise ValueError(f"rho must be finite and >= 0, got {rho}")
+
+
 def capacity(effective, rho):
     """log2 det(I + rho H H^H) in bits/s/Hz: the packed terms of H added
     antenna by antenna, then `_packed_logdet`. The terms are tabulated a
@@ -107,8 +113,7 @@ def capacity(effective, rho):
         raise ValueError(f"effective channel must be 2-D, got shape {h.shape}")
     if not np.isfinite(h).all():
         raise ValueError("effective channel has non-finite entries")
-    if not (math.isfinite(rho) and rho >= 0):
-        raise ValueError(f"rho must be finite and >= 0, got {rho}")
+    _check_rho(rho)
     m = min(h.shape)
     iu, ju = _triangle(m)
     v = h if h.shape[1] < h.shape[0] else h.T      # row k: antenna k of the summed side
@@ -222,8 +227,7 @@ def capacity_q_form(channel, sel, rho):
             f"padded Q would have {c.rx_dim * c.tx_dim} entries "
             f"(limit {_Q_FORM_MAX_ENTRIES}); use capacity(extract_effective(...)) instead"
         )
-    if not np.isfinite(rho) or rho < 0:
-        raise ValueError(f"rho must be finite and >= 0, got {rho}")
+    _check_rho(rho)
     sel.validate(c)
     x, y = sel.to_indicators(c.n_r, c.n_t)
     q = x[:, None] * channel.entries * y[None, :]
@@ -255,6 +259,5 @@ def capacity_upper_bound(u_value, rho):
     """Capacity bound (rho / ln 2) * U implied by log det B <= tr(B - I)."""
     if u_value < 0:
         raise ValueError(f"u_value must be >= 0, got {u_value}")
-    if not np.isfinite(rho) or rho < 0:
-        raise ValueError(f"rho must be finite and >= 0, got {rho}")
+    _check_rho(rho)
     return rho * u_value / np.log(2.0)

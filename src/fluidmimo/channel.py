@@ -160,14 +160,14 @@ def _mixing(n_r, n_t, w):
 
 
 def generate_channel(config, seed):
-    """Draw one overall channel matrix for `config` from a 64-bit seed.
+    """Draw one overall channel for `config` from a nonnegative integer seed.
 
     Deterministic: identical (config, seed) give bit-identical matrices.
     See the module docstring for the exact stream-splitting and draw order.
     """
     c = config
     if seed < 0:
-        raise ValueError(f"seed must be a nonnegative 64-bit integer, got {seed}")
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     mu, mix = _mixing(c.n_r, c.n_t, c.w)
 
     entries = np.empty((c.rx_dim, c.tx_dim), dtype=np.complex128)

@@ -18,9 +18,9 @@ process per task.
 Exit codes: 0 success, 2 configuration error (also a negative seed, a
 channel file whose header declares more entries than it has rows, an SNR
 or channel that overflows float64, and an --out-dir that cannot be
-created or written), 3 resource-cap refusal (message carries the
-combination count), 4 solver failure (also an LP whose arithmetic
-overflows float64).
+created or written), 3 resource refusal: the exhaustive-search cap (the
+message carries the combination count), or memory the input needs, 4
+solver failure (also an LP whose arithmetic overflows float64).
 """
 
 import argparse
@@ -43,7 +43,7 @@ EXIT_CONFIG = 2
 EXIT_CAP = 3
 EXIT_SOLVER = 4
 # exit status of the errors `main` reports that are not configuration errors
-_EXIT_CODES = {CombinationCapError: EXIT_CAP, IpmFailure: EXIT_SOLVER}
+_EXIT_CODES = {CombinationCapError: EXIT_CAP, MemoryError: EXIT_CAP, IpmFailure: EXIT_SOLVER}
 
 _VARIABLE_ALIASES = {"ports": "ports", "snr": "snr_db", "snr_db": "snr_db", "w": "w"}
 _SWEEP_DEFAULT_VALUES = {"ports": "5,10,15,20", "snr_db": "-5,0,5,10,15", "w": "0.1,0.5,1,2,5"}
@@ -126,7 +126,7 @@ _ALGORITHM_OPTIONS = {
 _OPTIONS = {
     "generate": {
         **_COMMON,
-        "seed": (_seed, 0, "64-bit channel seed"),
+        "seed": (_seed, 0, "nonnegative integer channel seed"),
         "out": (str, None, "output channel file"),
     },
     "solve": {
@@ -134,7 +134,7 @@ _OPTIONS = {
         "snr_db": (float, None,
                    "average receive SNR in dB (default 5, or the channel file's value)"),
         "channel": (str, None, "channel file to load (else a channel is generated from --seed)"),
-        "seed": (_seed, 0, "64-bit channel seed"),
+        "seed": (_seed, 0, "nonnegative integer channel seed"),
         "algo": (_choice(ALGORITHMS + ("all",)), "all",
                  "algorithm to run: one of " + ", ".join(ALGORITHMS) + ", or all"),
         **_ALGORITHM_OPTIONS,
@@ -371,10 +371,10 @@ def main(argv=None):
         _warn_overridden(args.command, opt, given)
         commands = {"generate": cmd_generate, "solve": cmd_solve, "sweep": cmd_sweep}
         return commands[args.command](opt)
-    except (ConfigError, ChannelFormatError, OverflowError, CombinationCapError,
-            IpmFailure) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_CODES.get(type(exc), EXIT_CONFIG)
+    except (ConfigError, ChannelFormatError, OverflowError, *_EXIT_CODES) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return next((code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls)),
+                    EXIT_CONFIG)
 
 
 if __name__ == "__main__":

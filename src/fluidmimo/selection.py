@@ -57,9 +57,10 @@ bit-identically, and the tie rules below are exact. Each search reports
 the score that chose its selection; conventional, which searches
 nothing, calls `capacity`. Every algorithm ends in `_result`, the one
 constructor of a SelectionResult, which turns 0-based ports into the
-1-based selection. A score that is NaN or infinite (rho |g|^2 overflows
-float64) raises OverflowError instead of deciding; each search silences
-numpy's overflow warnings, so that error is the one report.
+1-based selection. A negative, NaN or infinite rho raises ValueError
+before anything is built. A score that is NaN or infinite (rho |g|^2
+overflows float64) raises OverflowError instead of deciding; each search
+silences numpy's overflow warnings, so that error is the one report.
 
 The enumeration is pruned by Hadamard's inequality, det B <= prod_i B_ii
 for B positive definite. A row's scores read its own diagonal entries,
@@ -96,8 +97,8 @@ from typing import Optional
 
 import numpy as np
 
-from .capacity import (_BLOCK_ENTRIES, PortSelection, _packed_logdet, _pair_entries, _scaled,
-                       _triangle, _unscaled_terms, capacity)
+from .capacity import (_BLOCK_ENTRIES, PortSelection, _check_rho, _packed_logdet, _pair_entries,
+                       _scaled, _triangle, _unscaled_terms, capacity)
 from .relaxation import RelaxedSolution, solve_jcr
 
 ALGORITHMS = ("exhaustive", "jcr-res", "jcr-ao", "random", "conventional")
@@ -157,8 +158,9 @@ class SelectionResult:
 
 
 def _quiet():
-    """Silences numpy's overflow warnings for one search: `_finite` turns a
-    non-finite maximizer into OverflowError instead."""
+    """Silences numpy's overflow warnings for one search or one build of a
+    realization's part: `_finite` turns a non-finite maximizer into
+    OverflowError instead."""
     return np.errstate(over="ignore", invalid="ignore")
 
 
@@ -486,11 +488,11 @@ def exhaustive_search(channel, rho, cap=DEFAULT_EXHAUSTIVE_CAP, realization=None
     realization: the channel's `Realization`, whose table over every port
     serves each SNR; a new one when None.
     """
-    c = channel.config
-    combos = combination_count(c)
+    combos = combination_count(channel.config)
     if combos > cap:
         raise CombinationCapError(combos, cap)
-    return _result("exhaustive", *_enumerate_best(_realization(channel, realization).grid(), rho))
+    grid = _realization(channel, realization, rho).grid()
+    return _result("exhaustive", *_enumerate_best(grid, rho))
 
 
 def reduced_port_count(n):
@@ -506,10 +508,10 @@ def _top_ports(weights, keep):
 
 
 def _kept_ports(relaxed, keep_r, keep_t):
-    """`_top_ports` of each antenna's relaxed weights, one (M, keep) array
-    per side: the keep-sets of the receive antennas, then those of the
-    transmit antennas, then the score margin and its relative form (see
-    SelectionResult)."""
+    """`_top_ports` of each antenna's relaxed weights, one read-only (M,
+    keep) array per side: the keep-sets of the receive antennas, then
+    those of the transmit antennas, then the score margin and its relative
+    form (see SelectionResult)."""
     sides = [(relaxed.x_hat.reshape(relaxed.m_r, relaxed.n_r), keep_r),
              (relaxed.y_hat.reshape(relaxed.m_t, relaxed.n_t), keep_t)]
     ranked = [(np.sort(w, axis=1), keep) for w, keep in sides]
@@ -519,13 +521,15 @@ def _kept_ports(relaxed, keep_r, keep_t):
         margin = float(min(gaps))
         spread = float(max((s[:, -1] - s[:, 0]).max() for s, _ in ranked))
         margin_rel = margin / spread if spread > 0 else 0.0
-    return _top_ports(*sides[0]), _top_ports(*sides[1]), margin, margin_rel
+    rx, tx = _top_ports(*sides[0]), _top_ports(*sides[1])
+    rx.flags.writeable = tx.flags.writeable = False
+    return rx, tx, margin, margin_rel
 
 
 class Realization:
     """What the searches derive from one channel realization's entries
-    without rho, each part built when a search first needs it and kept for
-    every later search on the same entries, at any SNR:
+    without rho, in one memo (`_part`): each part built when a search first
+    needs it and kept for every later search on the same entries, at any SNR:
 
       - the JCR relaxation, from `solve_jcr` unless given;
       - the keep-sets and score margins of each keep count (`_kept_ports`);
@@ -545,11 +549,7 @@ class Realization:
         if relaxed is not None:
             _check_shape("relaxation", relaxed, channel.config)
         self.channel = channel
-        self._relaxed = relaxed
-        self._keep_sets = {}
-        self._grids = {}
-        self._ascent = None
-        self._draws = {}
+        self._parts = {} if relaxed is None else {"relaxation": relaxed}
 
     def check(self, channel):
         """ValueError unless `channel` has this realization's shape and
@@ -559,58 +559,50 @@ class Realization:
                 channel.entries, self.channel.entries):
             raise ValueError("realization holds other channel entries than the channel given")
 
+    def _part(self, key, build):
+        """The part stored under `key`; the first call builds it by
+        `build()`, with numpy's overflow warnings silenced."""
+        if key not in self._parts:
+            with _quiet():
+                self._parts[key] = build()
+        return self._parts[key]
+
     def relaxation(self):
         """The channel's RelaxedSolution. It depends only on |entries|^2."""
-        if self._relaxed is None:
-            self._relaxed = solve_jcr(self.channel)
-        return self._relaxed
+        return self._part("relaxation", lambda: solve_jcr(self.channel))
 
     def keep_sets(self, keep_r, keep_t):
         """`_kept_ports` of the relaxation: the rx and tx keep-sets, the
         score margin and its relative form."""
-        key = keep_r, keep_t
-        if key not in self._keep_sets:
-            kept = _kept_ports(self.relaxation(), keep_r, keep_t)
-            for ports in kept[:2]:
-                ports.flags.writeable = False
-            self._keep_sets[key] = kept
-        return self._keep_sets[key]
+        return self._part(("keep", keep_r, keep_t),
+                          lambda: _kept_ports(self.relaxation(), keep_r, keep_t))
 
     def grid(self, keep=None):
         """`_GridTerms` over every port (keep None) or over the keep-sets of
         keep = (keep_r, keep_t)."""
-        if keep not in self._grids:
-            c = self.channel.config
-            sets = (([np.arange(c.n_r)] * c.m_r, [np.arange(c.n_t)] * c.m_t) if keep is None
-                    else self.keep_sets(*keep)[:2])
-            with _quiet():
-                self._grids[keep] = _GridTerms(self.channel, *sets)
-        return self._grids[keep]
+        c = self.channel.config
+        return self._part(("grid", keep), lambda: _GridTerms(self.channel, *(
+            ([np.arange(c.n_r)] * c.m_r, [np.arange(c.n_t)] * c.m_t) if keep is None
+            else self.keep_sets(*keep)[:2])))
 
     def ascent(self):
         """`_AscentTerms` at jcr-ao's start: each antenna at the port of
         its largest relaxed weight."""
-        if self._ascent is None:
-            rx, tx, _, _ = self.keep_sets(1, 1)
-            ports = [rx[:, 0], tx[:, 0]]
-            with _quiet():
-                self._ascent = _AscentTerms(self.channel, ports)
-        return self._ascent
+        return self._part("ascent", lambda: _AscentTerms(
+            self.channel, [ports[:, 0] for ports in self.keep_sets(1, 1)[:2]]))
 
     def draws(self, samples, seed):
         """The random baseline's draws from `seed` as 0-based ports (rx,
         tx), shapes (samples, M_R) and (samples, M_T), and their
         `_RowTerms`."""
-        key = samples, seed
-        if key not in self._draws:
+        def build():
             c = self.channel.config
             rng = np.random.default_rng(seed)
             rx = rng.integers(1, c.n_r + 1, size=(samples, c.m_r)) - 1
             tx = rng.integers(1, c.n_t + 1, size=(samples, c.m_t)) - 1
             rx.flags.writeable = tx.flags.writeable = False
-            with _quiet():
-                self._draws[key] = rx, tx, _RowTerms(self.channel, rx, tx)
-        return self._draws[key]
+            return rx, tx, _RowTerms(self.channel, rx, tx)
+        return self._part(("draws", samples, seed), build)
 
 
 def _check_shape(what, given, config):
@@ -622,8 +614,10 @@ def _check_shape(what, given, config):
                          f"does not fit a channel of shape {own}")
 
 
-def _realization(channel, realization):
-    """`realization`, checked to hold the channel; a new one when None."""
+def _realization(channel, realization, rho):
+    """`realization`, checked to hold the channel, or a new one when None;
+    first, ValueError unless rho is finite and >= 0."""
+    _check_rho(rho)
     if realization is None:
         return Realization(channel)
     realization.check(channel)
@@ -638,7 +632,7 @@ def jcr_res(channel, rho, realization=None):
     a new one, which solves the relaxation, when None.
     """
     c = channel.config
-    realization = _realization(channel, realization)
+    realization = _realization(channel, realization, rho)
     keep = reduced_port_count(c.n_r), reduced_port_count(c.n_t)
     _, _, margin, margin_rel = realization.keep_sets(*keep)
     return _result("jcr-res", *_enumerate_best(realization.grid(keep), rho),
@@ -672,7 +666,7 @@ def jcr_ao(channel, rho, epsilon=1e-3, max_iters=20, realization=None):
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     c = channel.config
-    realization = _realization(channel, realization)
+    realization = _realization(channel, realization, rho)
     _, _, margin, margin_rel = realization.keep_sets(1, 1)    # ao_round's start
     steps = [(0, i, c.n_r) for i in range(c.m_r)] + [(1, j, c.n_t) for j in range(c.m_t)]
 
@@ -722,7 +716,7 @@ def random_selection(channel, rho, samples=None, seed=0, realization=None):
         samples = default_random_samples(c)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    rx_all, tx_all, terms = _realization(channel, realization).draws(samples, seed)
+    rx_all, tx_all, terms = _realization(channel, realization, rho).draws(samples, seed)
     with _quiet():
         caps = terms.capacities(rho)
     best = int(np.argmax(caps))

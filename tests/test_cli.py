@@ -451,6 +451,10 @@ class TestAlgorithmDispatch:
         assert calls == dict.fromkeys(self.NAMES, 1)
 
 
+class _ArrayMemoryError(MemoryError):
+    """Stands for numpy's MemoryError subclass of a failed allocation."""
+
+
 class TestExitCodes:
     def test_solver_failure_exits_4(self, tmp_path, capsys, monkeypatch):
         import fluidmimo.harness as harness_mod
@@ -466,6 +470,19 @@ class TestExitCodes:
         code = run_cli("solve", "--channel", str(out), "--algo", "jcr-res")
         assert code == 4
         assert "failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", [MemoryError(), _ArrayMemoryError("Unable to allocate")])
+    def test_out_of_memory_exits_3(self, capsys, monkeypatch, error):
+        # numpy raises a subclass of MemoryError; before, a traceback and exit 1
+        import fluidmimo.harness as harness_mod
+
+        def no_memory(channel, rho, **kwargs):
+            raise error
+
+        monkeypatch.setattr(harness_mod, "random_selection", no_memory)
+        assert run_cli("solve", "--algo", "random") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["solve", "sweep"])
     @pytest.mark.parametrize("epsilon", ["0", "-1", "nan", "inf"])

@@ -23,9 +23,12 @@ from fluidmimo import (
     random_selection,
     solve_jcr,
 )
+from fluidmimo.harness import run_algorithm
 from fluidmimo.ipm import SolverStats
 import fluidmimo.selection as sel_mod
 from fluidmimo.selection import (
+    ALGORITHMS,
+    DEFAULT_EXHAUSTIVE_CAP,
     Realization,
     SelectionResult,
     _AscentTerms,
@@ -696,26 +699,51 @@ class TestRealization:
                 arr[...] = 0
 
     def test_grid_tables_stay_the_same_values(self, rng):
-        # exhaustive search and jcr-res score a scaled copy of each grid's
-        # table: after searches at three rho a grid has no new attribute
-        # and holds the same read-only arrays
+        # every search scores a scaled copy of a realization's tables: after
+        # searches at three rho each part (the two grids, both keep-sets,
+        # jcr-ao's start table, the draws) is the same object, holding the
+        # same values, and a grid's table and layout stay read-only
         for _ in range(5):
             ch = random_instance(rng, m_max=3, n_max=4)
             c = ch.config
             realization = Realization(ch)
             keep = reduced_port_count(c.n_r), reduced_port_count(c.n_t)
-            grids = [realization.grid(), realization.grid(keep)]
-            before = [dict(vars(grid)) for grid in grids]
+            parts = {"grid": realization.grid, "kept grid": lambda: realization.grid(keep),
+                     "keep-sets": lambda: realization.keep_sets(*keep),
+                     "start keep-sets": lambda: realization.keep_sets(1, 1),
+                     "ascent": realization.ascent,
+                     "draws": lambda: realization.draws(default_random_samples(c), 0)}
+            before = {name: get() for name, get in parts.items()}
+            states = {name: _part_state(part) for name, part in before.items()}
             for rho in (1e-3, c.rho, 300.0):
-                exhaustive_search(ch, rho, realization=realization)
-                jcr_res(ch, rho, realization=realization)
-            assert realization.grid() is grids[0] and realization.grid(keep) is grids[1]
-            for grid, attrs in zip(grids, before):
-                assert vars(grid).keys() == attrs.keys()
-                for name, value in attrs.items():
-                    assert vars(grid)[name] is value
+                for search in SEARCHES:
+                    search(ch, rho, realization=realization)
+            for name, get in parts.items():
+                assert get() is before[name], name
+                assert _part_state(before[name]) == states[name], name
+            for grid in (before["grid"], before["kept grid"]):
                 for arr in (grid.unscaled, grid.cols):
                     assert not arr.flags.writeable
+
+    def test_kept_ports_are_read_only(self):
+        rx, tx, _, _ = _kept_ports(_relaxed([0.2, 0.8, 0.5] * 2, [0.6, 0.4, 0.1], 2, 3, 1, 3),
+                                   2, 2)
+        for arr in (rx, tx):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+
+
+def _part_state(part):
+    """What a realization part holds: each array as (its identity, its
+    bytes), the items of a tuple or list and the attributes of a table
+    object in turn, and any other value as itself."""
+    if isinstance(part, np.ndarray):
+        return id(part), part.tobytes()
+    if isinstance(part, (tuple, list)):
+        return [_part_state(item) for item in part]
+    if hasattr(part, "__dict__"):
+        return {name: _part_state(value) for name, value in vars(part).items()}
+    return part
 
 
 class TestRandomSelection:
@@ -990,6 +1018,24 @@ class TestOverflow:
             assert capacity(ch.entries, 1e300) == math.inf
         with pytest.raises(OverflowError):
             conventional_mimo(ch, 1e300)
+
+
+@pytest.mark.parametrize("rho", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("shared", [False, True])
+def test_invalid_rho_raises_before_any_part(monkeypatch, algorithm, rho, shared):
+    # every algorithm refuses a negative, NaN or infinite rho with the
+    # ValueError of `capacity`, before jcr-res or jcr-ao solves an LP;
+    # before, the four searches raised OverflowError, the jcr ones after
+    # the LP
+    lps = []
+    monkeypatch.setattr(sel_mod, "solve_jcr", lambda channel: lps.append(channel))
+    ch = generate_channel(FluidMimoConfig(m_r=2, m_t=2, n_r=4, n_t=4), 1)
+    with pytest.raises(ValueError, match="^rho must be finite and >= 0, got "):
+        run_algorithm(algorithm, ch, rho, Realization(ch) if shared else None,
+                      cap=DEFAULT_EXHAUSTIVE_CAP, epsilon=1e-3, max_iters=20, samples=None,
+                      seed=0)
+    assert lps == []
 
 
 def test_scalar_capacity_only_reports(rng, monkeypatch):
