@@ -10,7 +10,7 @@ with too. The Gram matrix, m x m for m the smaller antenna count (the
 receive side on a tie), is a sum over the K antennas of the other side,
 the summed side, of rank-one terms rho v v^H, each packed as m*m reals:
 the diagonal, then the real and the imaginary parts of the strict upper
-triangle in row order (`_unscaled_terms`, then `_scaled` at one rho, which
+triangle in row order (`_unscaled_terms`, then `_scaled` at each rho, which
 puts the identity on antenna 0). `capacity` adds the terms of H antenna by
 antenna and takes log2 det of the sum with `_packed_logdet`: in closed
 form for m = 1 and 2, by Cholesky above. A search gathers the same
@@ -123,8 +123,8 @@ def capacity(effective, rho):
         """The terms antenna by antenna, tabulated `step` antennas at a time."""
         for k in range(0, len(v), step):
             block = v[None, k:k + step]
-            yield from _scaled(_unscaled_terms(block, block[..., iu], block[..., ju]), rho,
-                               0 if k else m)[0]
+            yield from _scaled(_unscaled_terms(block, block[..., iu], block[..., ju]), (rho,),
+                               0 if k else m)[0, 0]
 
     each = terms()
     total = next(each)
@@ -159,14 +159,15 @@ def _unscaled_terms(v, a, b):
     return table
 
 
-def _scaled(unscaled, rho, n_diag):
-    """The terms rho v v^H of an `_unscaled_terms` table, a new array:
-    antenna 0 carries the identity on its n_diag diagonal entries, so the
-    terms of a selection, added in antenna order, give I + rho G packed as
-    `_packed_logdet` reads it. Each entry is the IEEE product of rho and
-    the unscaled one, as forming rho |v|^2 directly would give."""
-    table = unscaled * rho
-    table[:, 0, :n_diag] += 1.0
+def _scaled(unscaled, rhos, n_diag):
+    """The terms rho v v^H of an `_unscaled_terms` table at each of the
+    sequence `rhos`, a new array with the table at rhos[i] in row i:
+    antenna 0 carries the identity on its n_diag diagonal entries,
+    so the terms of a selection, added in antenna order, give I + rho G
+    packed as `_packed_logdet` reads it. Each entry is the IEEE product of
+    rho and the unscaled one, as forming rho |v|^2 directly would give."""
+    table = np.multiply.outer(rhos, unscaled)
+    table[:, :, 0, :n_diag] += 1.0
     return table
 
 

@@ -159,6 +159,13 @@ def _mixing(n_r, n_t, w):
     return mu, mix
 
 
+def _check_seed(name, seed):
+    """ValueError naming the field `name` unless seed is a nonnegative
+    integer: a bool or a float is refused, not read as a number."""
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {seed!r}")
+
+
 def generate_channel(config, seed):
     """Draw one overall channel for `config` from a nonnegative integer seed.
 
@@ -166,8 +173,7 @@ def generate_channel(config, seed):
     See the module docstring for the exact stream-splitting and draw order.
     """
     c = config
-    if seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    _check_seed("seed", seed)
     mu, mix = _mixing(c.n_r, c.n_t, c.w)
 
     entries = np.empty((c.rx_dim, c.tx_dim), dtype=np.complex128)

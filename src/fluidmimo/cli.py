@@ -13,7 +13,8 @@ config file > defaults. An option the command replaces draws one
 `warning:` line on stderr and is otherwise ignored: n, nr and nt in a
 ports sweep, snr_db in an SNR sweep, w in a W sweep, and m, n, mr, mt,
 nr, nt, w and seed next to --channel. A sweep starts at most one worker
-process per task.
+process per task, and by default as many as the CPUs this process may
+run on (its affinity mask, so a taskset or cpuset limit counts).
 
 Exit codes: 0 success, 2 configuration error (also a negative seed, a
 channel file whose header declares more entries than it has rows, an SNR
@@ -151,7 +152,8 @@ _OPTIONS = {
         "algos": (str, "all", "comma-separated algorithms or 'all'"),
         "master_seed": (_seed, 0, "master seed for all trials"),
         **_ALGORITHM_OPTIONS,
-        "threads": (_positive_int, os.cpu_count() or 1, "worker processes"),
+        "threads": (_positive_int, None,
+                    "worker processes (default: the number of CPUs this process may run on)"),
         "timing": (_boolean, False,
                    "record wall times (breaks byte-reproducibility of records.csv)"),
         "out_dir": (str, ".", "directory for records.csv and summary.csv"),
@@ -309,6 +311,14 @@ def cmd_solve(opt):
     return EXIT_OK
 
 
+def _usable_cpus():
+    """CPUs this process may run on: its affinity mask (a taskset or cpuset
+    limit), where the OS keeps one, else os.cpu_count()."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _parse_values(text, variable):
     try:
         values = tuple(int(v) if variable == "ports" else float(v)
@@ -351,7 +361,8 @@ def cmd_sweep(opt):
     except OSError as exc:
         raise ConfigError(f"out-dir: cannot create {opt.out_dir}: {exc}") from exc
 
-    records, summaries = run_sweep(spec, threads=opt.threads, measure_time=opt.timing)
+    threads = opt.threads if opt.threads is not None else _usable_cpus()
+    records, summaries = run_sweep(spec, threads=threads, measure_time=opt.timing)
     records_path = os.path.join(opt.out_dir, "records.csv")
     summary_path = os.path.join(opt.out_dir, "summary.csv")
     try:

@@ -23,26 +23,30 @@ of its channel and hands it to every run: what the searches derive from
 the entries without the SNR (the JCR relaxation, the keep-sets, the
 rho-free term tables, the random baseline's draws) is built once per
 task, by the first run that needs it, and reused by every later run at
-every point. One LP per channel realization, with records identical to
-building everything afresh on every run.
+every point. The realization is given the rho of every point of its task:
+the first run of an algorithm scores all of them in one pass and keeps
+each point's outcome, which the runs at the later points return. One LP
+per channel realization, and one scoring pass per (task, algorithm), with
+records identical to building and scoring everything afresh on every run.
 
 Timing: records carry wall_time_ms = 0.0 unless measure_time=True is
 requested. Measured times would differ between reruns, and the records of
 a (SweepSpec, master_seed) pair are required to be byte-reproducible, so
 timing is an opt-in diagnostic. Each shared build, the LP included, is
 charged to the first run that needs it; later runs on the channel exclude
-it.
+it. So is the batched scoring: in an SNR sweep the first point of a trial
+carries each algorithm's scoring at every point, and the wall_time_ms of a
+later point measures only the return of its kept outcome.
 """
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .channel import FluidMimoConfig, generate_channel
+from .channel import FluidMimoConfig, _check_seed, generate_channel
 from .selection import (
     ALGORITHMS,
     DEFAULT_EXHAUSTIVE_CAP,
@@ -136,8 +140,10 @@ def validate_spec(spec):
         raise SweepSpecError(f"values for a ports sweep must be integers >= 1, got {list(spec.values)}")
     if spec.trials < 1:
         raise SweepSpecError(f"trials must be >= 1, got {spec.trials}")
-    if spec.master_seed < 0:
-        raise SweepSpecError(f"master_seed must be >= 0, got {spec.master_seed}")
+    try:
+        _check_seed("master_seed", spec.master_seed)
+    except ValueError as exc:
+        raise SweepSpecError(str(exc)) from None
     if len(spec.algorithms) == 0:
         raise SweepSpecError("algorithms must be a nonempty subset of " + ", ".join(ALGORITHMS))
     unknown = [a for a in spec.algorithms if a not in ALGORITHMS]
@@ -183,7 +189,7 @@ def run_algorithm(name, channel, rho, realization, *, cap, epsilon, max_iters,
         return random_selection(channel, rho, samples=samples, seed=seed,
                                 realization=realization)
     if name == "conventional":
-        return conventional_mimo(channel, rho)
+        return conventional_mimo(channel, rho, realization=realization)
     raise ValueError(f"unknown algorithm {name!r}; valid: {', '.join(ALGORITHMS)}")
 
 
@@ -195,17 +201,20 @@ def run_trial(spec, point_indices, trial_index, measure_time=False):
     The channel is drawn once, at the first point's config, and every point
     runs on it at the rho of its own config: the searches read only the
     antenna and port counts from a channel's config. One `Realization` of
-    it serves every run of the trial, at every point.
+    it, given the rho of every point, serves every run of the trial: the
+    first run of an algorithm scores it at every point in one pass, and
+    the runs at later points return their own outcomes. Runs stay one per
+    (point, algorithm), through `run_algorithm`.
     """
     key = _point_key(spec, point_indices[0])
     channel = generate_channel(config_at(spec, spec.values[point_indices[0]]),
                                derive_seed(spec.master_seed, 0, key, trial_index))
     baseline_seed = derive_seed(spec.master_seed, 1, key, trial_index)
-    realization = Realization(channel)
+    rhos = [config_at(spec, spec.values[p]).rho for p in point_indices]
+    realization = Realization(channel, rhos=rhos)
     records = []
-    for point_index in point_indices:
+    for point_index, rho in zip(point_indices, rhos):
         value = spec.values[point_index]
-        rho = config_at(spec, value).rho
         for algo in spec.algorithms:
             start = time.perf_counter()
             res = run_algorithm(
@@ -227,6 +236,15 @@ def run_trial(spec, point_indices, trial_index, measure_time=False):
 
 def _trial_task(args):
     return run_trial(*args)
+
+
+def ProcessPoolExecutor(max_workers):
+    """concurrent.futures.ProcessPoolExecutor, imported when a sweep first
+    starts a pool: a serial run never loads the multiprocessing modules,
+    about 2 MB of resident memory."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
 
 
 def run_sweep(spec, threads=1, measure_time=False):

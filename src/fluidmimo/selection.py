@@ -39,28 +39,36 @@ and adding them in antenna order:
   jcr-ao       `_AscentTerms`: each pair only against the partner's
                current port, 2m - 1 floats per channel entry, re-tabulated
                when a Gram-side port changes.
-  random       the samples' own terms, _BLOCK_ENTRIES floats at a time.
+  random,      `_RowTerms`: the samples' own terms, _BLOCK_ENTRIES floats
+  conventional at a time; conventional has one sample, the first ports.
 
-The tables are built without rho, and a search multiplies one by its rho
-(`_scaled`). What a search derives from the entries without rho (these
-tables, the JCR relaxation, its keep-sets and the random draws) is kept
-in a `Realization` of the channel, which every search takes: one
+The tables are built without rho, and a search multiplies one by each of
+its rhos (`_scaled`). Every search scores a sequence of rhos in one pass,
+with one implementation: a single rho is a batch of one. The enumerator
+bounds every rho at once and scores the rows any rho keeps at every rho;
+jcr-ao runs one coordinate ascent per rho in lockstep, each step scoring
+the candidates of every rho still ascending in one call. What a search
+derives from the entries (these tables, the JCR relaxation, its
+keep-sets, the random draws, and the outcomes at the rhos a caller named)
+is kept in a `Realization` of the channel, which every search takes: one
 realization serves every search and SNR on the same entries, and a search
 given none builds its own. Besides a realization, only read-only index
 layouts are kept across calls. Every entry comes from the same real
 ufuncs on the same operands as `capacity` forms it with, rho times the
 unscaled entry being the same IEEE product, and every sum adds antenna by
 antenna (`+=` in the enumerations, `_antenna_sum` in jcr-ao and random).
-A selection therefore scores the same bits in every search and in
-`capacity`, selections with equal effective channels score
-bit-identically, and the tie rules below are exact. Each search reports
-the score that chose its selection; conventional, which searches
-nothing, calls `capacity`. Every algorithm ends in `_result`, the one
-constructor of a SelectionResult, which turns 0-based ports into the
-1-based selection. A negative, NaN or infinite rho raises ValueError
-before anything is built. A score that is NaN or infinite (rho |g|^2
-overflows float64) raises OverflowError instead of deciding; each search
+A selection therefore scores the same bits in every search, at any batch
+of rhos, and in `capacity`, selections with equal effective channels
+score bit-identically, and the tie rules below are exact. Each algorithm
+reports the score that chose its selection and calls no `capacity`.
+Every algorithm ends in `_result`, the one constructor of a
+SelectionResult, which turns 0-based ports into the 1-based selection. A
+negative, NaN or infinite rho raises ValueError before anything is built.
+A score that is NaN or infinite (rho |g|^2 overflows float64) raises
+OverflowError instead of deciding, at that rho alone; each search
 silences numpy's overflow warnings, so that error is the one report.
+`capacity` stays bound in this module, unused, because the benchmark's
+tracer wraps it here.
 
 The enumeration is pruned by Hadamard's inequality, det B <= prod_i B_ii
 for B positive definite. A row's scores read its own diagonal entries,
@@ -98,7 +106,8 @@ from typing import Optional
 import numpy as np
 
 from .capacity import (_BLOCK_ENTRIES, PortSelection, _check_rho, _packed_logdet, _pair_entries,
-                       _scaled, _triangle, _unscaled_terms, capacity)
+                       _scaled, _triangle, _unscaled_terms, capacity)  # noqa: F401 (capacity)
+from .channel import _check_seed
 from .relaxation import RelaxedSolution, solve_jcr
 
 ALGORITHMS = ("exhaustive", "jcr-res", "jcr-ao", "random", "conventional")
@@ -165,10 +174,11 @@ def _quiet():
 
 
 def _finite(score):
-    """`score` as a float; OverflowError if it is NaN or infinite. A search
-    checks its maximizer: np.argmax returns the first NaN if there is one."""
+    """`score` as a float, or the OverflowError to report if it is NaN or
+    infinite. A search checks its maximizer: np.argmax returns the first
+    NaN if there is one."""
     if not math.isfinite(score):
-        raise OverflowError(f"capacity evaluates to {score}: rho * |g|^2 overflows float64")
+        return OverflowError(f"capacity evaluates to {score}: rho * |g|^2 overflows float64")
     return float(score)
 
 
@@ -240,7 +250,8 @@ class _GridTerms:
     list is the sum of its antennas' ones, added in antenna order.
 
     The table is built without rho and is read-only; a search scores the
-    `_scaled` copy of `unscaled` at its rho, which it passes as `table`."""
+    `_scaled` copy of `unscaled` at its rhos, which it passes as `table`
+    (its first axis one per rho)."""
 
     def __init__(self, channel, rx_sets, tx_sets):
         g, self.mirrored = _summed_side(channel)
@@ -255,50 +266,55 @@ class _GridTerms:
         self.cols = _grid_layout(self.m, self.ports)
 
     def bounds(self, table, chunks):
-        """Hadamard bound of each row, for the rows of each chunk in turn:
-        log2 of the product over the Gram-side antennas of the antenna's
-        largest diagonal entry of I + rho G. The diagonal entries are the
-        rows' own, laid out port-major first."""
+        """Hadamard bound of each row at each rho, for the rows of each
+        chunk in turn: log2 of the product over the Gram-side antennas of
+        the antenna's largest diagonal entry of I + rho G. The diagonal
+        entries are the rows' own, laid out port-major first. Shape (rhos,
+        rows)."""
         diag = np.ascontiguousarray(table[..., :self.m * self.ports].reshape(
-            table.shape[:2] + (self.m, self.ports)).transpose(1, 3, 2, 0))
+            table.shape[:3] + (self.m, self.ports)).transpose(2, 0, 4, 3, 1))
         out = []
         for summed in chunks:
-            total = np.take(diag[0], summed[0], axis=2)        # (L, m, rows)
+            total = np.take(diag[0], summed[0], axis=3)        # (rhos, L, m, rows)
             for k in range(1, len(summed)):
-                total += np.take(diag[k], summed[k], axis=2)
-            out.append(np.log2(total.max(axis=0).prod(axis=0)))
-        return np.concatenate(out)
+                total += np.take(diag[k], summed[k], axis=3)
+            out.append(np.log2(total.max(axis=1).prod(axis=1)))
+        return np.concatenate(out, axis=1)
 
     @staticmethod
     def scores(table, summed, cols):
-        """Capacity of every (row, column) pair, shape (rows, columns), for
-        columns of `_grid_layout`: each row's entry list is summed once,
-        then the entries of each column are gathered from it; a block of
-        rows at a time."""
-        out = np.empty((len(summed[0]), cols.shape[1]))
-        step = max(1, _BLOCK_ENTRIES // max(cols.size, table.shape[-1]))
-        for s0 in range(0, len(out), step):
-            total = table[summed[0][s0:s0 + step], 0]
+        """Capacity of every (row, column) pair at each rho, shape (rhos,
+        rows, columns), for columns of `_grid_layout`: each row's entry
+        list is summed once, then the entries of each column are gathered
+        from it; a block of rows at a time."""
+        out = np.empty((len(table), len(summed[0]), cols.shape[1]))
+        step = max(1, _BLOCK_ENTRIES // (len(table) * max(cols.size, table.shape[-1])))
+        for s0 in range(0, out.shape[1], step):
+            total = table[:, summed[0][s0:s0 + step], 0]       # (rhos, rows, E)
             for k in range(1, len(summed)):
-                total += table[summed[k][s0:s0 + step], k]
-            out[s0:s0 + step] = _packed_logdet(np.take(total, cols, axis=1).swapaxes(0, 1))
+                total += table[:, summed[k][s0:s0 + step], k]
+            out[:, s0:s0 + step] = _packed_logdet(np.take(
+                total.reshape(-1, total.shape[-1]), cols, axis=1).swapaxes(0, 1)).reshape(
+                    len(out), -1, cols.shape[1])
         return out
 
 
 def _antenna_sum(terms):
-    """Packed I + rho G of each selection: its terms (S, K, E), a new array,
-    added antenna by antenna into terms[:, 0], which is returned."""
-    total = terms[:, 0]
-    for k in range(1, terms.shape[1]):
-        total += terms[:, k]
-    return total
+    """log2 det of the packed I + rho G of each selection, shape (...): its
+    terms (..., K, E), a new array, added antenna by antenna."""
+    flat = terms.reshape((-1,) + terms.shape[-2:])
+    total = flat[:, 0]
+    for k in range(1, flat.shape[1]):
+        total += flat[:, k]
+    return _packed_logdet(total.T).reshape(terms.shape[:-2])
 
 
 class _RowTerms:
     """Terms of the selections s = (rx[s], tx[s]), without rho: row s of a
     table holds the terms of selection s alone. The tables are built a
     block of selections at a time, _BLOCK_ENTRIES floats or one selection,
-    and kept in `blocks`."""
+    and kept in `blocks`. The random baseline scores its draws with them,
+    and conventional its one selection."""
 
     def __init__(self, channel, rx, tx):
         c = channel.config
@@ -313,11 +329,11 @@ class _RowTerms:
             v = h if c.m_t < c.m_r else h.swapaxes(1, 2)       # (S, K, m)
             self.blocks.append(_unscaled_terms(v, v[..., iu], v[..., ju]))
 
-    def capacities(self, rho):
-        """Capacity of each selection at rho, shape (S,): its terms added by
-        `_antenna_sum`, a block at a time."""
-        return np.concatenate([_packed_logdet(_antenna_sum(_scaled(b, rho, self.m)).T)
-                               for b in self.blocks])
+    def capacities(self, rhos):
+        """Capacity of each selection at each of `rhos`, shape (rhos, S):
+        its terms scored by `_antenna_sum`, a block at a time."""
+        return np.concatenate([_antenna_sum(_scaled(b, rhos, self.m)) for b in self.blocks],
+                              axis=1)
 
 
 @lru_cache(maxsize=64)
@@ -345,20 +361,20 @@ def _ascent_layout(m, ports):
 
 class _AscentTerms:
     """Scores for coordinate ascent from one term table, for the ports
-    [rx, tx] (arrays that `commit` updates). Per (port, antenna) of the
-    summed side it lists the diagonal entry of every Gram-side (antenna,
-    port) and the off-diagonal entry of each pair i < j twice: with i at
-    each of its ports against j at its current port, and with j at each
-    of its ports against i at its current one. That is 2m - 1 floats per
-    channel entry; a Gram-side port change re-tabulates the pairs.
+    [rx, tx]. Per (port, antenna) of the summed side it lists the diagonal
+    entry of every Gram-side (antenna, port) and the off-diagonal entry of
+    each pair i < j twice: with i at each of its ports against j at its
+    current port, and with j at each of its ports against i at its current
+    one. That is 2m - 1 floats per channel entry; a Gram-side port change
+    re-tabulates the pairs.
 
     The table at the start ports is built without rho; `at` gives the
-    copy that scores and commits at one rho, with ports of its own."""
+    copy that scores and commits at a sequence of rhos in lockstep, with a
+    table and ports of its own per rho."""
 
     def __init__(self, channel, ports):
         self.g, mirrored = _summed_side(channel)
         self.ports, self.gram_side = ports, int(mirrored)
-        self.gram, self.summed = ports[self.gram_side], ports[1 - self.gram_side]
         n_rows, n_k, m, n_ports = self.g.shape
         self.off, self.who, self.moves, self.shifts = _ascent_layout(m, n_ports)
         self.iu, self.ju = _triangle(m)
@@ -366,120 +382,157 @@ class _AscentTerms:
         self.summed_ports = np.arange(n_rows)[:, None]
         self.antennas = np.arange(n_k)[:, None]
         self.onehot = np.eye(n_k, dtype=bool)
-        self.unscaled = _unscaled_terms(self.g, *self._pairs())
-        self._reindex()
+        self.unscaled = _unscaled_terms(self.g, *self._pairs(ports[self.gram_side]))
+        self.current, self.moved = self._positions(ports[self.gram_side])
 
-    def at(self, rho):
-        """A copy that scores at rho, with its own copies of the ports and
-        of the table, which `commit` updates."""
+    def at(self, rhos):
+        """A copy that scores at each of `rhos`. Its `table` stacks the
+        tables at each rho: row r n + q holds port q of the summed side at
+        rhos[r], for n ports, and `base` holds the r n. Its ports are one
+        row per rho, an array (len(rhos), M) per side. `commit` updates
+        both, per rho."""
         terms = copy.copy(self)
-        terms.rho = rho
-        terms.ports = [np.array(p) for p in self.ports]
+        terms.rhos = rhos
+        terms.ports = [p[None].repeat(len(rhos), axis=0) for p in self.ports]
         terms.gram, terms.summed = terms.ports[self.gram_side], terms.ports[1 - self.gram_side]
-        terms.table = _scaled(self.unscaled, rho, self.g[0, 0].size)
+        terms.table = _scaled(self.unscaled, rhos, self.g[0, 0].size).reshape(
+            (-1,) + self.unscaled.shape[1:])
+        terms.base = np.arange(len(rhos))[:, None, None] * len(self.g)
+        terms.current = self.current[None].repeat(len(rhos), axis=0)
+        terms.moved = self.moved[None].repeat(len(rhos), axis=0)
         return terms
 
-    def _pairs(self):
-        """Coefficients of the row and the column antenna of each pair: the
-        row antenna at each of its ports against the column antenna at its
-        current port, then the other way round."""
+    def _pairs(self, gram):
+        """Coefficients of the row and the column antenna of each pair, at
+        the Gram-side ports `gram`: the row antenna at each of its ports
+        against the column antenna at its port, then the other way round."""
         iu, ju, ports = self.iu[:, None], self.ju[:, None], self.gram_ports
         first = np.array([True, False])[:, None, None]
-        return (self.g[:, :, iu, np.where(first, ports, self.gram[iu])],
-                self.g[:, :, ju, np.where(first, self.gram[ju], ports)])
+        return (self.g[:, :, iu, np.where(first, ports, gram[iu])],
+                self.g[:, :, ju, np.where(first, gram[ju], ports)])
 
-    def _reindex(self):
-        now = self.off + self.gram[self.who]
-        self.current = now[:1]
-        self.moved = now - self.gram[:, None] * self.moves
+    def _positions(self, gram):
+        """Where the entries of the selection at the Gram-side ports `gram`
+        sit in an entry list, and those of each of its moves less the
+        moved port: shapes (E,) and (m, E)."""
+        now = self.off + gram[self.who]
+        return now[0], now - gram[:, None] * self.moves
 
     def _scores(self, rows, inner):
-        """log2 det of the term sums of selections s: summed-side antenna
-        k at port rows[s, k] contributes its entries inner[s] (either
-        broadcasts), gathered as (S, K, E) and added by `_antenna_sum`."""
-        terms = self.table[rows[:, :, None], self.antennas, inner[:, None, :]]
-        return _packed_logdet(_antenna_sum(terms).T)
+        """log2 det of the term sums of selections (a, s), shape (A, S):
+        summed-side antenna k at table row rows[a, s, k] contributes its
+        entries inner[a, s] (either broadcasts over s), gathered as (A, S,
+        K, E) and scored by `_antenna_sum`."""
+        return _antenna_sum(self.table[rows[:, :, :, None], self.antennas, inner[:, :, None]])
 
     def score(self):
-        """Score of the current selection."""
-        return self._scores(self.summed[None], self.current)[0]
+        """Score of the current selection at each rho."""
+        return self._scores(self.summed[:, None] + self.base, self.current[:, None])[:, 0]
 
-    def step(self, side, antenna):
-        """Scores of the selections that move antenna `antenna` of `side`
-        (0 receive, 1 transmit) to each of its ports."""
+    def step(self, side, antenna, live):
+        """Scores, shape (A, N), of the selections that move antenna
+        `antenna` of `side` (0 receive, 1 transmit) to each of its ports,
+        at the A rhos that `live` (an index array or a slice) picks."""
+        rows, base = self.summed[live, None], self.base[live]
         if side == self.gram_side:
-            return self._scores(self.summed[None], self.moved[antenna] + self.shifts[antenna])
-        return self._scores(np.where(self.onehot[antenna], self.summed_ports, self.summed),
-                            self.current)
+            return self._scores(rows + base, self.moved[live, antenna, None] + self.shifts[antenna])
+        return self._scores(np.where(self.onehot[antenna], self.summed_ports, rows) + base,
+                            self.current[live, None])
 
-    def commit(self, side, antenna, port):
-        moved = self.ports[side][antenna] != port
-        self.ports[side][antenna] = port
+    def commit(self, r, side, antenna, port):
+        """Moves antenna `antenna` of `side` to `port` at rhos[r]."""
+        moved = self.ports[side][r, antenna] != port
+        self.ports[side][r, antenna] = port
         if moved and side == self.gram_side:
-            np.multiply(_pair_entries(*self._pairs()), self.rho,
-                        out=self.table[..., self.g[0, 0].size:])
-            self._reindex()
+            gram, n_rows = self.gram[r], len(self.g)
+            np.multiply(_pair_entries(*self._pairs(gram)), self.rhos[r],
+                        out=self.table[r * n_rows:(r + 1) * n_rows, :, self.g[0, 0].size:])
+            self.current[r], self.moved[r] = self._positions(gram)
 
 
-def _enumerate_best(grid, rho):
-    """First-in-order maximizer at rho over every selection of the
-    `_GridTerms` grid, which gives receive antenna i a port from rx_sets[i]
-    and transmit antenna j one from tx_sets[j] (ascending 0-based ports),
-    pruned as the module docstring describes. Returns (rx, tx, its score,
-    combinations).
+def _enumerate_best(grid, rhos):
+    """First-in-order maximizer at each of `rhos` over every selection of
+    the `_GridTerms` grid, which gives receive antenna i a port from
+    rx_sets[i] and transmit antenna j one from tx_sets[j] (ascending 0-based
+    ports), pruned as the module docstring describes. Returns, per rho,
+    (rx, tx, its score, combinations), or the OverflowError of a rho whose
+    maximizer is NaN or infinite.
 
-    The grid's table at rho is formed once (`_scaled`) and serves the
-    bounds and every score. Rows are scored in ascending order against
-    every Gram-side selection, at most _BATCH_LIMIT selections at a time.
-    The first maximum of a chunk in flat order (np.argmax, which returns
-    the first NaN if there is one) replaces the best so far when it is
-    greater, or equal and earlier.
+    The grid's table at every rho is formed once (`_scaled`) and serves
+    the bounds and every score; every scored row is scored at every rho.
+    The first pass scores the rows of highest bound at any rho whose bounds
+    allow pruning, then each rho keeps the rows its own bounds and
+    incumbent keep (every row, when they do not allow pruning), and the
+    rows that any rho keeps are scored. Extra rows only add scores below a
+    rho's maximum, so each rho keeps its own first maximizer. Rows are
+    scored in ascending order against every Gram-side selection, at most
+    _BATCH_LIMIT scores at a time. At each rho the first maximum of a chunk
+    in flat order (np.argmax, which returns the first NaN if there is one)
+    replaces the best so far when it is greater, or equal and earlier.
     """
     rx_sets, tx_sets = grid.sets
     sizes_r, sizes_t = [len(s) for s in rx_sets], [len(s) for s in tx_sets]
     combos_r, combos_t = math.prod(sizes_r), math.prod(sizes_t)
-    with _quiet():
-        table = _scaled(grid.unscaled, rho, grid.m * grid.ports)
-        sizes_k, n_rows = (sizes_r, combos_r) if grid.mirrored else (sizes_t, combos_t)
-        n_gram = grid.cols.shape[1]
-        gram_chunk = min(n_gram, _BATCH_LIMIT)
-        row_chunk = max(1, _BATCH_LIMIT // gram_chunk)
+    table = _scaled(grid.unscaled, rhos, grid.m * grid.ports)
+    sizes_k, n_rows = (sizes_r, combos_r) if grid.mirrored else (sizes_t, combos_t)
+    n_gram = grid.cols.shape[1]
+    gram_chunk = min(n_gram, max(1, _BATCH_LIMIT // len(rhos)))
+    row_chunk = max(1, _BATCH_LIMIT // (len(rhos) * gram_chunk))
+    best = [(-math.inf, 0)] * len(rhos)     # per rho: (score, -flat index) or its error
 
-        def scan(rows, best):
-            """best, a (score, -flat index) pair, updated with the ascending
-            rows against every Gram-side selection."""
-            for r0 in range(0, len(rows), row_chunk):
-                chunk = rows[r0:r0 + row_chunk]
-                summed = np.unravel_index(chunk, sizes_k)
-                for g0 in range(0, n_gram, gram_chunk):
-                    caps = grid.scores(table, summed, grid.cols[:, g0:g0 + gram_chunk])
+    def scan(rows):
+        """Updates `best` with the ascending rows against every Gram-side
+        selection."""
+        for r0 in range(0, len(rows), row_chunk):
+            chunk = rows[r0:r0 + row_chunk]
+            summed = np.unravel_index(chunk, sizes_k)
+            for g0 in range(0, n_gram, gram_chunk):
+                caps = grid.scores(table, summed, grid.cols[:, g0:g0 + gram_chunk])
+                for i, c in enumerate(caps):
+                    if isinstance(best[i], OverflowError):
+                        continue
                     if grid.mirrored:       # flat index: row * n_gram + column
-                        a, b = divmod(int(np.argmax(caps)), caps.shape[1])
+                        a, b = divmod(int(c.argmax()), c.shape[1])
                         flat = int(chunk[a]) * n_gram + g0 + b
                     else:                   # column * n_rows + row
-                        b, a = divmod(int(np.argmax(caps.T)), caps.shape[0])
+                        b, a = divmod(int(c.T.argmax()), c.shape[0])
                         flat = (g0 + b) * n_rows + int(chunk[a])
-                    best = max(best, (_finite(caps[a, b]), -flat))
-            return best
+                    score = _finite(c[a, b])
+                    best[i] = score if isinstance(score, OverflowError) else max(
+                        best[i], (score, -flat))
 
-        best = (-math.inf, 0)
-        rows = np.arange(n_rows)
-        first = max(1, _FIRST_PASS // n_gram)
-        if first < n_rows and grid.m > 1:
-            step = max(1, _BATCH_LIMIT // (grid.m * grid.ports))
-            bound = grid.bounds(table, (np.unravel_index(rows[r0:r0 + step], sizes_k)
-                                        for r0 in range(0, n_rows, step)))
-            if bound.max() <= _BOUND_CEILING:
-                top = np.sort(np.argpartition(bound, n_rows - first)[n_rows - first:])
-                best = scan(top, best)
-                keep = bound >= best[0] - _BOUND_SLACK * max(1.0, best[0])
-                keep[top] = False
-                rows = np.flatnonzero(keep)
-        best = scan(rows, best)
-    r, t = divmod(-best[1], combos_t)
-    return ([s[p] for s, p in zip(rx_sets, np.unravel_index(r, sizes_r))],
-            [s[p] for s, p in zip(tx_sets, np.unravel_index(t, sizes_t))],
-            best[0], combos_r * combos_t)
+    rows = np.arange(n_rows)
+    first = max(1, _FIRST_PASS // n_gram)
+    if first < n_rows and grid.m > 1:
+        step = max(1, _BATCH_LIMIT // (len(rhos) * grid.m * grid.ports))
+        bound = grid.bounds(table, (np.unravel_index(rows[r0:r0 + step], sizes_k)
+                                    for r0 in range(0, n_rows, step)))
+        pruned = bound.max(axis=1) <= _BOUND_CEILING
+        if pruned.any():
+            top = np.zeros(n_rows, dtype=bool)
+            top[np.argpartition(bound, n_rows - first, axis=1)[pruned, n_rows - first:]] = True
+            scan(np.flatnonzero(top))
+            floor = [-math.inf if isinstance(found, OverflowError) or not ok
+                     else found[0] - _BOUND_SLACK * max(1.0, found[0])
+                     for found, ok in zip(best, pruned)]
+            keep = (bound >= np.array(floor)[:, None]).any(axis=0)
+            keep[top] = False
+            rows = np.flatnonzero(keep)
+    scan(rows)
+    out = []
+    for found in best:
+        if not isinstance(found, OverflowError):
+            r, t = divmod(-found[1], combos_t)
+            found = ([s[p] for s, p in zip(rx_sets, np.unravel_index(r, sizes_r))],
+                     [s[p] for s, p in zip(tx_sets, np.unravel_index(t, sizes_t))],
+                     found[0], combos_r * combos_t)
+        out.append(found)
+    return out
+
+
+def _each(found, make):
+    """make(*f) for each rho's f of `found`; an OverflowError stays as it is."""
+    return [f if isinstance(f, OverflowError) else make(*f) for f in found]
 
 
 def exhaustive_search(channel, rho, cap=DEFAULT_EXHAUSTIVE_CAP, realization=None):
@@ -491,8 +544,10 @@ def exhaustive_search(channel, rho, cap=DEFAULT_EXHAUSTIVE_CAP, realization=None
     combos = combination_count(channel.config)
     if combos > cap:
         raise CombinationCapError(combos, cap)
-    grid = _realization(channel, realization, rho).grid()
-    return _result("exhaustive", *_enumerate_best(grid, rho))
+    realization = _realization(channel, realization, rho)
+    return realization.outcome("exhaustive", rho, lambda rhos: _each(
+        _enumerate_best(realization.grid(), rhos),
+        lambda *found: _result("exhaustive", *found)))
 
 
 def reduced_port_count(n):
@@ -527,28 +582,41 @@ def _kept_ports(relaxed, keep_r, keep_t):
 
 
 class Realization:
-    """What the searches derive from one channel realization's entries
-    without rho, in one memo (`_part`): each part built when a search first
-    needs it and kept for every later search on the same entries, at any SNR:
+    """What the searches derive from one channel realization's entries, in
+    one memo (`_part`): each part built when a search first needs it and
+    kept for every later search on the same entries. Without rho, for
+    every SNR:
 
       - the JCR relaxation, from `solve_jcr` unless given;
       - the keep-sets and score margins of each keep count (`_kept_ports`);
       - the `_GridTerms` table over every port (exhaustive search) and over
         each family of keep-sets (jcr-res);
       - the `_AscentTerms` table at jcr-ao's start, the keep-sets of one;
-      - the random baseline's draws and `_RowTerms` per (samples, seed).
+      - the random baseline's draws and `_RowTerms` per (samples, seed),
+        and the `_RowTerms` of conventional's first ports.
 
-    A search forms its table at one rho from these (`_scaled`): the same
-    IEEE products as building it at that rho, so the scores keep their
-    bits. Its tables, keep-sets and draws are read-only, and no search
-    changes or adds to them. Every search takes the realization of the
-    channel it is given, or builds its own when given none.
+    At the SNR factors `rhos` its caller will score, the outcome of each
+    search: the first search at one of them, for an algorithm and its
+    options, scores every rho of `rhos` in one pass and keeps each rho's
+    outcome, its SelectionResult or the OverflowError it raises, so that a
+    later search at another of them returns its own. A search at any other
+    rho scores that rho alone, as a batch of one.
+
+    A search forms its tables at its rhos from these (`_scaled`): the same
+    IEEE products as building them at each rho, so the scores keep their
+    bits. Its tables, keep-sets, draws and outcomes are read-only, and no
+    search changes them. Every search takes the realization of the channel
+    it is given, or builds its own when given none. ValueError unless each
+    of `rhos` is finite and >= 0.
     """
 
-    def __init__(self, channel, relaxed=None):
+    def __init__(self, channel, relaxed=None, rhos=()):
         if relaxed is not None:
             _check_shape("relaxation", relaxed, channel.config)
+        for rho in rhos:
+            _check_rho(rho)
         self.channel = channel
+        self.rhos = tuple(dict.fromkeys(rhos))
         self._parts = {} if relaxed is None else {"relaxation": relaxed}
 
     def check(self, channel):
@@ -566,6 +634,22 @@ class Realization:
             with _quiet():
                 self._parts[key] = build()
         return self._parts[key]
+
+    def outcome(self, search, rho, run):
+        """The SelectionResult at rho of `search` (a key: the algorithm and
+        its options), or its OverflowError raised. run(rhos) scores each
+        rho of a tuple in one pass and gives one SelectionResult or
+        OverflowError per rho; for a rho of `rhos` it runs once for all of
+        them, as a part."""
+        if rho in self.rhos:
+            found = self._part(("outcome", search),
+                               lambda: tuple(run(self.rhos)))[self.rhos.index(rho)]
+        else:
+            with _quiet():
+                found = run((rho,))[0]
+        if isinstance(found, OverflowError):
+            raise OverflowError(*found.args)
+        return found
 
     def relaxation(self):
         """The channel's RelaxedSolution. It depends only on |entries|^2."""
@@ -604,6 +688,12 @@ class Realization:
             return rx, tx, _RowTerms(self.channel, rx, tx)
         return self._part(("draws", samples, seed), build)
 
+    def first_ports(self):
+        """`_RowTerms` of one selection: the first port of every antenna."""
+        c = self.channel.config
+        return self._part("first ports", lambda: _RowTerms(
+            self.channel, np.zeros((1, c.m_r), dtype=np.intp), np.zeros((1, c.m_t), dtype=np.intp)))
+
 
 def _check_shape(what, given, config):
     """ValueError unless `given` (a config or a RelaxedSolution) has the
@@ -634,10 +724,13 @@ def jcr_res(channel, rho, realization=None):
     c = channel.config
     realization = _realization(channel, realization, rho)
     keep = reduced_port_count(c.n_r), reduced_port_count(c.n_t)
-    _, _, margin, margin_rel = realization.keep_sets(*keep)
-    return _result("jcr-res", *_enumerate_best(realization.grid(keep), rho),
-                   relaxation=realization.relaxation(), score_margin=margin,
-                   score_margin_rel=margin_rel)
+
+    def run(rhos):
+        _, _, margin, margin_rel = realization.keep_sets(*keep)
+        return _each(_enumerate_best(realization.grid(keep), rhos), lambda *found: _result(
+            "jcr-res", *found, relaxation=realization.relaxation(), score_margin=margin,
+            score_margin_rel=margin_rel))
+    return realization.outcome("jcr-res", rho, run)
 
 
 def ao_round(relaxed):
@@ -665,34 +758,66 @@ def jcr_ao(channel, rho, epsilon=1e-3, max_iters=20, realization=None):
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    c = channel.config
     realization = _realization(channel, realization, rho)
+    return realization.outcome(("jcr-ao", epsilon, max_iters), rho,
+                               lambda rhos: _ascend(realization, rhos, epsilon, max_iters))
+
+
+def _ascend(realization, rhos, epsilon, max_iters):
+    """`jcr_ao`'s coordinate ascent at each of `rhos`, in lockstep: each
+    (side, antenna) step scores the candidates of every rho still
+    ascending in one call. Each rho commits, re-tabulates and stops on its
+    own. Returns its SelectionResult or OverflowError per rho."""
+    c = realization.channel.config
     _, _, margin, margin_rel = realization.keep_sets(1, 1)    # ao_round's start
     steps = [(0, i, c.n_r) for i in range(c.m_r)] + [(1, j, c.n_t) for j in range(c.m_t)]
+    terms = realization.ascent().at(rhos)
+    c_best = [_finite(score) for score in terms.score()]
+    error = [score if isinstance(score, OverflowError) else None for score in c_best]
+    c_old, c_new = [0.0] * len(rhos), list(c_best)
+    evaluations, sweeps = [1] * len(rhos), [0] * len(rhos)
+    traces = [[score] for score in c_new]
 
-    c_old = 0.0
-    evaluations = 1
-    sweeps = 0
-    with _quiet():
-        terms = realization.ascent().at(rho)
-        c_new = c_best = _finite(terms.score())
-        trace = [c_new]
-        while abs(c_new - c_old) > abs(c_old) * epsilon and sweeps < max_iters:
-            c_old = c_new
-            for side, antenna, n in steps:
-                vals = terms.step(side, antenna)
-                best = n - 1 - int(np.argmax(vals[::-1]))
-                if _finite(vals[best]) >= c_best:
-                    c_best = float(vals[best])
-                    terms.commit(side, antenna, best)
-                evaluations += n
-            c_new = c_best
-            sweeps += 1
-            trace.append(c_new)
+    def ascending(r):
+        return (error[r] is None and abs(c_new[r] - c_old[r]) > abs(c_old[r]) * epsilon
+                and sweeps[r] < max_iters)
 
-    return _result("jcr-ao", *terms.ports, c_best, evaluations, iterations=sweeps,
-                   capacity_trace=tuple(trace), relaxation=realization.relaxation(),
-                   score_margin=margin, score_margin_rel=margin_rel)
+    def index(live):
+        return slice(None) if len(live) == len(rhos) else np.array(live, dtype=np.intp)
+
+    live = [r for r in range(len(rhos)) if ascending(r)]
+    while live:
+        picked = index(live)
+        for r in live:
+            c_old[r] = c_new[r]
+        for side, antenna, n in steps:
+            vals = terms.step(side, antenna, picked)
+            failed = False
+            for r, row in zip(live, vals):
+                port = n - 1 - int(row[::-1].argmax())
+                score = _finite(row[port])
+                if isinstance(score, OverflowError):
+                    error[r], failed = score, True
+                    continue
+                if score >= c_best[r]:
+                    c_best[r] = score
+                    terms.commit(r, side, antenna, port)
+                evaluations[r] += n
+            if failed:
+                live = [r for r in live if error[r] is None]
+                if not live:
+                    break
+                picked = index(live)
+        for r in live:
+            c_new[r] = c_best[r]
+            sweeps[r] += 1
+            traces[r].append(c_new[r])
+        live = [r for r in live if ascending(r)]
+    return [error[r] or _result(
+        "jcr-ao", terms.ports[0][r], terms.ports[1][r], c_best[r], evaluations[r],
+        iterations=sweeps[r], capacity_trace=tuple(traces[r]),
+        relaxation=realization.relaxation(), score_margin=margin, score_margin_rel=margin_rel)
+        for r in range(len(rhos))]
 
 
 def default_random_samples(config):
@@ -701,32 +826,50 @@ def default_random_samples(config):
     return 5 * (config.m_r * config.n_r + config.m_t * config.n_t)
 
 
+def _row_best(caps):
+    """(index, score) of the first maximum of each row of `caps` (np.argmax,
+    which returns the first NaN if there is one), or the OverflowError of
+    a row whose maximum is NaN or infinite."""
+    out = []
+    for row in caps:
+        best = int(row.argmax())
+        score = _finite(row[best])
+        out.append(score if isinstance(score, OverflowError) else (best, score))
+    return out
+
+
 def random_selection(channel, rho, samples=None, seed=0, realization=None):
     """Best of `samples` uniform feasible selections (with replacement).
 
-    Deterministic given `seed`: a single PCG64 stream draws all receive
-    port matrices first, then all transmit ones. The first-drawn maximizer
-    wins ties. The samples are scored a block at a time, so the term table
-    stays within _BLOCK_ENTRIES floats. realization: the channel's
-    `Realization`, which keeps the draws and their terms for each
-    (samples, seed), so one draw serves every SNR; a new one when None.
+    Deterministic given `seed`, a nonnegative integer: a single PCG64
+    stream draws all receive port matrices first, then all transmit ones.
+    The first-drawn maximizer wins ties. The samples are scored a block at
+    a time, so the term table stays within _BLOCK_ENTRIES floats per rho.
+    realization: the channel's `Realization`, which keeps the draws and
+    their terms for each (samples, seed), so one draw serves every SNR; a
+    new one when None.
     """
     c = channel.config
     if samples is None:
         samples = default_random_samples(c)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    rx_all, tx_all, terms = _realization(channel, realization, rho).draws(samples, seed)
-    with _quiet():
-        caps = terms.capacities(rho)
-    best = int(np.argmax(caps))
-    return _result("random", rx_all[best], tx_all[best], _finite(caps[best]), samples)
+    _check_seed("seed", seed)
+    realization = _realization(channel, realization, rho)
+
+    def run(rhos):
+        rx, tx, terms = realization.draws(samples, seed)
+        return _each(_row_best(terms.capacities(rhos)),
+                     lambda best, bits: _result("random", rx[best], tx[best], bits, samples))
+    return realization.outcome(("random", samples, seed), rho, run)
 
 
-def conventional_mimo(channel, rho):
+def conventional_mimo(channel, rho, realization=None):
     """Fixed-antenna reference: the first port of every fluid antenna,
-    scored by `capacity`."""
+    scored with the random baseline's `_RowTerms`. realization: the
+    channel's `Realization`; a new one when None."""
     c = channel.config
-    with _quiet():
-        bits = _finite(capacity(channel.entries[::c.n_r, ::c.n_t], rho))
-    return _result("conventional", [0] * c.m_r, [0] * c.m_t, bits, 1)
+    realization = _realization(channel, realization, rho)
+    return realization.outcome("conventional", rho, lambda rhos: _each(
+        _row_best(realization.first_ports().capacities(rhos)),
+        lambda _, bits: _result("conventional", [0] * c.m_r, [0] * c.m_t, bits, 1)))

@@ -123,6 +123,18 @@ class TestGenerateChannel:
         with pytest.raises(ValueError, match="seed"):
             generate_channel(cfg, -1)
 
+    @pytest.mark.parametrize("seed", [True, False, 1.5, 1.0, "1", None])
+    def test_seed_that_is_no_integer_rejected(self, seed):
+        # a bool used to draw seed 0 or 1, and a float raised numpy's TypeError
+        cfg = FluidMimoConfig(m_r=1, m_t=1, n_r=2, n_t=2)
+        with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got "):
+            generate_channel(cfg, seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        cfg = FluidMimoConfig(m_r=1, m_t=1, n_r=2, n_t=2)
+        assert np.array_equal(generate_channel(cfg, np.int64(5)).entries,
+                              generate_channel(cfg, 5).entries)
+
 
 SAMPLES = 100_000
 

@@ -1,8 +1,10 @@
 import json
+import math
 import os
 import platform
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 
 from fluidmimo import cli, load_channel
 from fluidmimo.cli import main
-from fluidmimo.harness import PointSummary, TrialRecord, summarize
+from fluidmimo.harness import PointSummary, TrialRecord, run_sweep, summarize
 from fluidmimo.reporting import RECORDS_HEADER, SUMMARY_HEADER, write_summary_csv
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -227,6 +229,45 @@ class TestSweep:
                            env=env, check=True, capture_output=True, timeout=300)
             digests.append((out_dir / "records.csv").read_bytes())
         assert digests[0] == digests[1]
+
+    def test_timed_snr_sweep_differs_only_in_wall_times(self, tmp_path, capsys):
+        # each algorithm scores a trial's points in one pass, charged to the
+        # first point's wall time; the records are otherwise those of the
+        # untimed sweep
+        args = ("sweep", "--variable", "snr", "--values=-5,0,5,10", "--m", "2", "--n", "3",
+                "--trials", "3", "--master-seed", "4", "--threads", "1")
+        assert run_cli(*args, "--out-dir", str(tmp_path / "plain")) == 0
+        assert run_cli(*args, "--timing", "--out-dir", str(tmp_path / "timed")) == 0
+        _, plain = read_records_csv(tmp_path / "plain/records.csv")
+        _, timed = read_records_csv(tmp_path / "timed/records.csv")
+        assert len(timed) == 4 * 3 * 5
+        assert [replace(r, wall_time_ms=0.0) for r in timed] == plain
+        assert all(math.isfinite(r.wall_time_ms) and r.wall_time_ms >= 0.0 for r in timed)
+        assert ((tmp_path / "timed/summary.csv").read_bytes()
+                == (tmp_path / "plain/summary.csv").read_bytes())
+
+    def test_threads_default_to_the_cpus_this_process_may_run_on(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # read when the sweep runs, not at import: a taskset or cpuset
+        # limit shows in the affinity mask, not in os.cpu_count()
+        started = []
+
+        def serial(spec, threads, measure_time):
+            started.append(threads)
+            return run_sweep(spec, threads=1, measure_time=measure_time)
+
+        monkeypatch.setattr(cli, "run_sweep", serial)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        args = ("sweep", "--m", "1", "--n", "2", "--values", "2", "--trials", "1",
+                "--algos", "conventional", "--out-dir", str(tmp_path))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert run_cli(*args) == 0
+        assert run_cli(*args, "--threads", "2") == 0
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert run_cli(*args) == 0
+        assert started == [3, 2, 64]
+        assert "CPUs this process may run on" in TestOptionTable._help_texts(
+            "sweep", capsys)["--threads"]
 
     def test_summary_matches_records_roundtrip(self, tmp_path, capsys):
         run_cli("sweep", "--m", "1", "--n", "3", "--values", "2,3", "--trials", "4",

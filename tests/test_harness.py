@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,6 +71,14 @@ class TestSpecValidation:
     def test_rejects_bad_epsilon(self, epsilon):
         with pytest.raises(SweepSpecError, match="epsilon"):
             validate_spec(small_spec(ao_epsilon=epsilon))
+
+    @pytest.mark.parametrize("seed", [True, 1.5, 2.0, "7", None, -1])
+    def test_rejects_master_seed_that_is_no_nonnegative_integer(self, seed):
+        # SweepSpec(master_seed=True) used to run master seed 1
+        with pytest.raises(SweepSpecError, match="^master_seed must be a nonnegative integer"):
+            validate_spec(small_spec(master_seed=seed))
+        with pytest.raises(SweepSpecError, match="master_seed"):
+            run_sweep(small_spec(master_seed=seed))
 
     def test_exhaustive_cap_checked_upfront(self):
         spec = small_spec(values=(2, 100), exhaustive_cap=1000)
@@ -156,9 +168,10 @@ class TestRunSweep:
         # one channel object too (every SNR point runs on it at its own
         # rho), and one of each rho-free build: the two grid tables (every
         # port, jcr-res's keep-sets), jcr-ao's start table, the keep-sets of
-        # its two keep counts and the random baseline's draws
+        # its two keep counts, and two row-term tables (the random
+        # baseline's draws, conventional's first ports)
         calls = {"generate": 0, "channel": 0, "solve": 0, "grid": 0, "ascent": 0, "keep": 0,
-                 "draws": 0}
+                 "rows": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -172,14 +185,14 @@ class TestRunSweep:
                             counting("channel", OverallChannel.__post_init__))
         monkeypatch.setattr(selection, "solve_jcr", counting("solve", selection.solve_jcr))
         for name, attr in (("grid", "_GridTerms"), ("ascent", "_AscentTerms"),
-                           ("keep", "_kept_ports"), ("draws", "_RowTerms")):
+                           ("keep", "_kept_ports"), ("rows", "_RowTerms")):
             monkeypatch.setattr(selection, attr, counting(name, getattr(selection, attr)))
         spec = small_spec(variable=variable, values=values, trials=4, algorithms=ALGORITHMS)
         records, _ = run_sweep(spec)
         assert len(records) == len(ALGORITHMS) * len(values) * 4
         tasks = 4 * per_trial
         assert calls == {"generate": tasks, "channel": tasks, "solve": tasks, "grid": 2 * tasks,
-                         "ascent": tasks, "keep": 2 * tasks, "draws": tasks}
+                         "ascent": tasks, "keep": 2 * tasks, "rows": 2 * tasks}
 
     def test_shared_channel_and_lp_leave_records_unchanged(self):
         # the per-point path draws the channel at the point's config and
@@ -198,6 +211,35 @@ class TestRunSweep:
                           for rec in run_trial(alone, (p,), t)]
             fresh.sort(key=lambda r: (r.point_value, r.trial_index, r.algorithm))
             assert records == fresh
+
+    def test_one_scoring_pass_per_trial_and_algorithm(self, monkeypatch):
+        # every point still makes its own call of each algorithm, through
+        # `run_algorithm`; the first call of a trial scores every point, so
+        # each search's core runs once per trial with the rho of every point
+        calls, passes = [], []
+
+        def counting(fn):
+            def wrapper(channel, rho, *args, **kwargs):
+                calls.append((fn.__name__, rho))
+                return fn(channel, rho, *args, **kwargs)
+            return wrapper
+
+        for name in ("exhaustive_search", "jcr_res", "jcr_ao", "random_selection",
+                     "conventional_mimo"):
+            monkeypatch.setattr(harness, name, counting(getattr(harness, name)))
+        enumerate_best, ascend = selection._enumerate_best, selection._ascend
+        monkeypatch.setattr(selection, "_enumerate_best",
+                            lambda grid, rhos: passes.append(rhos) or enumerate_best(grid, rhos))
+        monkeypatch.setattr(selection, "_ascend", lambda realization, rhos, *args: (
+            passes.append(rhos) or ascend(realization, rhos, *args)))
+        values = (-5.0, 0.0, 5.0)
+        spec = small_spec(variable="snr_db", values=values, trials=2, algorithms=ALGORITHMS)
+        run_sweep(spec)
+        rhos = tuple(config_at(spec, v).rho for v in values)
+        assert sorted(calls) == sorted((name, rho) for name in (
+            "exhaustive_search", "jcr_res", "jcr_ao", "random_selection", "conventional_mimo")
+            for rho in rhos for _ in range(2))
+        assert passes == [rhos] * 6     # exhaustive, jcr-res and jcr-ao, in each trial
 
     def test_run_algorithm_rejects_unknown_name(self):
         channel = harness.generate_channel(BASE, 1)
@@ -234,6 +276,18 @@ class TestRunSweep:
         run_sweep(spec, threads=2)
         tasks = trials if variable == "snr_db" else trials * len(values)
         assert seen == [(tasks, chunksize)]
+
+    def test_serial_run_loads_no_process_pool(self):
+        # the pool's modules are imported when a sweep first starts one:
+        # about 2 MB of resident memory a serial run does not carry
+        code = ("import sys, fluidmimo.cli; from fluidmimo import harness, FluidMimoConfig; "
+                "harness.run_sweep(harness.SweepSpec(FluidMimoConfig(m_r=1, m_t=1, n_r=2, "
+                "n_t=2), 'ports', (2,), trials=2), threads=1); "
+                "print('concurrent.futures.process' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "False"
 
     @pytest.mark.parametrize("threads,trials,pools", [
         (1000, 2, [2]),   # two tasks: two workers, not a thousand

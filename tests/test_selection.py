@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -147,7 +148,7 @@ class TestExhaustive:
                                            cfg.rho) for t in tx] for r in rx])
             assert np.array_equal(caps, expected)
             paired = _RowTerms(ch, np.repeat(rx, len(tx), axis=0),
-                               np.tile(tx, (len(rx), 1))).capacities(cfg.rho)
+                               np.tile(tx, (len(rx), 1))).capacities([cfg.rho])[0]
             assert np.array_equal(paired, expected.ravel())
 
     def test_matches_loop_oracle_m2_n3(self, rng):
@@ -197,11 +198,11 @@ class TestExhaustive:
 def _grid_capacities(grid, rho, rx, tx):
     """Capacity of every (rx[a], tx[b]) pair of positions in the port sets
     of the `_GridTerms` grid, shape (A, B): `scores` of the table that
-    `_enumerate_best` forms at rho."""
-    table = _scaled(grid.unscaled, rho, grid.m * grid.ports)
+    `_enumerate_best` forms at rho alone."""
+    table = _scaled(grid.unscaled, [rho], grid.m * grid.ports)
     gram, summed = (tx, rx) if grid.mirrored else (rx, tx)
     cols = grid.cols[:, np.ravel_multi_index(tuple(gram.T), (grid.ports,) * grid.m)]
-    out = grid.scores(table, tuple(summed.T), cols)
+    out = grid.scores(table, tuple(summed.T), cols)[0]
     return out if grid.mirrored else out.T
 
 
@@ -328,12 +329,12 @@ class TestPrunedEnumeration:
             cfg = FluidMimoConfig(m_r=m_r, m_t=m_t, n_r=4, n_t=3, snr_db=10.0, w=0.5)
             ch = generate_channel(cfg, int(rng.integers(0, 2 ** 63)))
             grid = _GridTerms(ch, [np.arange(4)] * m_r, [np.arange(3)] * m_t)
-            table = _scaled(grid.unscaled, cfg.rho, grid.m * grid.ports)
+            table = _scaled(grid.unscaled, [cfg.rho], grid.m * grid.ports)
             sizes = [4] * m_r if grid.mirrored else [3] * m_t
             rows = np.unravel_index(np.arange(math.prod(sizes)), sizes)
-            bounds = grid.bounds(table, [rows])
+            bounds = grid.bounds(table, [rows])[0]
             slack = sel_mod._BOUND_SLACK * np.maximum(1.0, bounds)
-            assert np.all(grid.scores(table, rows, grid.cols).max(axis=1) <= bounds + slack)
+            assert np.all(grid.scores(table, rows, grid.cols)[0].max(axis=1) <= bounds + slack)
 
     def test_pruned_grid_with_an_overflowing_determinant_scores_every_row(self, monkeypatch):
         # rho |g|^2 ~ 1e300: bounds above the ceiling leave the grid whole,
@@ -880,11 +881,11 @@ class TestBitwiseScores:
             rx = rng.integers(0, c.n_r, size=(40, c.m_r))
             tx = rng.integers(0, c.n_t, size=(40, c.m_t))
             expected = reference_paired_capacities(ch, rx, tx, rho, _packed_logdet)
-            assert np.array_equal(_RowTerms(ch, rx, tx).capacities(rho), expected)
+            assert np.array_equal(_RowTerms(ch, rx, tx).capacities([rho])[0], expected)
             # blocks of six selections, the last one of four
             monkeypatch.setattr(sel_mod, "_BLOCK_ENTRIES",
                                 7 * c.m_r * c.m_t * min(c.m_r, c.m_t) - 1)
-            assert np.array_equal(_RowTerms(ch, rx, tx).capacities(rho), expected)
+            assert np.array_equal(_RowTerms(ch, rx, tx).capacities([rho])[0], expected)
             monkeypatch.undo()
 
     @pytest.mark.parametrize("shape", CONTRACT_SHAPES)
@@ -894,8 +895,8 @@ class TestBitwiseScores:
         for ch, rho, rng in _contract_cases(shape):
             c = ch.config
             ports = [rng.integers(0, c.n_r, size=c.m_r), rng.integers(0, c.n_t, size=c.m_t)]
-            terms = _AscentTerms(ch, ports).at(rho)
-            ports = terms.ports
+            terms = _AscentTerms(ch, ports).at((rho,))
+            ports = [p[0] for p in terms.ports]
             assert terms.table.size == (2 * min(c.m_r, c.m_t) - 1) * ch.entries.size
             for _ in range(2):
                 for side, n in ((0, c.n_r), (1, c.n_t)):
@@ -904,9 +905,9 @@ class TestBitwiseScores:
                         candidates[side][:, antenna] = np.arange(n)
                         expected = reference_paired_capacities(ch, *candidates, rho,
                                                                _packed_logdet)
-                        assert np.array_equal(terms.step(side, antenna), expected)
-                        terms.commit(side, antenna, int(rng.integers(0, n)))
-                        assert terms.score() == reference_paired_capacities(
+                        assert np.array_equal(terms.step(side, antenna, [0])[0], expected)
+                        terms.commit(0, side, antenna, int(rng.integers(0, n)))
+                        assert terms.score()[0] == reference_paired_capacities(
                             ch, ports[0][None], ports[1][None], rho, _packed_logdet)[0]
 
     @pytest.mark.parametrize("shape", CONTRACT_SHAPES)
@@ -939,7 +940,7 @@ class TestBitwiseScores:
             grid = _grid_capacities(_GridTerms(ch, [np.arange(3)] * m_r, [np.arange(2)] * 9),
                                     rho, rx, tx)
             rows = _RowTerms(ch, np.repeat(rx, len(tx), axis=0),
-                             np.tile(tx, (len(rx), 1))).capacities(rho)
+                             np.tile(tx, (len(rx), 1))).capacities([rho])[0]
             assert np.array_equal(grid.ravel(), rows)
 
     @pytest.mark.parametrize("shape", CONTRACT_SHAPES)
@@ -1020,6 +1021,99 @@ class TestOverflow:
             conventional_mimo(ch, 1e300)
 
 
+def _run(algorithm, ch, rho, realization, samples=None, seed=0, epsilon=1e-3):
+    return run_algorithm(algorithm, ch, rho, realization, cap=DEFAULT_EXHAUSTIVE_CAP,
+                         epsilon=epsilon, max_iters=20, samples=samples, seed=seed)
+
+
+class TestBatchedRhos:
+    """A realization given the rhos its caller will score: the first call of
+    an algorithm at one of them scores all of them in one pass, and every
+    call returns the outcome of a single-rho call on a fresh realization."""
+
+    # a grid of 144 Gram-side selections per row, which the default first
+    # pass prunes, besides the contract shapes
+    @pytest.mark.parametrize("shape", CONTRACT_SHAPES + [(2, 2, 12, 12, 0.5)])
+    @pytest.mark.parametrize("first_pass", [sel_mod._FIRST_PASS, 1])
+    def test_every_algorithm_matches_single_rho_calls(self, shape, first_pass, monkeypatch):
+        # first_pass 1 prunes every exhaustive and jcr-res grid with two or
+        # more Gram-side antennas, (3, 3, 3, 3) and (4, 4, 2, 2) among them
+        monkeypatch.setattr(sel_mod, "_FIRST_PASS", first_pass)
+        channels = {}
+        for ch, rho, _ in _contract_cases(shape):
+            channels.setdefault(id(ch), (ch, solve_jcr(ch)))
+        for ch, rel in channels.values():
+            # rho = 0 ties every selection and keeps every row of the grid,
+            # so it comes last once: then no rho keeps the rows of another
+            for rhos in ((0.0, 1e-3, ch.config.rho, 300.0), (300.0, ch.config.rho, 1e-3, 0.0)):
+                batched = Realization(ch, rel, rhos=rhos)
+                for options, rho, algorithm in itertools.product(
+                        ({}, {"samples": 7, "seed": 3}, {"epsilon": 0.5}),
+                        (rhos[2], *rhos[::-1], rhos[2]),          # not the first rho first
+                        ALGORITHMS):
+                    res = _run(algorithm, ch, rho, batched, **options)
+                    alone = _run(algorithm, ch, rho, Realization(ch, rel), **options)
+                    assert res == alone, (algorithm, rho, options)
+                    assert res.capacity_trace == alone.capacity_trace
+                    assert res.capacity_bits == capacity(extract_effective(ch, res.selection), rho)
+
+    def test_one_pass_per_algorithm_and_options(self, monkeypatch):
+        # every search runs its core once for all the rhos, and again only
+        # for other options or a rho it was not given
+        passes = []
+        for name in ("_enumerate_best", "_ascend"):
+            def counting(grid_or_realization, rhos, *args, core=getattr(sel_mod, name), name=name):
+                passes.append((name, tuple(rhos)))
+                return core(grid_or_realization, rhos, *args)
+            monkeypatch.setattr(sel_mod, name, counting)
+        ch = generate_channel(FluidMimoConfig(m_r=2, m_t=2, n_r=4, n_t=4), 2)
+        rhos = (0.5, 2.0, 8.0)
+        batched = Realization(ch, rhos=rhos)
+        for rho in rhos:
+            for algorithm in ALGORITHMS:
+                _run(algorithm, ch, rho, batched)
+        assert passes == [("_enumerate_best", rhos)] * 2 + [("_ascend", rhos)]
+        passes.clear()
+        _run("jcr-ao", ch, 2.0, batched, epsilon=0.5)
+        _run("exhaustive", ch, 3.0, batched)
+        assert passes == [("_ascend", rhos), ("_enumerate_best", (3.0,))]
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_overflow_at_one_rho_is_raised_by_its_call_alone(self, algorithm):
+        # |g|^2 ~ 1e300: rho |g|^2 overflows float64 at the largest rho only
+        ch = generate_channel(FluidMimoConfig(m_r=2, m_t=2, n_r=3, n_t=3), 1)
+        ch = replace(ch, entries=ch.entries * 1e150)
+        start = _relaxed([1, 0, 0] * 2, [1, 0, 0] * 2, 2, 3, 2, 3)
+        rhos = (1e-300, 1e-290, 1e10)
+        for order in (rhos, rhos[::-1]):
+            batched = Realization(ch, start, rhos=rhos)
+            for rho in (*order, *order):
+                if rho == 1e10:
+                    with pytest.raises(OverflowError, match="overflows"):
+                        _run(algorithm, ch, rho, batched)
+                else:
+                    assert _run(algorithm, ch, rho, batched) == _run(
+                        algorithm, ch, rho, Realization(ch, start))
+
+    @pytest.mark.parametrize("rho", [-1.0, math.nan, math.inf])
+    def test_invalid_rho_in_rhos_raises_when_built(self, rho):
+        ch = generate_channel(FluidMimoConfig(m_r=2, m_t=2, n_r=3, n_t=3), 1)
+        with pytest.raises(ValueError, match="^rho must be finite and >= 0, got "):
+            Realization(ch, rhos=(1.0, rho))
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("seed", [True, False, 1.5, 2.0, "3", None, -1])
+    def test_random_baseline_refuses_a_seed_that_is_no_integer(self, seed):
+        ch = generate_channel(FluidMimoConfig(m_r=1, m_t=1, n_r=3, n_t=3), 1)
+        with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got "):
+            random_selection(ch, 1.0, seed=seed)
+
+    def test_random_baseline_takes_numpy_integers(self):
+        ch = generate_channel(FluidMimoConfig(m_r=1, m_t=1, n_r=3, n_t=3), 1)
+        assert random_selection(ch, 1.0, seed=np.uint64(9)) == random_selection(ch, 1.0, seed=9)
+
+
 @pytest.mark.parametrize("rho", [-1.0, math.nan, math.inf])
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 @pytest.mark.parametrize("shared", [False, True])
@@ -1039,9 +1133,10 @@ def test_invalid_rho_raises_before_any_part(monkeypatch, algorithm, rho, shared)
 
 
 def test_scalar_capacity_only_reports(rng, monkeypatch):
-    # every search reports the batch score that chose its selection and
-    # calls no `capacity`; conventional, which searches nothing, calls it
-    # once. Either way capacity_bits is `capacity` of the selection
+    # every algorithm reports the batch score that chose its selection and
+    # calls no `capacity`, conventional included: it scores its one
+    # selection with the random baseline's row terms. capacity_bits is
+    # still `capacity` of the selection
     import fluidmimo.selection as selection_mod
 
     calls = []
@@ -1055,7 +1150,7 @@ def test_scalar_capacity_only_reports(rng, monkeypatch):
     rho = ch.config.rho
     for run, count in ((lambda: exhaustive_search(ch, rho), 0), (lambda: jcr_res(ch, rho), 0),
                        (lambda: jcr_ao(ch, rho), 0), (lambda: random_selection(ch, rho), 0),
-                       (lambda: conventional_mimo(ch, rho), 1)):
+                       (lambda: conventional_mimo(ch, rho), 0)):
         calls.clear()
         res = run()
         assert len(calls) == count
