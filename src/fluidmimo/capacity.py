@@ -98,8 +98,9 @@ def extract_effective(channel, sel):
 
 
 def _check_rho(rho):
-    """ValueError unless the SNR factor rho is finite and >= 0."""
-    if not (math.isfinite(rho) and rho >= 0):
+    """ValueError unless the SNR factor rho is finite and >= 0; a bool is
+    refused, not read as 0 or 1."""
+    if isinstance(rho, (bool, np.bool_)) or not (math.isfinite(rho) and rho >= 0):
         raise ValueError(f"rho must be finite and >= 0, got {rho}")
 
 

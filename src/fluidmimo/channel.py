@@ -159,11 +159,12 @@ def _mixing(n_r, n_t, w):
     return mu, mix
 
 
-def _check_seed(name, seed):
-    """ValueError naming the field `name` unless seed is a nonnegative
-    integer: a bool or a float is refused, not read as a number."""
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {seed!r}")
+def _check_int(name, value, low):
+    """ValueError naming the field `name` unless value is an integer >= low:
+    a bool or a float is refused, not read as a number."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
+        kind = "a nonnegative integer" if low == 0 else f"an integer >= {low}"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 def generate_channel(config, seed):
@@ -173,7 +174,7 @@ def generate_channel(config, seed):
     See the module docstring for the exact stream-splitting and draw order.
     """
     c = config
-    _check_seed("seed", seed)
+    _check_int("seed", seed, 0)
     mu, mix = _mixing(c.n_r, c.n_t, c.w)
 
     entries = np.empty((c.rx_dim, c.tx_dim), dtype=np.complex128)

@@ -19,24 +19,25 @@ Task unit and the shared realization: a sweep runs as tasks of one trial
 each. For an SNR sweep a task covers all points of its trial: the channel
 is drawn once and every point runs on it at the point's rho. Otherwise a
 task is one (point, trial). Each task makes one `selection.Realization`
-of its channel and hands it to every run: what the searches derive from
-the entries without the SNR (the JCR relaxation, the keep-sets, the
-rho-free term tables, the random baseline's draws) is built once per
-task, by the first run that needs it, and reused by every later run at
-every point. The realization is given the rho of every point of its task:
-the first run of an algorithm scores all of them in one pass and keeps
-each point's outcome, which the runs at the later points return. One LP
-per channel realization, and one scoring pass per (task, algorithm), with
+of its channel, given the rho of every point of the task, and hands it to
+every run. It keeps what the runs share: the JCR relaxation, solved once
+per task by the first run that needs it, and each algorithm's outcomes.
+The first run of an algorithm scores every point in one pass, building
+its tables (and keep-sets or draws) once for all of them, and keeps each
+point's outcome, which the runs at the later points return. To score
+several SNRs on one channel in one pass, name them in the realization's
+`rhos`: a search at an unnamed rho builds its tables again. One LP per
+channel realization, and one scoring pass per (task, algorithm), with
 records identical to building and scoring everything afresh on every run.
 
 Timing: records carry wall_time_ms = 0.0 unless measure_time=True is
 requested. Measured times would differ between reruns, and the records of
 a (SweepSpec, master_seed) pair are required to be byte-reproducible, so
-timing is an opt-in diagnostic. Each shared build, the LP included, is
-charged to the first run that needs it; later runs on the channel exclude
-it. So is the batched scoring: in an SNR sweep the first point of a trial
-carries each algorithm's scoring at every point, and the wall_time_ms of a
-later point measures only the return of its kept outcome.
+timing is an opt-in diagnostic. The LP is charged to the first run that
+needs it; later runs on the channel exclude it. So is each algorithm's
+pass: in an SNR sweep the first point of a trial carries each algorithm's
+tables and scoring at every point, and the wall_time_ms of a later point
+measures only the return of its kept outcome.
 """
 
 import math
@@ -46,7 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import FluidMimoConfig, _check_seed, generate_channel
+from .channel import FluidMimoConfig, _check_int, generate_channel
 from .selection import (
     ALGORITHMS,
     DEFAULT_EXHAUSTIVE_CAP,
@@ -128,7 +129,18 @@ def derive_seed(master_seed, stream, point_key, trial_index):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _check_field(name, value, low):
+    """`channel._check_int` of a spec field, raising SweepSpecError."""
+    try:
+        _check_int(name, value, low)
+    except ValueError as exc:
+        raise SweepSpecError(str(exc)) from None
+
+
 def validate_spec(spec):
+    """SweepSpecError naming the first invalid field of `spec`, or the
+    CombinationCapError of a point beyond the exhaustive-search cap, before
+    any trial runs. The integer fields refuse a bool or a float."""
     if spec.variable not in SWEEP_VARIABLES:
         raise SweepSpecError(f"variable must be one of {SWEEP_VARIABLES}, got {spec.variable!r}")
     if len(spec.values) == 0:
@@ -136,14 +148,11 @@ def validate_spec(spec):
     vals = [float(v) for v in spec.values]
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise SweepSpecError(f"values must be strictly increasing, got {list(spec.values)}")
-    if spec.variable == "ports" and any(float(v) != int(v) or v < 1 for v in spec.values):
-        raise SweepSpecError(f"values for a ports sweep must be integers >= 1, got {list(spec.values)}")
-    if spec.trials < 1:
-        raise SweepSpecError(f"trials must be >= 1, got {spec.trials}")
-    try:
-        _check_seed("master_seed", spec.master_seed)
-    except ValueError as exc:
-        raise SweepSpecError(str(exc)) from None
+    if spec.variable == "ports":
+        for value in spec.values:
+            _check_field("each value of a ports sweep", value, 1)
+    _check_field("trials", spec.trials, 1)
+    _check_field("master_seed", spec.master_seed, 0)
     if len(spec.algorithms) == 0:
         raise SweepSpecError("algorithms must be a nonempty subset of " + ", ".join(ALGORITHMS))
     unknown = [a for a in spec.algorithms if a not in ALGORITHMS]
@@ -152,12 +161,13 @@ def validate_spec(spec):
     repeated = sorted({a for a in spec.algorithms if spec.algorithms.count(a) > 1})
     if repeated:
         raise SweepSpecError(f"algorithms {repeated} are listed more than once")
-    if not (math.isfinite(spec.ao_epsilon) and spec.ao_epsilon > 0):
+    if isinstance(spec.ao_epsilon, (bool, np.bool_)) or not (
+            math.isfinite(spec.ao_epsilon) and spec.ao_epsilon > 0):
         raise SweepSpecError(f"ao_epsilon must be finite and > 0, got {spec.ao_epsilon}")
-    if spec.ao_max_iters < 1:
-        raise SweepSpecError(f"ao_max_iters must be >= 1, got {spec.ao_max_iters}")
-    if spec.random_samples is not None and spec.random_samples < 1:
-        raise SweepSpecError(f"random_samples must be >= 1, got {spec.random_samples}")
+    _check_field("ao_max_iters", spec.ao_max_iters, 1)
+    if spec.random_samples is not None:
+        _check_field("random_samples", spec.random_samples, 1)
+    _check_field("exhaustive_cap", spec.exhaustive_cap, 0)
     for value in spec.values:
         try:
             config = config_at(spec, value)

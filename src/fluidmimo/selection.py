@@ -44,15 +44,17 @@ and adding them in antenna order:
 
 The tables are built without rho, and a search multiplies one by each of
 its rhos (`_scaled`). Every search scores a sequence of rhos in one pass,
-with one implementation: a single rho is a batch of one. The enumerator
-bounds every rho at once and scores the rows any rho keeps at every rho;
-jcr-ao runs one coordinate ascent per rho in lockstep, each step scoring
-the candidates of every rho still ascending in one call. What a search
-derives from the entries (these tables, the JCR relaxation, its
-keep-sets, the random draws, and the outcomes at the rhos a caller named)
-is kept in a `Realization` of the channel, which every search takes: one
-realization serves every search and SNR on the same entries, and a search
-given none builds its own. Besides a realization, only read-only index
+with one implementation: a single rho is a batch of one. A pass builds
+its table (and jcr-res and jcr-ao their keep-sets, random its draws)
+once and scores every rho from it. The enumerator bounds every rho at
+once and scores the rows any rho keeps at every rho; jcr-ao runs one
+coordinate ascent per rho in lockstep, each step scoring the candidates
+of every rho still ascending in one call. A `Realization` of the
+channel, which every search takes, keeps what searches share: the JCR
+relaxation, and the outcomes at the rhos its caller named. To score
+several SNRs on one channel in one pass, name them in its `rhos`; a
+search at an unnamed rho builds its table again. A search given no
+realization builds its own. Besides a realization, only read-only index
 layouts are kept across calls. Every entry comes from the same real
 ufuncs on the same operands as `capacity` forms it with, rho times the
 unscaled entry being the same IEEE product, and every sum adds antenna by
@@ -63,12 +65,12 @@ score bit-identically, and the tie rules below are exact. Each algorithm
 reports the score that chose its selection and calls no `capacity`.
 Every algorithm ends in `_result`, the one constructor of a
 SelectionResult, which turns 0-based ports into the 1-based selection. A
-negative, NaN or infinite rho raises ValueError before anything is built.
-A score that is NaN or infinite (rho |g|^2 overflows float64) raises
-OverflowError instead of deciding, at that rho alone; each search
+negative, NaN, infinite or bool rho raises ValueError before anything is
+built. A score that is NaN or infinite (rho |g|^2 overflows float64)
+raises OverflowError instead of deciding, at that rho alone; each search
 silences numpy's overflow warnings, so that error is the one report.
-`capacity` stays bound in this module, unused, because the benchmark's
-tracer wraps it here.
+`capacity` and `solve_jcr` stay bound in this module because the
+benchmark's tracer wraps them here.
 
 The enumeration is pruned by Hadamard's inequality, det B <= prod_i B_ii
 for B positive definite. A row's scores read its own diagonal entries,
@@ -97,7 +99,6 @@ port of an antenna when it scores >= the best so far, so later ports win
 there.
 """
 
-import copy
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -107,7 +108,7 @@ import numpy as np
 
 from .capacity import (_BLOCK_ENTRIES, PortSelection, _check_rho, _packed_logdet, _pair_entries,
                        _scaled, _triangle, _unscaled_terms, capacity)  # noqa: F401 (capacity)
-from .channel import _check_seed
+from .channel import _check_int
 from .relaxation import RelaxedSolution, solve_jcr
 
 ALGORITHMS = ("exhaustive", "jcr-res", "jcr-ao", "random", "conventional")
@@ -167,9 +168,8 @@ class SelectionResult:
 
 
 def _quiet():
-    """Silences numpy's overflow warnings for one search or one build of a
-    realization's part: `_finite` turns a non-finite maximizer into
-    OverflowError instead."""
+    """Silences numpy's overflow warnings for one search's pass:
+    `_finite` turns a non-finite maximizer into OverflowError instead."""
     return np.errstate(over="ignore", invalid="ignore")
 
 
@@ -311,29 +311,29 @@ def _antenna_sum(terms):
 
 class _RowTerms:
     """Terms of the selections s = (rx[s], tx[s]), without rho: row s of a
-    table holds the terms of selection s alone. The tables are built a
-    block of selections at a time, _BLOCK_ENTRIES floats or one selection,
-    and kept in `blocks`. The random baseline scores its draws with them,
-    and conventional its one selection."""
+    table holds the terms of selection s alone. The random baseline scores
+    its draws with them, and conventional its one selection."""
 
     def __init__(self, channel, rx, tx):
         c = channel.config
-        g = channel.entries.reshape(c.m_r, c.n_r, c.m_t, c.n_t)
-        self.m = min(c.m_r, c.m_t)
-        iu, ju = _triangle(self.m)
-        step = max(1, _BLOCK_ENTRIES // (c.m_r * c.m_t * self.m))
-        self.blocks = []
-        for s0 in range(0, len(rx), step):
-            h = g[np.arange(c.m_r)[:, None], rx[s0:s0 + step, :, None], np.arange(c.m_t),
-                  tx[s0:s0 + step, None, :]]
-            v = h if c.m_t < c.m_r else h.swapaxes(1, 2)       # (S, K, m)
-            self.blocks.append(_unscaled_terms(v, v[..., iu], v[..., ju]))
+        self.g = channel.entries.reshape(c.m_r, c.n_r, c.m_t, c.n_t)
+        self.rx, self.tx = rx, tx
 
     def capacities(self, rhos):
         """Capacity of each selection at each of `rhos`, shape (rhos, S):
-        its terms scored by `_antenna_sum`, a block at a time."""
-        return np.concatenate([_antenna_sum(_scaled(b, rhos, self.m)) for b in self.blocks],
-                              axis=1)
+        a block of selections at a time, _BLOCK_ENTRIES floats or one
+        selection, its table built and scored by `_antenna_sum`."""
+        m_r, _, m_t, _ = self.g.shape
+        m = min(m_r, m_t)
+        iu, ju = _triangle(m)
+        step = max(1, _BLOCK_ENTRIES // (m_r * m_t * m))
+        out = []
+        for s0 in range(0, len(self.rx), step):
+            rx, tx = self.rx[s0:s0 + step], self.tx[s0:s0 + step]
+            h = self.g[np.arange(m_r)[:, None], rx[:, :, None], np.arange(m_t), tx[:, None, :]]
+            v = h if m_t < m_r else h.swapaxes(1, 2)           # (S, K, m)
+            out.append(_antenna_sum(_scaled(_unscaled_terms(v, v[..., iu], v[..., ju]), rhos, m)))
+        return np.concatenate(out, axis=1)
 
 
 @lru_cache(maxsize=64)
@@ -368,13 +368,16 @@ class _AscentTerms:
     one. That is 2m - 1 floats per channel entry; a Gram-side port change
     re-tabulates the pairs.
 
-    The table at the start ports is built without rho; `at` gives the
-    copy that scores and commits at a sequence of rhos in lockstep, with a
-    table and ports of its own per rho."""
+    It scores and commits at each of the sequence `rhos` in lockstep, with
+    a table and ports of its own per rho, all starting at `ports`. Its
+    `table` stacks the tables at each rho: row r n + q holds port q of the
+    summed side at rhos[r], for n ports, and `base` holds the r n. Its
+    ports are one row per rho, an array (len(rhos), M) per side. `commit`
+    updates both, per rho."""
 
-    def __init__(self, channel, ports):
+    def __init__(self, channel, ports, rhos):
         self.g, mirrored = _summed_side(channel)
-        self.ports, self.gram_side = ports, int(mirrored)
+        self.gram_side, self.rhos = int(mirrored), rhos
         n_rows, n_k, m, n_ports = self.g.shape
         self.off, self.who, self.moves, self.shifts = _ascent_layout(m, n_ports)
         self.iu, self.ju = _triangle(m)
@@ -382,25 +385,14 @@ class _AscentTerms:
         self.summed_ports = np.arange(n_rows)[:, None]
         self.antennas = np.arange(n_k)[:, None]
         self.onehot = np.eye(n_k, dtype=bool)
-        self.unscaled = _unscaled_terms(self.g, *self._pairs(ports[self.gram_side]))
-        self.current, self.moved = self._positions(ports[self.gram_side])
-
-    def at(self, rhos):
-        """A copy that scores at each of `rhos`. Its `table` stacks the
-        tables at each rho: row r n + q holds port q of the summed side at
-        rhos[r], for n ports, and `base` holds the r n. Its ports are one
-        row per rho, an array (len(rhos), M) per side. `commit` updates
-        both, per rho."""
-        terms = copy.copy(self)
-        terms.rhos = rhos
-        terms.ports = [p[None].repeat(len(rhos), axis=0) for p in self.ports]
-        terms.gram, terms.summed = terms.ports[self.gram_side], terms.ports[1 - self.gram_side]
-        terms.table = _scaled(self.unscaled, rhos, self.g[0, 0].size).reshape(
-            (-1,) + self.unscaled.shape[1:])
-        terms.base = np.arange(len(rhos))[:, None, None] * len(self.g)
-        terms.current = self.current[None].repeat(len(rhos), axis=0)
-        terms.moved = self.moved[None].repeat(len(rhos), axis=0)
-        return terms
+        unscaled = _unscaled_terms(self.g, *self._pairs(ports[self.gram_side]))
+        self.table = _scaled(unscaled, rhos, m * n_ports).reshape((-1,) + unscaled.shape[1:])
+        self.base = np.arange(len(rhos))[:, None, None] * n_rows
+        current, moved = self._positions(ports[self.gram_side])
+        self.current = current[None].repeat(len(rhos), axis=0)
+        self.moved = moved[None].repeat(len(rhos), axis=0)
+        self.ports = [p[None].repeat(len(rhos), axis=0) for p in ports]
+        self.gram, self.summed = self.ports[self.gram_side], self.ports[1 - self.gram_side]
 
     def _pairs(self, gram):
         """Coefficients of the row and the column antenna of each pair, at
@@ -538,15 +530,20 @@ def _each(found, make):
 def exhaustive_search(channel, rho, cap=DEFAULT_EXHAUSTIVE_CAP, realization=None):
     """Globally optimal selection by enumerating every feasible combination.
 
-    realization: the channel's `Realization`, whose table over every port
-    serves each SNR; a new one when None.
+    Each pass tabulates every port once (`_GridTerms`) and scores each of
+    its rhos from that table. cap: the most combinations it enumerates, a
+    nonnegative integer. realization: the channel's `Realization`; a new
+    one when None.
     """
-    combos = combination_count(channel.config)
+    _check_int("cap", cap, 0)
+    c = channel.config
+    combos = combination_count(c)
     if combos > cap:
         raise CombinationCapError(combos, cap)
     realization = _realization(channel, realization, rho)
+    every = [np.arange(c.n_r)] * c.m_r, [np.arange(c.n_t)] * c.m_t
     return realization.outcome("exhaustive", rho, lambda rhos: _each(
-        _enumerate_best(realization.grid(), rhos),
+        _enumerate_best(_GridTerms(realization.channel, *every), rhos),
         lambda *found: _result("exhaustive", *found)))
 
 
@@ -582,32 +579,17 @@ def _kept_ports(relaxed, keep_r, keep_t):
 
 
 class Realization:
-    """What the searches derive from one channel realization's entries, in
-    one memo (`_part`): each part built when a search first needs it and
-    kept for every later search on the same entries. Without rho, for
-    every SNR:
-
-      - the JCR relaxation, from `solve_jcr` unless given;
-      - the keep-sets and score margins of each keep count (`_kept_ports`);
-      - the `_GridTerms` table over every port (exhaustive search) and over
-        each family of keep-sets (jcr-res);
-      - the `_AscentTerms` table at jcr-ao's start, the keep-sets of one;
-      - the random baseline's draws and `_RowTerms` per (samples, seed),
-        and the `_RowTerms` of conventional's first ports.
-
-    At the SNR factors `rhos` its caller will score, the outcome of each
-    search: the first search at one of them, for an algorithm and its
-    options, scores every rho of `rhos` in one pass and keeps each rho's
-    outcome, its SelectionResult or the OverflowError it raises, so that a
-    later search at another of them returns its own. A search at any other
-    rho scores that rho alone, as a batch of one.
-
-    A search forms its tables at its rhos from these (`_scaled`): the same
-    IEEE products as building them at each rho, so the scores keep their
-    bits. Its tables, keep-sets, draws and outcomes are read-only, and no
-    search changes them. Every search takes the realization of the channel
-    it is given, or builds its own when given none. ValueError unless each
-    of `rhos` is finite and >= 0.
+    """What the searches on one channel realization's entries share, in one
+    memo (`_part`): the JCR relaxation, from `solve_jcr` unless given, and
+    the outcomes at the SNR factors `rhos` its caller will score. The first
+    search at one of them, for an algorithm and its options, scores every
+    rho of `rhos` in one pass and keeps each rho's outcome, its
+    SelectionResult or the OverflowError it raises, for the later searches
+    at the others. A pass builds its search's tables, keep-sets and draws
+    and keeps none of them: a search at a rho not in `rhos` builds them
+    again and scores that rho alone, as a batch of one. Every search takes
+    the realization of the channel it is given, or builds its own when
+    given none. ValueError unless each of `rhos` is finite and >= 0.
     """
 
     def __init__(self, channel, relaxed=None, rhos=()):
@@ -655,45 +637,6 @@ class Realization:
         """The channel's RelaxedSolution. It depends only on |entries|^2."""
         return self._part("relaxation", lambda: solve_jcr(self.channel))
 
-    def keep_sets(self, keep_r, keep_t):
-        """`_kept_ports` of the relaxation: the rx and tx keep-sets, the
-        score margin and its relative form."""
-        return self._part(("keep", keep_r, keep_t),
-                          lambda: _kept_ports(self.relaxation(), keep_r, keep_t))
-
-    def grid(self, keep=None):
-        """`_GridTerms` over every port (keep None) or over the keep-sets of
-        keep = (keep_r, keep_t)."""
-        c = self.channel.config
-        return self._part(("grid", keep), lambda: _GridTerms(self.channel, *(
-            ([np.arange(c.n_r)] * c.m_r, [np.arange(c.n_t)] * c.m_t) if keep is None
-            else self.keep_sets(*keep)[:2])))
-
-    def ascent(self):
-        """`_AscentTerms` at jcr-ao's start: each antenna at the port of
-        its largest relaxed weight."""
-        return self._part("ascent", lambda: _AscentTerms(
-            self.channel, [ports[:, 0] for ports in self.keep_sets(1, 1)[:2]]))
-
-    def draws(self, samples, seed):
-        """The random baseline's draws from `seed` as 0-based ports (rx,
-        tx), shapes (samples, M_R) and (samples, M_T), and their
-        `_RowTerms`."""
-        def build():
-            c = self.channel.config
-            rng = np.random.default_rng(seed)
-            rx = rng.integers(1, c.n_r + 1, size=(samples, c.m_r)) - 1
-            tx = rng.integers(1, c.n_t + 1, size=(samples, c.m_t)) - 1
-            rx.flags.writeable = tx.flags.writeable = False
-            return rx, tx, _RowTerms(self.channel, rx, tx)
-        return self._part(("draws", samples, seed), build)
-
-    def first_ports(self):
-        """`_RowTerms` of one selection: the first port of every antenna."""
-        c = self.channel.config
-        return self._part("first ports", lambda: _RowTerms(
-            self.channel, np.zeros((1, c.m_r), dtype=np.intp), np.zeros((1, c.m_t), dtype=np.intp)))
-
 
 def _check_shape(what, given, config):
     """ValueError unless `given` (a config or a RelaxedSolution) has the
@@ -717,19 +660,22 @@ def _realization(channel, realization, rho):
 def jcr_res(channel, rho, realization=None):
     """Convex relaxation followed by exhaustive search on the kept ports.
 
-    realization: the channel's `Realization`, whose relaxation, keep-sets
-    and kept-port table serve every heuristic and SNR on the same entries;
-    a new one, which solves the relaxation, when None.
+    Each pass finds the keep-sets (`_kept_ports`), tabulates their ports
+    once (`_GridTerms`) and scores each of its rhos from that table.
+    realization: the channel's `Realization`, whose relaxation serves every
+    heuristic and SNR on the same entries; a new one, which solves the
+    relaxation, when None.
     """
     c = channel.config
     realization = _realization(channel, realization, rho)
     keep = reduced_port_count(c.n_r), reduced_port_count(c.n_t)
 
     def run(rhos):
-        _, _, margin, margin_rel = realization.keep_sets(*keep)
-        return _each(_enumerate_best(realization.grid(keep), rhos), lambda *found: _result(
-            "jcr-res", *found, relaxation=realization.relaxation(), score_margin=margin,
-            score_margin_rel=margin_rel))
+        relaxed = realization.relaxation()
+        rx, tx, margin, margin_rel = _kept_ports(relaxed, *keep)
+        return _each(_enumerate_best(_GridTerms(realization.channel, rx, tx), rhos),
+                     lambda *found: _result("jcr-res", *found, relaxation=relaxed,
+                                            score_margin=margin, score_margin_rel=margin_rel))
     return realization.outcome("jcr-res", rho, run)
 
 
@@ -751,13 +697,11 @@ def jcr_ao(channel, rho, epsilon=1e-3, max_iters=20, realization=None):
     loop stops once the relative improvement is at most epsilon or after
     max_iters sweeps. capacity_trace holds these scores; capacity_bits is
     the last.
-    realization: the channel's `Realization`, as for `jcr_res`; its start
-    table serves every SNR.
+    realization: the channel's `Realization`, as for `jcr_res`.
     """
-    if not (math.isfinite(epsilon) and epsilon > 0):
+    if isinstance(epsilon, (bool, np.bool_)) or not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    _check_int("max_iters", max_iters, 1)
     realization = _realization(channel, realization, rho)
     return realization.outcome(("jcr-ao", epsilon, max_iters), rho,
                                lambda rhos: _ascend(realization, rhos, epsilon, max_iters))
@@ -769,9 +713,10 @@ def _ascend(realization, rhos, epsilon, max_iters):
     ascending in one call. Each rho commits, re-tabulates and stops on its
     own. Returns its SelectionResult or OverflowError per rho."""
     c = realization.channel.config
-    _, _, margin, margin_rel = realization.keep_sets(1, 1)    # ao_round's start
+    relaxed = realization.relaxation()
+    rx, tx, margin, margin_rel = _kept_ports(relaxed, 1, 1)    # ao_round's start
     steps = [(0, i, c.n_r) for i in range(c.m_r)] + [(1, j, c.n_t) for j in range(c.m_t)]
-    terms = realization.ascent().at(rhos)
+    terms = _AscentTerms(realization.channel, [rx[:, 0], tx[:, 0]], rhos)
     c_best = [_finite(score) for score in terms.score()]
     error = [score if isinstance(score, OverflowError) else None for score in c_best]
     c_old, c_new = [0.0] * len(rhos), list(c_best)
@@ -816,7 +761,7 @@ def _ascend(realization, rhos, epsilon, max_iters):
     return [error[r] or _result(
         "jcr-ao", terms.ports[0][r], terms.ports[1][r], c_best[r], evaluations[r],
         iterations=sweeps[r], capacity_trace=tuple(traces[r]),
-        relaxation=realization.relaxation(), score_margin=margin, score_margin_rel=margin_rel)
+        relaxation=relaxed, score_margin=margin, score_margin_rel=margin_rel)
         for r in range(len(rhos))]
 
 
@@ -844,22 +789,23 @@ def random_selection(channel, rho, samples=None, seed=0, realization=None):
     Deterministic given `seed`, a nonnegative integer: a single PCG64
     stream draws all receive port matrices first, then all transmit ones.
     The first-drawn maximizer wins ties. The samples are scored a block at
-    a time, so the term table stays within _BLOCK_ENTRIES floats per rho.
-    realization: the channel's `Realization`, which keeps the draws and
-    their terms for each (samples, seed), so one draw serves every SNR; a
+    a time, so the term table stays within _BLOCK_ENTRIES floats per rho;
+    each pass draws once and scores every rho from the same draws.
+    samples: an integer >= 1. realization: the channel's `Realization`; a
     new one when None.
     """
     c = channel.config
     if samples is None:
         samples = default_random_samples(c)
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    _check_seed("seed", seed)
+    _check_int("samples", samples, 1)
+    _check_int("seed", seed, 0)
     realization = _realization(channel, realization, rho)
 
     def run(rhos):
-        rx, tx, terms = realization.draws(samples, seed)
-        return _each(_row_best(terms.capacities(rhos)),
+        rng = np.random.default_rng(seed)
+        rx = rng.integers(1, c.n_r + 1, size=(samples, c.m_r)) - 1
+        tx = rng.integers(1, c.n_t + 1, size=(samples, c.m_t)) - 1
+        return _each(_row_best(_RowTerms(realization.channel, rx, tx).capacities(rhos)),
                      lambda best, bits: _result("random", rx[best], tx[best], bits, samples))
     return realization.outcome(("random", samples, seed), rho, run)
 
@@ -870,6 +816,7 @@ def conventional_mimo(channel, rho, realization=None):
     channel's `Realization`; a new one when None."""
     c = channel.config
     realization = _realization(channel, realization, rho)
+    first = np.zeros((1, c.m_r), dtype=np.intp), np.zeros((1, c.m_t), dtype=np.intp)
     return realization.outcome("conventional", rho, lambda rhos: _each(
-        _row_best(realization.first_ports().capacities(rhos)),
+        _row_best(_RowTerms(realization.channel, *first).capacities(rhos)),
         lambda _, bits: _result("conventional", [0] * c.m_r, [0] * c.m_t, bits, 1)))

@@ -170,6 +170,12 @@ class TestCapacity:
         with pytest.raises(ValueError):
             capacity(np.eye(2), -1.0)
 
+    @pytest.mark.parametrize("rho", [True, False, np.True_])
+    def test_rejects_a_bool_rho(self, rho):
+        # capacity(h, True) used to score at rho = 1
+        with pytest.raises(ValueError, match="^rho must be finite and >= 0, got "):
+            capacity(np.eye(2), rho)
+
 
 class TestQForm:
     def test_matches_effective_path(self, rng):

@@ -1,5 +1,7 @@
-"""The CI workflow runs the Tier-1 command that ROADMAP.md states."""
+"""The CI workflow runs the Tier-1 command that ROADMAP.md states, and
+the sources parse at the Python floor that pyproject.toml states."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -31,3 +33,20 @@ def test_tier1_step_runs_the_roadmap_verify_command():
     assert len(stated) == 1, "ROADMAP.md states one Tier-1 verify command"
     workflow = (ROOT / ".github/workflows/tier1.yml").read_text().splitlines()
     assert _workflow_step_command(workflow, "Tier-1 tests") == stated
+
+
+def test_sources_parse_with_the_grammar_of_the_oldest_python():
+    """Every .py file under src/, perfbench/ and tests/ parses with the
+    grammar of the oldest Python that pyproject.toml's requires-python
+    admits. CI runs one newer Python only, so without this check syntax
+    the floor lacks (an except* group, a type statement) would pass it.
+    It checks grammar only, not the stdlib or numpy APIs a file calls."""
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    floor = re.findall(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)"\s*$', pyproject, flags=re.M)
+    assert len(floor) == 1, "pyproject.toml states one requires-python floor"
+    version = tuple(int(part) for part in floor[0])
+    files = sorted(path for top in ("src", "perfbench", "tests")
+                   for path in (ROOT / top).rglob("*.py"))
+    assert files
+    for path in files:
+        ast.parse(path.read_text(), filename=str(path), feature_version=version)

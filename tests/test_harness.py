@@ -80,6 +80,21 @@ class TestSpecValidation:
         with pytest.raises(SweepSpecError, match="master_seed"):
             run_sweep(small_spec(master_seed=seed))
 
+    @pytest.mark.parametrize("field,value", [
+        ("trials", True), ("trials", 2.0), ("ao_max_iters", True), ("ao_max_iters", 2.5),
+        ("random_samples", False), ("random_samples", 2.5), ("exhaustive_cap", True),
+        ("exhaustive_cap", 1e9), ("values", (True, 2)), ("values", (2.0, 3.0)),
+        ("ao_epsilon", True)])
+    def test_rejects_a_bool_or_float_before_any_trial(self, monkeypatch, field, value):
+        # trials=True and values=(True, 2) ran as 1; trials=2.0 and
+        # random_samples=2.5 passed validation and the sweep died in numpy
+        ran = []
+        monkeypatch.setattr(harness, "run_trial", lambda *args: ran.append(args) or [])
+        name = {"values": "each value of a ports sweep"}.get(field, field)
+        with pytest.raises(SweepSpecError, match=f"^{name} must be "):
+            run_sweep(small_spec(**{field: value}))
+        assert ran == []
+
     def test_exhaustive_cap_checked_upfront(self):
         spec = small_spec(values=(2, 100), exhaustive_cap=1000)
         with pytest.raises(CombinationCapError, match="10000"):

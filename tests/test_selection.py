@@ -657,8 +657,8 @@ class TestRealization:
                 assert search(copied, point.config.rho, realization=realization) == shared
 
     def test_repeated_searches_leave_the_kept_parts_unchanged(self, rng):
-        # jcr-ao commits on a copy of the start table and ports; a second
-        # run on the same realization, at another rho and back, is the same
+        # jcr-ao commits on a table and ports of its own pass; a second run
+        # on the same realization, at another rho and back, is the same
         for _ in range(10):
             ch = random_instance(rng, m_max=3, n_max=5)
             realization = Realization(ch)
@@ -682,49 +682,21 @@ class TestRealization:
         assert jcr_ao(ch, cfg.rho, realization=realization) == jcr_ao(ch, cfg.rho)
         assert jcr_res(ch, cfg.rho, realization=realization) == jcr_res(ch, cfg.rho)
 
-    def test_kept_arrays_are_read_only(self, rng):
-        ch = random_instance(rng, m_max=3, n_max=5)
-        c = ch.config
-        realization = Realization(ch)
-        for search in SEARCHES:
-            search(ch, c.rho, realization=realization)
-        keep = reduced_port_count(c.n_r), reduced_port_count(c.n_t)
-        rx, tx, terms = realization.draws(default_random_samples(c), 0)
-        kept = [*realization.keep_sets(1, 1)[:2], *realization.keep_sets(*keep)[:2],
-                realization.grid().unscaled, realization.grid(keep).unscaled,
-                realization.ascent().unscaled, *realization.ascent().ports,
-                rx, tx, *terms.blocks]
-        for arr in kept:
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                arr[...] = 0
-
-    def test_grid_tables_stay_the_same_values(self, rng):
-        # every search scores a scaled copy of a realization's tables: after
-        # searches at three rho each part (the two grids, both keep-sets,
-        # jcr-ao's start table, the draws) is the same object, holding the
-        # same values, and a grid's table and layout stay read-only
-        for _ in range(5):
+    def test_memo_holds_only_the_relaxation_and_outcomes(self, rng):
+        # a search builds its tables, keep-sets and draws for its one pass
+        # and keeps none of them: after every search at a named and at an
+        # unnamed rho, the memo holds the relaxation and the outcomes at the
+        # named rhos alone
+        for _ in range(3):
             ch = random_instance(rng, m_max=3, n_max=4)
             c = ch.config
-            realization = Realization(ch)
-            keep = reduced_port_count(c.n_r), reduced_port_count(c.n_t)
-            parts = {"grid": realization.grid, "kept grid": lambda: realization.grid(keep),
-                     "keep-sets": lambda: realization.keep_sets(*keep),
-                     "start keep-sets": lambda: realization.keep_sets(1, 1),
-                     "ascent": realization.ascent,
-                     "draws": lambda: realization.draws(default_random_samples(c), 0)}
-            before = {name: get() for name, get in parts.items()}
-            states = {name: _part_state(part) for name, part in before.items()}
-            for rho in (1e-3, c.rho, 300.0):
-                for search in SEARCHES:
-                    search(ch, rho, realization=realization)
-            for name, get in parts.items():
-                assert get() is before[name], name
-                assert _part_state(before[name]) == states[name], name
-            for grid in (before["grid"], before["kept grid"]):
-                for arr in (grid.unscaled, grid.cols):
-                    assert not arr.flags.writeable
+            realization = Realization(ch, rhos=(c.rho, 2 * c.rho))
+            for rho in (c.rho, 3 * c.rho + 1.0):
+                for search in (*SEARCHES, conventional_mimo):
+                    assert search(ch, rho, realization=realization) == search(ch, rho)
+            assert set(realization._parts) == {"relaxation", *(("outcome", key) for key in (
+                "exhaustive", "jcr-res", ("jcr-ao", 1e-3, 20),
+                ("random", default_random_samples(c), 0), "conventional"))}
 
     def test_kept_ports_are_read_only(self):
         rx, tx, _, _ = _kept_ports(_relaxed([0.2, 0.8, 0.5] * 2, [0.6, 0.4, 0.1], 2, 3, 1, 3),
@@ -732,19 +704,6 @@ class TestRealization:
         for arr in (rx, tx):
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0
-
-
-def _part_state(part):
-    """What a realization part holds: each array as (its identity, its
-    bytes), the items of a tuple or list and the attributes of a table
-    object in turn, and any other value as itself."""
-    if isinstance(part, np.ndarray):
-        return id(part), part.tobytes()
-    if isinstance(part, (tuple, list)):
-        return [_part_state(item) for item in part]
-    if hasattr(part, "__dict__"):
-        return {name: _part_state(value) for name, value in vars(part).items()}
-    return part
 
 
 class TestRandomSelection:
@@ -895,7 +854,7 @@ class TestBitwiseScores:
         for ch, rho, rng in _contract_cases(shape):
             c = ch.config
             ports = [rng.integers(0, c.n_r, size=c.m_r), rng.integers(0, c.n_t, size=c.m_t)]
-            terms = _AscentTerms(ch, ports).at((rho,))
+            terms = _AscentTerms(ch, ports, (rho,))
             ports = [p[0] for p in terms.ports]
             assert terms.table.size == (2 * min(c.m_r, c.m_t) - 1) * ch.entries.size
             for _ in range(2):
@@ -1112,6 +1071,42 @@ class TestSeeds:
     def test_random_baseline_takes_numpy_integers(self):
         ch = generate_channel(FluidMimoConfig(m_r=1, m_t=1, n_r=3, n_t=3), 1)
         assert random_selection(ch, 1.0, seed=np.uint64(9)) == random_selection(ch, 1.0, seed=9)
+
+
+class TestIntegerOptions:
+    # a bool or a float used to be read as a number: exhaustive_search(ch,
+    # True) scored at rho = 1, and jcr_ao(max_iters=2.5) ran
+    @pytest.mark.parametrize("cap", [True, 2.5, 1e9])
+    def test_exhaustive_search_refuses_a_cap_that_is_no_integer(self, cap):
+        ch = generate_channel(FluidMimoConfig(m_r=1, m_t=1, n_r=3, n_t=3), 1)
+        with pytest.raises(ValueError, match="^cap must be a nonnegative integer, got "):
+            exhaustive_search(ch, 1.0, cap=cap)
+
+    @pytest.mark.parametrize("max_iters", [True, 2.5, 2.0])
+    def test_jcr_ao_refuses_max_iters_that_is_no_integer(self, monkeypatch, max_iters):
+        lps = []
+        monkeypatch.setattr(sel_mod, "solve_jcr", lambda channel: lps.append(channel))
+        ch = generate_channel(FluidMimoConfig(m_r=1, m_t=1, n_r=3, n_t=3), 1)
+        with pytest.raises(ValueError, match="^max_iters must be an integer >= 1, got "):
+            jcr_ao(ch, 1.0, max_iters=max_iters)
+        with pytest.raises(ValueError, match="^epsilon must be finite and > 0, got True"):
+            jcr_ao(ch, 1.0, epsilon=True)
+        assert lps == []
+
+    @pytest.mark.parametrize("samples", [True, 2.5, 2.0])
+    def test_random_baseline_refuses_samples_that_are_no_integer(self, samples):
+        ch = generate_channel(FluidMimoConfig(m_r=1, m_t=1, n_r=3, n_t=3), 1)
+        with pytest.raises(ValueError, match="^samples must be an integer >= 1, got "):
+            random_selection(ch, 1.0, samples=samples)
+
+    @pytest.mark.parametrize("rho", [True, np.True_, False])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_every_algorithm_refuses_a_bool_rho(self, algorithm, rho):
+        ch = generate_channel(FluidMimoConfig(m_r=2, m_t=2, n_r=3, n_t=3), 1)
+        with pytest.raises(ValueError, match="^rho must be finite and >= 0, got "):
+            _run(algorithm, ch, rho, None)
+        with pytest.raises(ValueError, match="^rho must be finite and >= 0, got "):
+            Realization(ch, rhos=(1.0, rho))
 
 
 @pytest.mark.parametrize("rho", [-1.0, math.nan, math.inf])
