@@ -32,6 +32,7 @@ then v, then the scalars u0 and v0. Identical (config, seed) therefore
 reproduce the matrix bit-exactly within this implementation.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -40,6 +41,20 @@ import numpy as np
 from .bessel import bessel_j0
 
 _GAUSS_SCALE = np.sqrt(0.5)  # component variance 1/2
+
+
+def _check_int(name, value, low):
+    """ValueError naming the field `name` unless value is an integer >= low:
+    a bool or a float is refused, not read as a number."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
+        kind = "a nonnegative integer" if low == 0 else f"an integer >= {low}"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
+def _check_positive(name, value):
+    """ValueError naming the field `name` unless value is a finite real > 0."""
+    if isinstance(value, (bool, np.bool_)) or not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -61,11 +76,7 @@ class FluidMimoConfig:
 
     def __post_init__(self):
         for name in ("m_r", "m_t", "n_r", "n_t"):
-            val = getattr(self, name)
-            if not isinstance(val, (int, np.integer)) or isinstance(val, bool):
-                raise ValueError(f"config field {name} must be an integer, got {val!r}")
-            if val < 1:
-                raise ValueError(f"config field {name} must be >= 1, got {val}")
+            _check_int(f"config field {name}", getattr(self, name), 1)
         for name in ("snr_db", "w"):
             val = getattr(self, name)
             if isinstance(val, (bool, np.bool_)):
@@ -77,8 +88,12 @@ class FluidMimoConfig:
         if not (np.isfinite(self.snr_db) and np.isfinite(linear)):
             raise ValueError(f"config field snr_db must be finite, with a finite linear "
                              f"SNR 10^(snr_db/10), got {self.snr_db}")
-        if not np.isfinite(self.w) or self.w < 0:
-            raise ValueError(f"config field w must be finite and >= 0, got {self.w}")
+        # the largest J0 argument of `correlation_profile`, in its order
+        ks = (int(self.n_r) - 1, int(self.n_t) - 1)
+        top = [2.0 * np.pi * k * float(self.w) / k for k in ks if k]
+        if not (np.isfinite(self.w) and self.w >= 0 and all(map(math.isfinite, top))):
+            raise ValueError(f"config field w must be finite and >= 0, and 2 pi (N - 1) W finite "
+                             f"at n_r = {self.n_r}, n_t = {self.n_t}, got {self.w}")
 
     @property
     def snr_linear(self):
@@ -157,14 +172,6 @@ def _mixing(n_r, n_t, w):
     mix = np.sqrt(np.maximum(0.0, 1.0 - mu * mu))
     mu.flags.writeable = mix.flags.writeable = False
     return mu, mix
-
-
-def _check_int(name, value, low):
-    """ValueError naming the field `name` unless value is an integer >= low:
-    a bool or a float is refused, not read as a number."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
-        kind = "a nonnegative integer" if low == 0 else f"an integer >= {low}"
-        raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 def generate_channel(config, seed):

@@ -55,12 +55,17 @@ def _write(channel, fh):
 
 
 def load_channel(source):
-    """Read a channel from a path or text file object."""
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        with open(os.fspath(source)) as fh:
-            lines = fh.read().splitlines()
+    """Read a channel from a path or text file object; a file that is not
+    UTF-8 text raises ChannelFormatError naming it."""
+    try:
+        if hasattr(source, "read"):
+            lines = source.read().splitlines()
+        else:
+            with open(os.fspath(source), encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        name = getattr(source, "name", source)
+        raise ChannelFormatError(f"{name}: not UTF-8 text ({exc})") from exc
     return _parse(lines)
 
 

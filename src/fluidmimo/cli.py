@@ -17,11 +17,12 @@ process per task, and by default as many as the CPUs this process may
 run on (its affinity mask, so a taskset or cpuset limit counts).
 
 Exit codes: 0 success, 2 configuration error (also a negative seed, a
-channel file whose header declares more entries than it has rows, an SNR
-or channel that overflows float64, and an --out-dir that cannot be
-created or written), 3 resource refusal: the exhaustive-search cap (the
-message carries the combination count), or memory the input needs, 4
-solver failure (also an LP whose arithmetic overflows float64).
+channel file whose header declares more entries than it has rows, an SNR,
+W or channel that overflows float64, a channel or config file that is
+not UTF-8 text, and an --out-dir that cannot be created or written), 3
+resource refusal: the exhaustive-search cap (the message carries the
+combination count), or memory the input needs, 4 solver failure (also
+an LP whose arithmetic overflows float64).
 """
 
 import argparse
@@ -154,8 +155,6 @@ _OPTIONS = {
         **_ALGORITHM_OPTIONS,
         "threads": (_positive_int, None,
                     "worker processes (default: the number of CPUs this process may run on)"),
-        "timing": (_boolean, False,
-                   "record wall times (breaks byte-reproducibility of records.csv)"),
         "out_dir": (str, ".", "directory for records.csv and summary.csv"),
     },
 }
@@ -189,7 +188,7 @@ def load_config_file(path):
     """Flat key=value file; blank lines and '#' comments are skipped."""
     values = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
@@ -198,7 +197,7 @@ def load_config_file(path):
                 if not sep:
                     raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 values[key.strip()] = val.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     return values
 
@@ -332,7 +331,8 @@ def _parse_values(text, variable):
 
 def cmd_sweep(opt):
     variable = _VARIABLE_ALIASES[opt.variable]
-    values = _parse_values(opt.values or _SWEEP_DEFAULT_VALUES[variable], variable)
+    text = opt.values if opt.values is not None else _SWEEP_DEFAULT_VALUES[variable]
+    values = _parse_values(text, variable)
     if opt.algos.strip() == "all":
         algorithms = ALGORITHMS
     else:
@@ -362,7 +362,7 @@ def cmd_sweep(opt):
         raise ConfigError(f"out-dir: cannot create {opt.out_dir}: {exc}") from exc
 
     threads = opt.threads if opt.threads is not None else _usable_cpus()
-    records, summaries = run_sweep(spec, threads=threads, measure_time=opt.timing)
+    records, summaries = run_sweep(spec, threads=threads)
     records_path = os.path.join(opt.out_dir, "records.csv")
     summary_path = os.path.join(opt.out_dir, "summary.csv")
     try:

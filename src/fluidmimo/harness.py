@@ -29,25 +29,15 @@ several SNRs on one channel in one pass, name them in the realization's
 `rhos`: a search at an unnamed rho builds its tables again. One LP per
 channel realization, and one scoring pass per (task, algorithm), with
 records identical to building and scoring everything afresh on every run.
-
-Timing: records carry wall_time_ms = 0.0 unless measure_time=True is
-requested. Measured times would differ between reruns, and the records of
-a (SweepSpec, master_seed) pair are required to be byte-reproducible, so
-timing is an opt-in diagnostic. The LP is charged to the first run that
-needs it; later runs on the channel exclude it. So is each algorithm's
-pass: in an SNR sweep the first point of a trial carries each algorithm's
-tables and scoring at every point, and the wall_time_ms of a later point
-measures only the return of its kept outcome.
 """
 
 import math
-import time
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .channel import FluidMimoConfig, _check_int, generate_channel
+from .channel import FluidMimoConfig, _check_int, _check_positive, generate_channel
 from .selection import (
     ALGORITHMS,
     DEFAULT_EXHAUSTIVE_CAP,
@@ -92,7 +82,6 @@ class TrialRecord:
     capacity_bits: float
     ao_iterations: int
     capacity_evaluations: int
-    wall_time_ms: float
 
 
 @dataclass(frozen=True)
@@ -129,10 +118,14 @@ def derive_seed(master_seed, stream, point_key, trial_index):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _check_field(name, value, low):
-    """`channel._check_int` of a spec field, raising SweepSpecError."""
+def _check_field(name, value, low=None):
+    """`channel._check_int` of a spec field, or `channel._check_positive`
+    when low is None, raising SweepSpecError."""
     try:
-        _check_int(name, value, low)
+        if low is None:
+            _check_positive(name, value)
+        else:
+            _check_int(name, value, low)
     except ValueError as exc:
         raise SweepSpecError(str(exc)) from None
 
@@ -161,9 +154,7 @@ def validate_spec(spec):
     repeated = sorted({a for a in spec.algorithms if spec.algorithms.count(a) > 1})
     if repeated:
         raise SweepSpecError(f"algorithms {repeated} are listed more than once")
-    if isinstance(spec.ao_epsilon, (bool, np.bool_)) or not (
-            math.isfinite(spec.ao_epsilon) and spec.ao_epsilon > 0):
-        raise SweepSpecError(f"ao_epsilon must be finite and > 0, got {spec.ao_epsilon}")
+    _check_field("ao_epsilon", spec.ao_epsilon)
     _check_field("ao_max_iters", spec.ao_max_iters, 1)
     if spec.random_samples is not None:
         _check_field("random_samples", spec.random_samples, 1)
@@ -203,7 +194,7 @@ def run_algorithm(name, channel, rho, realization, *, cap, epsilon, max_iters,
     raise ValueError(f"unknown algorithm {name!r}; valid: {', '.join(ALGORITHMS)}")
 
 
-def run_trial(spec, point_indices, trial_index, measure_time=False):
+def run_trial(spec, point_indices, trial_index):
     """Records of one trial at points that share a channel realization (all
     points of an SNR sweep, else a single point), in point order and then
     spec.algorithms order.
@@ -226,12 +217,10 @@ def run_trial(spec, point_indices, trial_index, measure_time=False):
     for point_index, rho in zip(point_indices, rhos):
         value = spec.values[point_index]
         for algo in spec.algorithms:
-            start = time.perf_counter()
             res = run_algorithm(
                 algo, channel, rho, realization, cap=spec.exhaustive_cap,
                 epsilon=spec.ao_epsilon, max_iters=spec.ao_max_iters,
                 samples=spec.random_samples, seed=baseline_seed)
-            elapsed = (time.perf_counter() - start) * 1000.0 if measure_time else 0.0
             records.append(TrialRecord(
                 point_value=value,
                 trial_index=trial_index,
@@ -239,7 +228,6 @@ def run_trial(spec, point_indices, trial_index, measure_time=False):
                 capacity_bits=res.capacity_bits,
                 ao_iterations=res.iterations,
                 capacity_evaluations=res.evaluations,
-                wall_time_ms=elapsed,
             ))
     return records
 
@@ -257,7 +245,7 @@ def ProcessPoolExecutor(max_workers):
     return pool(max_workers=max_workers)
 
 
-def run_sweep(spec, threads=1, measure_time=False):
+def run_sweep(spec, threads=1):
     """Run the full sweep; returns (records, summaries), both sorted.
 
     Records are deterministic functions of (spec, master_seed) regardless
@@ -269,9 +257,9 @@ def run_sweep(spec, threads=1, measure_time=False):
     validate_spec(spec)
     points = range(len(spec.values))
     if spec.variable == "snr_db":  # one task per trial: its points share a channel
-        tasks = [(spec, tuple(points), t, measure_time) for t in range(spec.trials)]
+        tasks = [(spec, tuple(points), t) for t in range(spec.trials)]
     else:
-        tasks = [(spec, (p,), t, measure_time) for p in points for t in range(spec.trials)]
+        tasks = [(spec, (p,), t) for p in points for t in range(spec.trials)]
     workers = min(threads, len(tasks))  # the pool starts all its workers at once
     if workers > 1:
         # about four chunks per worker keeps the workers evenly loaded

@@ -3,7 +3,7 @@
 records.csv: one row per (point, trial, algorithm), sorted by
 (point_value, trial, algorithm name):
 
-    sweep_var,point_value,trial,algorithm,capacity_bits,ao_iterations,evaluations,wall_time_ms
+    sweep_var,point_value,trial,algorithm,capacity_bits,ao_iterations,evaluations
 
 summary.csv: one row per (point, algorithm):
 
@@ -13,13 +13,13 @@ trials is the number of trials at the point; excluded_trials counts those
 left out of mean_ratio because their exhaustive optimum is zero. Floats
 are written with Python's shortest round-trip representation (full
 precision); mean_ratio is "nan" when exhaustive search was not part of the
-run. Files use "\n" newlines so identical runs produce identical bytes.
+run. Files use "\n" newlines and no column reads a clock, so identical
+runs produce identical bytes.
 """
 
 import os
 
-RECORDS_HEADER = ("sweep_var,point_value,trial,algorithm,capacity_bits,"
-                  "ao_iterations,evaluations,wall_time_ms")
+RECORDS_HEADER = "sweep_var,point_value,trial,algorithm,capacity_bits,ao_iterations,evaluations"
 SUMMARY_HEADER = ("sweep_var,point_value,algorithm,mean_capacity,stddev,"
                   "ci95,mean_ratio,mean_ao_iterations,trials,excluded_trials")
 
@@ -33,8 +33,7 @@ def write_records_csv(path, sweep_var, records):
         fh.write(RECORDS_HEADER + "\n")
         for r in records:
             fh.write(f"{sweep_var},{_fmt(r.point_value)},{r.trial_index},{r.algorithm},"
-                     f"{_fmt(r.capacity_bits)},{r.ao_iterations},"
-                     f"{r.capacity_evaluations},{_fmt(r.wall_time_ms)}\n")
+                     f"{_fmt(r.capacity_bits)},{r.ao_iterations},{r.capacity_evaluations}\n")
 
 
 def write_summary_csv(path, sweep_var, summaries):

@@ -108,7 +108,7 @@ import numpy as np
 
 from .capacity import (_BLOCK_ENTRIES, PortSelection, _check_rho, _packed_logdet, _pair_entries,
                        _scaled, _triangle, _unscaled_terms, capacity)  # noqa: F401 (capacity)
-from .channel import _check_int
+from .channel import _check_int, _check_positive
 from .relaxation import RelaxedSolution, solve_jcr
 
 ALGORITHMS = ("exhaustive", "jcr-res", "jcr-ao", "random", "conventional")
@@ -699,8 +699,7 @@ def jcr_ao(channel, rho, epsilon=1e-3, max_iters=20, realization=None):
     the last.
     realization: the channel's `Realization`, as for `jcr_res`.
     """
-    if isinstance(epsilon, (bool, np.bool_)) or not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+    _check_positive("epsilon", epsilon)
     _check_int("max_iters", max_iters, 1)
     realization = _realization(channel, realization, rho)
     return realization.outcome(("jcr-ao", epsilon, max_iters), rho,

@@ -28,6 +28,28 @@ def test_bools_are_rejected_in_every_field(field, flag):
         FluidMimoConfig(**fields)
 
 
+def test_integer_fields_share_the_integer_rule():
+    with pytest.raises(ValueError, match=r"^config field m_t must be an integer >= 1, got 2\.0$"):
+        FluidMimoConfig(m_r=1, m_t=2.0, n_r=1, n_t=1)
+    with pytest.raises(ValueError, match="^config field n_r must be an integer >= 1, got 0$"):
+        FluidMimoConfig(m_r=1, m_t=1, n_r=0, n_t=1)
+
+
+@pytest.mark.parametrize("n, w, finite", [(2, 1e307, True), (10, 1e307, False),
+                                          (np.int64(10), 1e307, False), (10, 1e306, True),
+                                          (1, 1e308, True)])
+def test_w_is_refused_where_the_profile_overflows(n, w, finite):
+    # the largest J0 argument 2 pi (N - 1) W / (N - 1) overflows at the
+    # multiplication; an accepted W generates a channel
+    fields = dict(m_r=1, m_t=1, n_r=n, n_t=1, w=w)
+    if finite:
+        assert np.isfinite(generate_channel(FluidMimoConfig(**fields), 0).entries).all()
+    else:
+        message = f"^config field w .* at n_r = {n}, n_t = 1, got 1e\\+307$"
+        with pytest.raises(ValueError, match=message):
+            FluidMimoConfig(**fields)
+
+
 @pytest.mark.parametrize("snr_db", [4000.0, np.float64(3100.0), float("inf")])
 def test_overflowing_linear_snr_names_snr_db(snr_db):
     # 10^(snr_db/10) beyond float64 is rejected where it is defined

@@ -1,9 +1,12 @@
-"""The CI workflow runs the Tier-1 command that ROADMAP.md states, and
-the sources parse at the Python floor that pyproject.toml states."""
+"""The CI workflow runs the Tier-1 command that ROADMAP.md states, the
+sources parse at the Python floor that pyproject.toml states, and README
+states the CSV headers that a sweep writes."""
 
 import ast
 import re
 from pathlib import Path
+
+from fluidmimo.reporting import RECORDS_HEADER, SUMMARY_HEADER
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -50,3 +53,9 @@ def test_sources_parse_with_the_grammar_of_the_oldest_python():
     assert files
     for path in files:
         ast.parse(path.read_text(), filename=str(path), feature_version=version)
+
+
+def test_readme_states_the_csv_headers():
+    readme = (ROOT / "README.md").read_text().splitlines()
+    stated = [line for line in readme if line.startswith("sweep_var,")]
+    assert stated == [RECORDS_HEADER, SUMMARY_HEADER]

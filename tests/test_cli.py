@@ -1,16 +1,14 @@
 import json
-import math
 import os
 import platform
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fluidmimo import cli, load_channel
+from fluidmimo import ChannelFormatError, cli, load_channel
 from fluidmimo.cli import main
 from fluidmimo.harness import PointSummary, TrialRecord, run_sweep, summarize
 from fluidmimo.reporting import RECORDS_HEADER, SUMMARY_HEADER, write_summary_csv
@@ -36,8 +34,8 @@ def read_records_csv(path):
     return sweep_var, [
         TrialRecord(point_value=float(value), trial_index=int(trial), algorithm=algo,
                     capacity_bits=float(cap), ao_iterations=int(iters),
-                    capacity_evaluations=int(evals), wall_time_ms=float(ms))
-        for _, value, trial, algo, cap, iters, evals, ms in rows]
+                    capacity_evaluations=int(evals))
+        for _, value, trial, algo, cap, iters, evals in rows]
 
 
 def read_summary_csv(path):
@@ -230,31 +228,15 @@ class TestSweep:
             digests.append((out_dir / "records.csv").read_bytes())
         assert digests[0] == digests[1]
 
-    def test_timed_snr_sweep_differs_only_in_wall_times(self, tmp_path, capsys):
-        # each algorithm scores a trial's points in one pass, charged to the
-        # first point's wall time; the records are otherwise those of the
-        # untimed sweep
-        args = ("sweep", "--variable", "snr", "--values=-5,0,5,10", "--m", "2", "--n", "3",
-                "--trials", "3", "--master-seed", "4", "--threads", "1")
-        assert run_cli(*args, "--out-dir", str(tmp_path / "plain")) == 0
-        assert run_cli(*args, "--timing", "--out-dir", str(tmp_path / "timed")) == 0
-        _, plain = read_records_csv(tmp_path / "plain/records.csv")
-        _, timed = read_records_csv(tmp_path / "timed/records.csv")
-        assert len(timed) == 4 * 3 * 5
-        assert [replace(r, wall_time_ms=0.0) for r in timed] == plain
-        assert all(math.isfinite(r.wall_time_ms) and r.wall_time_ms >= 0.0 for r in timed)
-        assert ((tmp_path / "timed/summary.csv").read_bytes()
-                == (tmp_path / "plain/summary.csv").read_bytes())
-
     def test_threads_default_to_the_cpus_this_process_may_run_on(self, tmp_path, capsys,
                                                                  monkeypatch):
         # read when the sweep runs, not at import: a taskset or cpuset
         # limit shows in the affinity mask, not in os.cpu_count()
         started = []
 
-        def serial(spec, threads, measure_time):
+        def serial(spec, threads):
             started.append(threads)
-            return run_sweep(spec, threads=1, measure_time=measure_time)
+            return run_sweep(spec, threads=1)
 
         monkeypatch.setattr(cli, "run_sweep", serial)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
@@ -337,6 +319,26 @@ class TestSweep:
         code = run_cli("sweep", "--config", str(cfg), "--out-dir", str(tmp_path))
         assert code == 2
         assert "bogus" in capsys.readouterr().err
+
+    def test_timing_option_is_gone(self, tmp_path, capsys):
+        # records.csv has no wall-time column, so nothing reads a clock
+        with pytest.raises(SystemExit) as exc:
+            run_cli("sweep", "--timing", "--out-dir", str(tmp_path))
+        assert exc.value.code == 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("timing=1\n")
+        assert run_cli("sweep", "--config", str(cfg), "--out-dir", str(tmp_path)) == 2
+        assert "unknown key 'timing'" in capsys.readouterr().err
+        assert not (tmp_path / "records.csv").exists()
+
+    def test_empty_values_exits_2(self, tmp_path, capsys, monkeypatch):
+        # before, an empty list ran the default values and exited 0
+        monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: pytest.fail("sweep ran"))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("values=\n")
+        for argv in (("--values", ""), ("--config", str(cfg))):
+            assert run_cli("sweep", *argv, "--out-dir", str(tmp_path)) == 2
+            assert "values: expected a nonempty" in capsys.readouterr().err
 
 
 class TestOverriddenOptions:
@@ -642,8 +644,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, key", [
         (("solve", "--algo", "conventional"), "json"),
-        (("sweep", "--algos", "conventional", "--values", "2", "--trials", "1"), "timing"),
-    ], ids=["solve", "sweep"])
+    ], ids=["solve"])
     def test_bad_config_file_boolean_exits_2(self, tmp_path, capsys, monkeypatch, argv, key):
         monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "run.cfg"
@@ -704,3 +705,45 @@ class TestExitCodes:
         code = run_cli("solve", "--channel", "no\nsuch.csv")
         assert code == 2
         assert "channel: cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("generate", "--w", "1e308", "--out", "ch.csv"),
+        ("solve", "--w", "1e308"),
+        ("sweep", "--variable", "w", "--values", "1,1e308", "--trials", "1"),
+    ], ids=["generate", "solve", "sweep"])
+    def test_huge_w_exits_2(self, tmp_path, capsys, monkeypatch, argv):
+        # 2 pi (N - 1) W overflows in the correlation profile: before, a
+        # traceback from bessel_j0 and exit 1
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "config field w" in err and "1e+308" in err
+        assert not any(tmp_path.iterdir())
+
+    def test_huge_w_in_channel_header_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "ch.csv"
+        path.write_text("# fluid-mimo channel m_r=1 m_t=1 n_r=2 n_t=1 snr_db=5.0 w=1e308\n"
+                        "i,n,j,k,re,im\n1,1,1,1,0.5,0.5\n1,2,1,1,0.5,0.5\n")
+        with pytest.raises(ChannelFormatError, match="^line 1: bad header value .*field w"):
+            load_channel(path)
+        assert run_cli("solve", "--channel", str(path)) == 2
+        assert "config field w" in capsys.readouterr().err
+
+    def test_non_utf8_channel_file_exits_2(self, tmp_path, capsys):
+        # before, a UnicodeDecodeError traceback and exit 1
+        path = tmp_path / "ch.csv"
+        run_cli("generate", "--m", "1", "--n", "2", "--seed", "1", "--out", str(path))
+        path.write_bytes(path.read_bytes().replace(b"i,n,j,k", b"i,n,j,\xe9"))
+        capsys.readouterr()
+        assert run_cli("solve", "--channel", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not UTF-8 text") and err.count("\n") == 1
+
+    def test_non_utf8_config_file_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"# r\xe9glages\njson=1\n")
+        assert run_cli("solve", "--config", str(cfg), "--algo", "conventional") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: cannot read {cfg}: 'utf-8' codec")
+        assert err.count("\n") == 1
