@@ -11,11 +11,13 @@ receive side on a tie), is a sum over the K antennas of the other side,
 the summed side, of rank-one terms rho v v^H, each packed as m*m reals:
 the diagonal, then the real and the imaginary parts of the strict upper
 triangle in row order (`_unscaled_terms`, then `_scaled` at each rho, which
-puts the identity on antenna 0). `capacity` adds the terms of H antenna by
-antenna and takes log2 det of the sum with `_packed_logdet`: in closed
-form for m = 1 and 2, by Cholesky above. A search gathers the same
-entries from its tables and adds them in the same order, so a selection
-scores the same bits in every search and in `capacity`.
+puts the identity on antenna 0). `_antenna_sum` adds the terms of a
+selection antenna by antenna and takes log2 det of the sum with
+`_packed_logdet`: in closed form for m = 1 and 2, by Cholesky above.
+`capacity` scores H with it, and so do the row scores of `selection`; the
+enumerations gather the same entries from their tables and add them in
+the same order, so a selection scores the same bits in every search and
+in `capacity`.
 
 `capacity_q_form` evaluates the same quantity through the padded matrix
 Q = diag(x) G diag(y) built from the binary selection vectors; it exists
@@ -34,9 +36,9 @@ from functools import lru_cache
 
 import numpy as np
 
-_Q_FORM_MAX_ENTRIES = 10 ** 7  # the padded Q form is a test-scale tool only
-# packed matrix entries per block of a term table or of its sums (`capacity`,
-# and `_GridTerms.scores` and `_RowTerms` in `selection`): a block stays under
+_Q_FORM_MAX_ENTRIES = 10 ** 7  # floats in the padded Q form's term table, a test-scale tool
+# packed matrix entries per block of a term table or of its sums
+# (`_GridTerms.scores` and `_RowTerms` in `selection`): a block stays under
 # 128 KiB of float64, the size from which glibc malloc maps fresh pages on
 # every call, and in cache
 _BLOCK_ENTRIES = 15_000
@@ -105,10 +107,9 @@ def _check_rho(rho):
 
 
 def capacity(effective, rho):
-    """log2 det(I + rho H H^H) in bits/s/Hz: the packed terms of H added
-    antenna by antenna, then `_packed_logdet`. The terms are tabulated a
-    block of _BLOCK_ENTRIES floats at a time, so the padded Q form, with
-    M N antennas on a side, builds no table of all its terms."""
+    """log2 det(I + rho H H^H) in bits/s/Hz: the packed terms of H, one
+    table of K m^2 floats built at once (K and m the larger and the smaller
+    side of H), added antenna by antenna and scored by `_antenna_sum`."""
     h = np.asarray(effective, dtype=np.complex128)
     if h.ndim != 2:
         raise ValueError(f"effective channel must be 2-D, got shape {h.shape}")
@@ -117,22 +118,20 @@ def capacity(effective, rho):
     _check_rho(rho)
     m = min(h.shape)
     iu, ju = _triangle(m)
-    v = h if h.shape[1] < h.shape[0] else h.T      # row k: antenna k of the summed side
-    step = max(1, _BLOCK_ENTRIES // (m * m))
-
-    def terms():
-        """The terms antenna by antenna, tabulated `step` antennas at a time."""
-        for k in range(0, len(v), step):
-            block = v[None, k:k + step]
-            yield from _scaled(_unscaled_terms(block, block[..., iu], block[..., ju]), (rho,),
-                               0 if k else m)[0, 0]
-
-    each = terms()
-    total = next(each)
-    for term in each:
-        total += term
+    v = (h if h.shape[1] < h.shape[0] else h.T)[None]    # (1, K, m): the summed side first
+    terms = _scaled(_unscaled_terms(v, v[..., iu], v[..., ju]), (rho,), m)
     with np.errstate(over="ignore", invalid="ignore"):   # `_packed_logdet` rescues
-        return float(_packed_logdet(total.reshape(-1, 1))[0])
+        return float(_antenna_sum(terms)[0, 0])
+
+
+def _antenna_sum(terms):
+    """log2 det of the packed I + rho G of each selection, shape (...): its
+    terms (..., K, E), a new array, added antenna by antenna."""
+    flat = terms.reshape((-1,) + terms.shape[-2:])
+    total = flat[:, 0]
+    for k in range(1, flat.shape[1]):
+        total += flat[:, k]
+    return _packed_logdet(total.T).reshape(terms.shape[:-2])
 
 
 @lru_cache(maxsize=64)
@@ -220,13 +219,16 @@ def _packed_logdet(b):
 def capacity_q_form(channel, sel, rho):
     """Capacity through the padded selection matrix Q = diag(x) G diag(y).
 
-    Kept at full (M_R N_R) x (M_T N_T) size on purpose; refuses products
-    above 1e7 entries since this path only exists for equivalence testing.
+    Kept at full (M_R N_R) x (M_T N_T) size on purpose, so `capacity`
+    builds a term table of rx_dim * tx_dim * min(rx_dim, tx_dim) floats;
+    refuses one above 1e7 entries since this path only exists for
+    equivalence testing.
     """
     c = channel.config
-    if c.rx_dim * c.tx_dim > _Q_FORM_MAX_ENTRIES:
+    entries = c.rx_dim * c.tx_dim * min(c.rx_dim, c.tx_dim)
+    if entries > _Q_FORM_MAX_ENTRIES:
         raise ValueError(
-            f"padded Q would have {c.rx_dim * c.tx_dim} entries "
+            f"padded Q would have a term table of {entries} entries "
             f"(limit {_Q_FORM_MAX_ENTRIES}); use capacity(extract_effective(...)) instead"
         )
     _check_rho(rho)

@@ -51,6 +51,21 @@ def _check_int(name, value, low):
         raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
+def _check_profile(n_r, n_t, w, prefix=""):
+    """ValueError naming the field unless the port counts n_r, n_t are
+    integers >= 1 and w is a finite real >= 0 (a bool is refused) whose
+    largest J0 argument in `correlation_profile`, 2 pi (N - 1) W / (N - 1)
+    formed in its order, is finite. prefix leads each field name."""
+    for name, n in (("n_r", n_r), ("n_t", n_t)):
+        _check_int(prefix + name, n, 1)
+    if isinstance(w, (bool, np.bool_)):
+        raise ValueError(f"{prefix}w must be a real number, got {w!r}")
+    top = [2.0 * np.pi * k * float(w) / k for k in (int(n_r) - 1, int(n_t) - 1) if k]
+    if not (np.isfinite(w) and w >= 0 and all(map(math.isfinite, top))):
+        raise ValueError(f"{prefix}w must be finite and >= 0, and 2 pi (N - 1) W finite "
+                         f"at n_r = {n_r}, n_t = {n_t}, got {w}")
+
+
 def _check_positive(name, value):
     """ValueError naming the field `name` unless value is a finite real > 0."""
     if isinstance(value, (bool, np.bool_)) or not (math.isfinite(value) and value > 0):
@@ -75,12 +90,11 @@ class FluidMimoConfig:
     w: float = 0.5
 
     def __post_init__(self):
-        for name in ("m_r", "m_t", "n_r", "n_t"):
+        for name in ("m_r", "m_t"):
             _check_int(f"config field {name}", getattr(self, name), 1)
-        for name in ("snr_db", "w"):
-            val = getattr(self, name)
-            if isinstance(val, (bool, np.bool_)):
-                raise ValueError(f"config field {name} must be a real number, got {val!r}")
+        _check_profile(self.n_r, self.n_t, self.w, "config field ")
+        if isinstance(self.snr_db, (bool, np.bool_)):
+            raise ValueError(f"config field snr_db must be a real number, got {self.snr_db!r}")
         try:
             linear = self.snr_linear
         except OverflowError:
@@ -88,12 +102,6 @@ class FluidMimoConfig:
         if not (np.isfinite(self.snr_db) and np.isfinite(linear)):
             raise ValueError(f"config field snr_db must be finite, with a finite linear "
                              f"SNR 10^(snr_db/10), got {self.snr_db}")
-        # the largest J0 argument of `correlation_profile`, in its order
-        ks = (int(self.n_r) - 1, int(self.n_t) - 1)
-        top = [2.0 * np.pi * k * float(self.w) / k for k in ks if k]
-        if not (np.isfinite(self.w) and self.w >= 0 and all(map(math.isfinite, top))):
-            raise ValueError(f"config field w must be finite and >= 0, and 2 pi (N - 1) W finite "
-                             f"at n_r = {self.n_r}, n_t = {self.n_t}, got {self.w}")
 
     @property
     def snr_linear(self):
@@ -137,11 +145,6 @@ class OverallChannel:
         if not np.isfinite(gains).all():
             raise ValueError("channel entries must be finite, with finite |g|^2")
 
-    def block(self, i, j):
-        """N_R x N_T sub-matrix for antenna pair (i, j), zero-based."""
-        c = self.config
-        return self.entries[i * c.n_r:(i + 1) * c.n_r, j * c.n_t:(j + 1) * c.n_t]
-
 
 def correlation_profile(n_r, n_t, w):
     """Port-pair correlation matrix mu of shape (n_r, n_t).
@@ -149,11 +152,9 @@ def correlation_profile(n_r, n_t, w):
     Entries are clipped to [-1, 1]; mathematically they already lie there
     (each is the mean of two J0 values in [-0.4028, 1]), the clip only
     absorbs the ~1e-9 wiggle of the rational J0 fit near its maximum.
+    ValueError, naming the field, on the inputs `FluidMimoConfig` refuses.
     """
-    if n_r < 1 or n_t < 1:
-        raise ValueError("correlation_profile: port counts must be >= 1")
-    if not np.isfinite(w) or w < 0:
-        raise ValueError("correlation_profile: w must be finite and >= 0")
+    _check_profile(n_r, n_t, w)
 
     def port_terms(n):
         if n == 1:

@@ -72,7 +72,7 @@ def _int_at_least(low):
 
 
 _positive_int = _int_at_least(1)
-_seed = _int_at_least(0)
+_nonnegative_int = _int_at_least(0)
 
 
 def _positive_float(text):
@@ -122,13 +122,13 @@ _ALGORITHM_OPTIONS = {
     "epsilon": (_positive_float, 1e-3, "coordinate-ascent relative tolerance"),
     "max_iters": (_positive_int, 20, "coordinate-ascent sweep cap"),
     "samples": (_positive_int, None, "random-baseline draws (default 5(M_R N_R + M_T N_T))"),
-    "cap": (_positive_int, DEFAULT_EXHAUSTIVE_CAP, "exhaustive-search combination cap"),
+    "cap": (_nonnegative_int, DEFAULT_EXHAUSTIVE_CAP, "exhaustive-search combination cap"),
 }
 
 _OPTIONS = {
     "generate": {
         **_COMMON,
-        "seed": (_seed, 0, "nonnegative integer channel seed"),
+        "seed": (_nonnegative_int, 0, "nonnegative integer channel seed"),
         "out": (str, None, "output channel file"),
     },
     "solve": {
@@ -136,11 +136,11 @@ _OPTIONS = {
         "snr_db": (float, None,
                    "average receive SNR in dB (default 5, or the channel file's value)"),
         "channel": (str, None, "channel file to load (else a channel is generated from --seed)"),
-        "seed": (_seed, 0, "nonnegative integer channel seed"),
+        "seed": (_nonnegative_int, 0, "nonnegative integer channel seed"),
         "algo": (_choice(ALGORITHMS + ("all",)), "all",
                  "algorithm to run: one of " + ", ".join(ALGORITHMS) + ", or all"),
         **_ALGORITHM_OPTIONS,
-        "baseline_seed": (_seed, 0, "seed of the random baseline"),
+        "baseline_seed": (_nonnegative_int, 0, "seed of the random baseline"),
         "json": (_boolean, False, "emit JSON instead of text"),
     },
     "sweep": {
@@ -151,7 +151,7 @@ _OPTIONS = {
                    + "; ".join(f"{k} {v}" for k, v in _SWEEP_DEFAULT_VALUES.items()) + ")"),
         "trials": (_positive_int, 100, "channel draws per sweep point"),
         "algos": (str, "all", "comma-separated algorithms or 'all'"),
-        "master_seed": (_seed, 0, "master seed for all trials"),
+        "master_seed": (_nonnegative_int, 0, "master seed for all trials"),
         **_ALGORITHM_OPTIONS,
         "threads": (_positive_int, None,
                     "worker processes (default: the number of CPUs this process may run on)"),

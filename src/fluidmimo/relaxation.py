@@ -44,18 +44,6 @@ class LpProblem:
     t_cols: np.ndarray
     t_costs: np.ndarray
 
-    @property
-    def n_x(self):
-        return self.m_r * self.n_r
-
-    @property
-    def n_y(self):
-        return self.m_t * self.n_t
-
-    @property
-    def n_edges(self):
-        return len(self.t_costs)
-
 
 @dataclass(frozen=True)
 class RelaxedSolution:

@@ -58,7 +58,8 @@ realization builds its own. Besides a realization, only read-only index
 layouts are kept across calls. Every entry comes from the same real
 ufuncs on the same operands as `capacity` forms it with, rho times the
 unscaled entry being the same IEEE product, and every sum adds antenna by
-antenna (`+=` in the enumerations, `_antenna_sum` in jcr-ao and random).
+antenna (`+=` in the enumerations; elsewhere `_antenna_sum`, the sum that
+`capacity` scores with, in jcr-ao, random and conventional).
 A selection therefore scores the same bits in every search, at any batch
 of rhos, and in `capacity`, selections with equal effective channels
 score bit-identically, and the tie rules below are exact. Each algorithm
@@ -106,8 +107,9 @@ from typing import Optional
 
 import numpy as np
 
-from .capacity import (_BLOCK_ENTRIES, PortSelection, _check_rho, _packed_logdet, _pair_entries,
-                       _scaled, _triangle, _unscaled_terms, capacity)  # noqa: F401 (capacity)
+from .capacity import (_BLOCK_ENTRIES, PortSelection, _antenna_sum, _check_rho, _packed_logdet,
+                       _pair_entries, _scaled, _triangle, _unscaled_terms,
+                       capacity)  # noqa: F401 (capacity)
 from .channel import _check_int, _check_positive
 from .relaxation import RelaxedSolution, solve_jcr
 
@@ -195,11 +197,11 @@ def combination_count(config):
     return config.n_r ** config.m_r * config.n_t ** config.m_t
 
 
-def _combinations(sizes, start, stop):
-    """Selections start..stop-1, in mixed-radix order, of one position per
-    antenna, antenna i having sizes[i] to choose from: the first antenna is
-    the most significant digit. Shape (stop - start, len(sizes))."""
-    return np.stack(np.unravel_index(np.arange(start, stop), sizes), axis=1)
+def _combinations(sizes):
+    """Every selection, in mixed-radix order, of one position per antenna,
+    antenna i having sizes[i] to choose from: the first antenna is the most
+    significant digit. Shape (prod(sizes), len(sizes))."""
+    return np.stack(np.unravel_index(np.arange(math.prod(sizes)), sizes), axis=1)
 
 
 def _summed_side(channel):
@@ -233,7 +235,7 @@ def _grid_layout(m, ports):
     for block in (m + pairs, m + len(iu) + pairs):
         stride[iu, block] = ports
         stride[ju, block] = 1
-    cols = np.ascontiguousarray((off + _combinations([ports] * m, 0, ports ** m) @ stride).T)
+    cols = np.ascontiguousarray((off + _combinations([ports] * m) @ stride).T)
     cols.flags.writeable = False
     return cols
 
@@ -297,16 +299,6 @@ class _GridTerms:
                 total.reshape(-1, total.shape[-1]), cols, axis=1).swapaxes(0, 1)).reshape(
                     len(out), -1, cols.shape[1])
         return out
-
-
-def _antenna_sum(terms):
-    """log2 det of the packed I + rho G of each selection, shape (...): its
-    terms (..., K, E), a new array, added antenna by antenna."""
-    flat = terms.reshape((-1,) + terms.shape[-2:])
-    total = flat[:, 0]
-    for k in range(1, flat.shape[1]):
-        total += flat[:, k]
-    return _packed_logdet(total.T).reshape(terms.shape[:-2])
 
 
 class _RowTerms:
@@ -710,21 +702,24 @@ def _ascend(realization, rhos, epsilon, max_iters):
     """`jcr_ao`'s coordinate ascent at each of `rhos`, in lockstep: each
     (side, antenna) step scores the candidates of every rho still
     ascending in one call. Each rho commits, re-tabulates and stops on its
-    own. Returns its SelectionResult or OverflowError per rho."""
+    own. Per rho it keeps only its running best and its trace, the score
+    after the rounding and after each sweep: the sweeps are the trace's
+    length less one, and each covered the N candidates of every antenna.
+    The best holds the OverflowError instead once one ends that rho.
+    Returns its SelectionResult or OverflowError per rho."""
     c = realization.channel.config
     relaxed = realization.relaxation()
     rx, tx, margin, margin_rel = _kept_ports(relaxed, 1, 1)    # ao_round's start
     steps = [(0, i, c.n_r) for i in range(c.m_r)] + [(1, j, c.n_t) for j in range(c.m_t)]
     terms = _AscentTerms(realization.channel, [rx[:, 0], tx[:, 0]], rhos)
-    c_best = [_finite(score) for score in terms.score()]
-    error = [score if isinstance(score, OverflowError) else None for score in c_best]
-    c_old, c_new = [0.0] * len(rhos), list(c_best)
-    evaluations, sweeps = [1] * len(rhos), [0] * len(rhos)
-    traces = [[score] for score in c_new]
+    best = [_finite(score) for score in terms.score()]
+    traces = [[score] for score in best]
 
     def ascending(r):
-        return (error[r] is None and abs(c_new[r] - c_old[r]) > abs(c_old[r]) * epsilon
-                and sweeps[r] < max_iters)
+        trace = traces[r]
+        old = trace[-2] if len(trace) > 1 else 0.0
+        return (not isinstance(best[r], OverflowError) and abs(trace[-1] - old) > abs(old) * epsilon
+                and len(trace) - 1 < max_iters)
 
     def index(live):
         return slice(None) if len(live) == len(rhos) else np.array(live, dtype=np.intp)
@@ -732,8 +727,6 @@ def _ascend(realization, rhos, epsilon, max_iters):
     live = [r for r in range(len(rhos)) if ascending(r)]
     while live:
         picked = index(live)
-        for r in live:
-            c_old[r] = c_new[r]
         for side, antenna, n in steps:
             vals = terms.step(side, antenna, picked)
             failed = False
@@ -741,26 +734,24 @@ def _ascend(realization, rhos, epsilon, max_iters):
                 port = n - 1 - int(row[::-1].argmax())
                 score = _finite(row[port])
                 if isinstance(score, OverflowError):
-                    error[r], failed = score, True
-                    continue
-                if score >= c_best[r]:
-                    c_best[r] = score
+                    best[r], failed = score, True
+                elif score >= best[r]:
+                    best[r] = score
                     terms.commit(r, side, antenna, port)
-                evaluations[r] += n
             if failed:
-                live = [r for r in live if error[r] is None]
+                live = [r for r in live if not isinstance(best[r], OverflowError)]
                 if not live:
                     break
                 picked = index(live)
         for r in live:
-            c_new[r] = c_best[r]
-            sweeps[r] += 1
-            traces[r].append(c_new[r])
+            traces[r].append(best[r])
         live = [r for r in live if ascending(r)]
-    return [error[r] or _result(
-        "jcr-ao", terms.ports[0][r], terms.ports[1][r], c_best[r], evaluations[r],
-        iterations=sweeps[r], capacity_trace=tuple(traces[r]),
-        relaxation=relaxed, score_margin=margin, score_margin_rel=margin_rel)
+    per_sweep = c.m_r * c.n_r + c.m_t * c.n_t
+    return [best[r] if isinstance(best[r], OverflowError) else _result(
+        "jcr-ao", terms.ports[0][r], terms.ports[1][r], best[r],
+        1 + (len(traces[r]) - 1) * per_sweep, iterations=len(traces[r]) - 1,
+        capacity_trace=tuple(traces[r]), relaxation=relaxed, score_margin=margin,
+        score_margin_rel=margin_rel)
         for r in range(len(rhos))]
 
 

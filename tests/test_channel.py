@@ -102,6 +102,19 @@ class TestCorrelationProfile:
         expected = 0.5 * (1.0 + j0_series(2 * np.pi * np.arange(5) * 0.7 / 4))
         assert np.allclose(mu[0], expected, atol=1e-7)
 
+    @pytest.mark.parametrize("args, message", [
+        ((10, 10, 1e308), r"w must be finite and >= 0, .* at n_r = 10, n_t = 10, got 1e\+308"),
+        ((2.5, 3, 0.5), r"n_r must be an integer >= 1, got 2\.5"),
+        ((3, 0, 0.5), "n_t must be an integer >= 1, got 0"),
+        ((3, 3, True), "w must be a real number, got True"),
+    ])
+    def test_refuses_what_the_config_refuses(self, args, message):
+        # the config's rule, without its field prefix; before, W = 1e308
+        # warned of an overflow and then failed in bessel_j0 without naming
+        # w, and 2.5 ports gave a profile
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            correlation_profile(*args)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=1, max_value=12),
            st.integers(min_value=1, max_value=12),
@@ -131,10 +144,10 @@ class TestGenerateChannel:
         ch = generate_channel(cfg, 11)
         for i in range(2):
             for j in range(2):
-                block = ch.block(i, j)
+                block = ch.entries[i * 4:(i + 1) * 4, j * 3:(j + 1) * 3]
                 assert np.all(block == block[0, 0])
         # distinct blocks stay distinct
-        assert ch.block(0, 0)[0, 0] != ch.block(1, 1)[0, 0]
+        assert ch.entries[0, 0] != ch.entries[4, 3]
 
     def test_shape_matches_config(self):
         cfg = FluidMimoConfig(m_r=3, m_t=2, n_r=5, n_t=4)

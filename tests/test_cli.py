@@ -162,6 +162,19 @@ class TestSolve:
         assert code == 3
         assert "10000" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--algo", "exhaustive"),
+        ("sweep", "--algos", "exhaustive", "--values", "2", "--trials", "1", "--threads", "1"),
+    ], ids=["solve", "sweep"])
+    def test_zero_cap_exits_3(self, tmp_path, capsys, monkeypatch, argv):
+        # the cap is a nonnegative integer, as `exhaustive_search` takes it;
+        # before, the CLI refused 0 as a usage error
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv, "--m", "1", "--nr", "2", "--nt", "2", "--cap", "0") == 3
+        err = capsys.readouterr().err
+        assert "error: exhaustive search over 4 combinations exceeds the cap of 0" in err
+        assert err.count("error:") == 1
+
     def test_solve_from_generation_params(self, capsys):
         code = run_cli("solve", "--m", "1", "--n", "3", "--seed", "8",
                        "--algo", "exhaustive", "--json")
@@ -528,7 +541,7 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["solve", "sweep"])
-    @pytest.mark.parametrize("epsilon", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("epsilon", ["0", "-1", "nan", "inf", "abc"])
     def test_bad_epsilon_exits_2(self, capsys, command, epsilon):
         with pytest.raises(SystemExit) as err:
             run_cli(command, "--m", "1", "--n", "2", "--epsilon=" + epsilon)
@@ -729,6 +742,29 @@ class TestExitCodes:
             load_channel(path)
         assert run_cli("solve", "--channel", str(path)) == 2
         assert "config field w" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("sweep", "--trials", "abc"), "argument --trials: must be an integer, got 'abc'"),
+        (("sweep", "--config", "run.cfg"), "run.cfg:3: expected key=value, got 'trials'"),
+        (("generate",), "out: an output path is required"),
+        (("generate", "--out", "missing/ch.csv"), "out: cannot write missing/ch.csv"),
+        (("solve", "--channel", "ch.csv", "--snr-db", "4000"), "config field snr_db"),
+        (("sweep", "--values=1,x"), "values: invalid literal for int()"),
+    ], ids=["trials", "config-line", "no-out", "out-dir-missing", "channel-snr", "values"])
+    def test_bad_input_exits_2_with_one_error_line(self, tmp_path, capsys, monkeypatch, argv,
+                                                   message):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: pytest.fail("sweep ran"))
+        (tmp_path / "run.cfg").write_text("# a comment\nm=1\ntrials\n")
+        assert run_cli("generate", "--m", "1", "--n", "2", "--out", "ch.csv") == 0
+        capsys.readouterr()
+        try:
+            code = run_cli(*argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and message in err
 
     def test_non_utf8_channel_file_exits_2(self, tmp_path, capsys):
         # before, a UnicodeDecodeError traceback and exit 1

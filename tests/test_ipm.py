@@ -21,7 +21,7 @@ from conftest import random_instance
 
 def dense_constraint_matrix(lp):
     """A assembled explicitly from its definition, for cross-checks."""
-    nx, ny, nt = lp.n_x, lp.n_y, lp.n_edges
+    nx, ny, nt = lp.m_r * lp.n_r, lp.m_t * lp.n_t, len(lp.t_costs)
     n = nx + ny + 3 * nt
     m = lp.m_r + lp.m_t + 2 * nt
     a = np.zeros((m, n))

@@ -19,20 +19,20 @@ from oracles import binary_u_max, grid_u_max_2x2
 class TestBuildLp:
     def test_singleton_counts(self):
         lp = build_lp(make_channel([[0.7]], 1, 1, 1, 1))
-        assert (lp.n_x, lp.n_y, lp.n_edges) == (1, 1, 1)
+        assert (lp.m_r * lp.n_r, lp.m_t * lp.n_t, len(lp.t_costs)) == (1, 1, 1)
 
     def test_two_port_counts(self):
         lp = build_lp(make_channel(np.ones((2, 2)), 1, 1, 2, 2))
-        assert (lp.n_x, lp.n_y, lp.n_edges) == (2, 2, 4)
+        assert (lp.m_r * lp.n_r, lp.m_t * lp.n_t, len(lp.t_costs)) == (2, 2, 4)
 
     def test_zero_entries_dropped(self):
         lp = build_lp(make_channel([[1.0, 0.0], [0.0, 2.0]], 1, 1, 2, 2))
-        assert lp.n_edges == 2
+        assert len(lp.t_costs) == 2
         assert set(zip(lp.t_rows.tolist(), lp.t_cols.tolist())) == {(0, 0), (1, 1)}
 
     def test_all_zero_channel(self):
         lp = build_lp(make_channel(np.zeros((2, 2)), 1, 1, 2, 2))
-        assert lp.n_edges == 0
+        assert len(lp.t_costs) == 0
         sol = solve_epigraph_lp(lp)
         assert sol.objective == pytest.approx(0.0, abs=1e-9)
 
@@ -174,7 +174,7 @@ class TestKktCertificate:
             ch = random_instance(rng, m_max=3, n_max=4)
             lp = build_lp(ch)
             sol = solve_epigraph_lp(lp)
-            nx, ny, ne = lp.n_x, lp.n_y, lp.n_edges
+            nx, ny, ne = lp.m_r * lp.n_r, lp.m_t * lp.n_t, len(lp.t_costs)
             z_x, z_y, z_t, z_s, z_w = np.split(sol.reduced_costs,
                                                np.cumsum([nx, ny, ne, ne]))
             cdx, cdy = sol.coupling_duals_x, sol.coupling_duals_y

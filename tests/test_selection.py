@@ -139,8 +139,8 @@ class TestExhaustive:
         for snr_db in (-5.0, 5.0, 15.0):
             cfg = FluidMimoConfig(m_r=m_r, m_t=m_t, n_r=3, n_t=2, snr_db=snr_db, w=0.5)
             ch = generate_channel(cfg, int(rng.integers(0, 2 ** 63)))
-            rx = _combinations([3] * m_r, 0, 3 ** m_r)
-            tx = _combinations([2] * m_t, 0, 2 ** m_t)
+            rx = _combinations([3] * m_r)
+            tx = _combinations([2] * m_t)
             grid = _GridTerms(ch, [np.arange(3)] * m_r, [np.arange(2)] * m_t)
             caps = _grid_capacities(grid, cfg.rho, rx, tx)
             assert caps.shape == (len(rx), len(tx))
@@ -209,8 +209,8 @@ def _grid_capacities(grid, rho, rx, tx):
 def _first_grid_maximizer(ch, rho, rx_sets, tx_sets):
     """1-based ports of the first maximizer, in mixed-radix order, of the
     whole grid's `_grid_capacities`."""
-    rx = _combinations([len(s) for s in rx_sets], 0, math.prod(len(s) for s in rx_sets))
-    tx = _combinations([len(s) for s in tx_sets], 0, math.prod(len(s) for s in tx_sets))
+    rx = _combinations([len(s) for s in rx_sets])
+    tx = _combinations([len(s) for s in tx_sets])
     caps = _grid_capacities(_GridTerms(ch, rx_sets, tx_sets), rho, rx, tx)
     a, b = divmod(int(np.argmax(caps)), caps.shape[1])
     return PortSelection(tuple(int(s[p]) + 1 for s, p in zip(rx_sets, rx[a])),
@@ -561,7 +561,7 @@ class TestJcrAo:
         # the first sweep improves nothing, so the ascent stops after it
         for m_r, m_t, n_r, n_t in ((1, 1, 4, 4), (2, 3, 4, 5), (3, 2, 6, 2), (3, 3, 3, 3)):
             ch = generate_channel(FluidMimoConfig(m_r=m_r, m_t=m_t, n_r=n_r, n_t=n_t, w=0.0), 7)
-            assert all(np.ptp(ch.block(i, j)) == 0 for i in range(m_r) for j in range(m_t))
+            assert (np.ptp(ch.entries.reshape(m_r, n_r, m_t, n_t), axis=(1, 3)) == 0).all()
             res = jcr_ao(ch, ch.config.rho)
             assert res.selection == PortSelection((n_r,) * m_r, (n_t,) * m_t)
             assert res.iterations == 1
@@ -815,8 +815,8 @@ class TestBitwiseScores:
         for ch, rho, rng in _contract_cases(shape):
             c = ch.config
             every = [np.arange(c.n_r)] * c.m_r, [np.arange(c.n_t)] * c.m_t
-            rx = _combinations([c.n_r] * c.m_r, 0, c.n_r ** c.m_r)
-            tx = _combinations([c.n_t] * c.m_t, 0, c.n_t ** c.m_t)
+            rx = _combinations([c.n_r] * c.m_r)
+            tx = _combinations([c.n_t] * c.m_t)
             caps = _grid_capacities(_GridTerms(ch, *every), rho, rx, tx)
             assert np.array_equal(caps, reference_batch_capacities(ch, rx, tx, rho,
                                                                    _packed_logdet))
@@ -825,8 +825,8 @@ class TestBitwiseScores:
             keep_r, keep_t = reduced_port_count(c.n_r), reduced_port_count(c.n_t)
             rx_sets = [np.sort(rng.permutation(c.n_r)[:keep_r]) for _ in range(c.m_r)]
             tx_sets = [np.sort(rng.permutation(c.n_t)[:keep_t]) for _ in range(c.m_t)]
-            rx = _combinations([keep_r] * c.m_r, 0, keep_r ** c.m_r)
-            tx = _combinations([keep_t] * c.m_t, 0, keep_t ** c.m_t)
+            rx = _combinations([keep_r] * c.m_r)
+            tx = _combinations([keep_t] * c.m_t)
             caps = _grid_capacities(_GridTerms(ch, rx_sets, tx_sets), rho, rx, tx)
             expected = reference_batch_capacities(
                 ch, np.asarray(rx_sets)[np.arange(c.m_r), rx],
@@ -893,8 +893,8 @@ class TestBitwiseScores:
         # terms score every selection with the same bits
         cfg = FluidMimoConfig(m_r=m_r, m_t=9, n_r=3, n_t=2, snr_db=5.0, w=0.5)
         ch = generate_channel(cfg, 5)
-        rx = _combinations([3] * m_r, 0, 3 ** m_r)
-        tx = _combinations([2] * 9, 0, 2 ** 9)
+        rx = _combinations([3] * m_r)
+        tx = _combinations([2] * 9)
         for rho in (1e-3, cfg.rho, 300.0):
             grid = _grid_capacities(_GridTerms(ch, [np.arange(3)] * m_r, [np.arange(2)] * 9),
                                     rho, rx, tx)
@@ -971,6 +971,15 @@ class TestOverflow:
         start = _relaxed([1, 0, 1, 0], [1, 0, 1, 0], 2, 2, 2, 2)
         with pytest.raises(OverflowError):
             jcr_ao(ch, 1e10, realization=Realization(ch, start))
+        # in lockstep with a rho that ascends on (at 1e-200 the start would
+        # score 0 and no sweep run): that rho alone goes on from the failing
+        # step, and ends as its single-rho call does
+        batched = Realization(ch, start, rhos=(1e-3, 1e10))
+        with pytest.raises(OverflowError):
+            jcr_ao(ch, 1e10, realization=batched)
+        res = jcr_ao(ch, 1e-3, realization=batched)
+        assert res.iterations >= 1
+        assert res == jcr_ao(ch, 1e-3, realization=Realization(ch, start))   # trace included
 
     def test_overflowing_reported_capacity_raises(self):
         ch = make_channel([[1e150]], m_r=1, m_t=1, n_r=1, n_t=1)
@@ -1038,21 +1047,40 @@ class TestBatchedRhos:
         assert passes == [("_ascend", rhos), ("_enumerate_best", (3.0,))]
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_overflow_at_one_rho_is_raised_by_its_call_alone(self, algorithm):
+    def test_overflow_at_one_rho_is_raised_by_its_call_alone(self, algorithm, monkeypatch):
         # |g|^2 ~ 1e300: rho |g|^2 overflows float64 at the largest rho only
         ch = generate_channel(FluidMimoConfig(m_r=2, m_t=2, n_r=3, n_t=3), 1)
         ch = replace(ch, entries=ch.entries * 1e150)
         start = _relaxed([1, 0, 0] * 2, [1, 0, 0] * 2, 2, 3, 2, 3)
         rhos = (1e-300, 1e-290, 1e10)
-        for order in (rhos, rhos[::-1]):
-            batched = Realization(ch, start, rhos=rhos)
-            for rho in (*order, *order):
-                if rho == 1e10:
-                    with pytest.raises(OverflowError, match="overflows"):
-                        _run(algorithm, ch, rho, batched)
-                else:
-                    assert _run(algorithm, ch, rho, batched) == _run(
-                        algorithm, ch, rho, Realization(ch, start))
+        # a limit of 6 scans the grids in many chunks: the largest rho fails
+        # in the first, and the later ones pass it over
+        for limit in (sel_mod._BATCH_LIMIT, 6):
+            monkeypatch.setattr(sel_mod, "_BATCH_LIMIT", limit)
+            for order in (rhos, rhos[::-1]):
+                batched = Realization(ch, start, rhos=rhos)
+                for rho in (*order, *order):
+                    if rho == 1e10:
+                        with pytest.raises(OverflowError, match="overflows"):
+                            _run(algorithm, ch, rho, batched)
+                    else:
+                        assert _run(algorithm, ch, rho, batched) == _run(
+                            algorithm, ch, rho, Realization(ch, start))
+
+    @pytest.mark.parametrize("shape", CONTRACT_SHAPES)
+    def test_jcr_ao_counts_are_read_off_its_trace(self, shape):
+        # alone and batched: a sweep per trace entry after the first, and
+        # every sweep scores the N candidates of every antenna
+        channels = {}
+        for ch, rho, _ in _contract_cases(shape):
+            channels.setdefault(id(ch), (ch, solve_jcr(ch), []))[2].append(rho)
+        for ch, rel, rhos in channels.values():
+            c = ch.config
+            batched = Realization(ch, rel, rhos=rhos)
+            for rho, realization in itertools.product(rhos, (Realization(ch, rel), batched)):
+                res = jcr_ao(ch, rho, realization=realization)
+                assert res.iterations == len(res.capacity_trace) - 1
+                assert res.evaluations == 1 + res.iterations * (c.m_r * c.n_r + c.m_t * c.n_t)
 
     @pytest.mark.parametrize("rho", [-1.0, math.nan, math.inf])
     def test_invalid_rho_in_rhos_raises_when_built(self, rho):
