@@ -31,17 +31,13 @@ which coincides with ||Q||_F^2 on binary selections, and
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 _Q_FORM_MAX_ENTRIES = 10 ** 7  # floats in the padded Q form's term table, a test-scale tool
-# packed matrix entries per block of a term table or of its sums
-# (`_GridTerms.scores` and `_RowTerms` in `selection`): a block stays under
-# 128 KiB of float64, the size from which glibc malloc maps fresh pages on
-# every call, and in cache
-_BLOCK_ENTRIES = 15_000
 
 
 @dataclass(frozen=True)
@@ -109,19 +105,31 @@ def _check_rho(rho):
 def capacity(effective, rho):
     """log2 det(I + rho H H^H) in bits/s/Hz: the packed terms of H, one
     table of K m^2 floats built at once (K and m the larger and the smaller
-    side of H), added antenna by antenna and scored by `_antenna_sum`."""
+    side of H), added antenna by antenna and scored by `_antenna_sum`. A
+    result that is not finite comes with a RuntimeWarning."""
     h = np.asarray(effective, dtype=np.complex128)
     if h.ndim != 2:
         raise ValueError(f"effective channel must be 2-D, got shape {h.shape}")
     if not np.isfinite(h).all():
         raise ValueError("effective channel has non-finite entries")
     _check_rho(rho)
-    m = min(h.shape)
-    iu, ju = _triangle(m)
-    v = (h if h.shape[1] < h.shape[0] else h.T)[None]    # (1, K, m): the summed side first
-    terms = _scaled(_unscaled_terms(v, v[..., iu], v[..., ju]), (rho,), m)
+    terms = _terms(h[None], (rho,))
     with np.errstate(over="ignore", invalid="ignore"):   # `_packed_logdet` rescues
-        return float(_antenna_sum(terms)[0, 0])
+        bits = float(_antenna_sum(terms)[0, 0])
+    if not math.isfinite(bits):
+        warnings.warn(f"capacity evaluates to {bits}: I + rho H H^H overflows float64",
+                      RuntimeWarning, stacklevel=2)
+    return bits
+
+
+def _terms(h, rhos):
+    """The packed terms of stacked effective channels h, shape (S, M_R,
+    M_T), at each of `rhos`: shape (rhos, S, K, m*m), the summed side (the
+    larger, transmit on a tie) first."""
+    m = min(h.shape[1:])
+    iu, ju = _triangle(m)
+    v = h if h.shape[2] < h.shape[1] else h.swapaxes(1, 2)
+    return _scaled(_unscaled_terms(v, v[..., iu], v[..., ju]), rhos, m)
 
 
 def _antenna_sum(terms):

@@ -20,18 +20,13 @@ each. For an SNR sweep a task covers all points of its trial: the channel
 is drawn once and every point runs on it at the point's rho. Otherwise a
 task is one (point, trial). Each task makes one `selection.Realization`
 of its channel, given the rho of every point of the task, and hands it to
-every run. It keeps what the runs share: the JCR relaxation, solved once
-per task by the first run that needs it, and each algorithm's outcomes.
-The first run of an algorithm scores every point in one pass, building
-its tables (and keep-sets or draws) once for all of them, and keeps each
-point's outcome, which the runs at the later points return. To score
-several SNRs on one channel in one pass, name them in the realization's
-`rhos`: a search at an unnamed rho builds its tables again. One LP per
-channel realization, and one scoring pass per (task, algorithm), with
-records identical to building and scoring everything afresh on every run.
+every run: one LP per channel realization, and one scoring pass per
+(task, algorithm) (see `Realization`), with records identical to
+building and scoring everything afresh on every run.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -133,17 +128,21 @@ def _check_field(name, value, low=None):
 def validate_spec(spec):
     """SweepSpecError naming the first invalid field of `spec`, or the
     CombinationCapError of a point beyond the exhaustive-search cap, before
-    any trial runs. The integer fields refuse a bool or a float."""
+    any trial runs. The integer fields refuse a bool or a float, and the
+    values of an snr_db or w sweep a bool or anything but a real number."""
     if spec.variable not in SWEEP_VARIABLES:
         raise SweepSpecError(f"variable must be one of {SWEEP_VARIABLES}, got {spec.variable!r}")
     if len(spec.values) == 0:
         raise SweepSpecError("values must be a nonempty increasing list")
+    for value in spec.values:
+        if spec.variable == "ports":
+            _check_field("each value of a ports sweep", value, 1)
+        elif isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+            raise SweepSpecError(f"each value of a {spec.variable} sweep must be a real number, "
+                                 f"got {value!r}")
     vals = [float(v) for v in spec.values]
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise SweepSpecError(f"values must be strictly increasing, got {list(spec.values)}")
-    if spec.variable == "ports":
-        for value in spec.values:
-            _check_field("each value of a ports sweep", value, 1)
     _check_field("trials", spec.trials, 1)
     _check_field("master_seed", spec.master_seed, 0)
     if len(spec.algorithms) == 0:

@@ -49,7 +49,8 @@ its table (and jcr-res and jcr-ao their keep-sets, random its draws)
 once and scores every rho from it. The enumerator bounds every rho at
 once and scores the rows any rho keeps at every rho; jcr-ao runs one
 coordinate ascent per rho in lockstep, each step scoring the candidates
-of every rho still ascending in one call. A `Realization` of the
+of every rho in one call, and a rho that has stopped is scored but
+neither checked nor moved. A `Realization` of the
 channel, which every search takes, keeps what searches share: the JCR
 relaxation, and the outcomes at the rhos its caller named. To score
 several SNRs on one channel in one pass, name them in its `rhos`; a
@@ -67,9 +68,11 @@ reports the score that chose its selection and calls no `capacity`.
 Every algorithm ends in `_result`, the one constructor of a
 SelectionResult, which turns 0-based ports into the 1-based selection. A
 negative, NaN, infinite or bool rho raises ValueError before anything is
-built. A score that is NaN or infinite (rho |g|^2 overflows float64)
-raises OverflowError instead of deciding, at that rho alone; each search
-silences numpy's overflow warnings, so that error is the one report.
+built. A maximizer that is NaN or infinite (rho |g|^2 overflows float64)
+raises OverflowError instead of deciding (`_finite`), and ends the pass.
+`Realization.outcome` then scores each rho of the failed pass alone, so
+only the calls at a rho that fails on its own raise it. Passes run with
+numpy's overflow warnings silenced, so that error is the one report.
 `capacity` and `solve_jcr` stay bound in this module because the
 benchmark's tracer wraps them here.
 
@@ -107,8 +110,8 @@ from typing import Optional
 
 import numpy as np
 
-from .capacity import (_BLOCK_ENTRIES, PortSelection, _antenna_sum, _check_rho, _packed_logdet,
-                       _pair_entries, _scaled, _triangle, _unscaled_terms,
+from .capacity import (PortSelection, _antenna_sum, _check_rho, _packed_logdet, _pair_entries,
+                       _scaled, _terms, _triangle, _unscaled_terms,
                        capacity)  # noqa: F401 (capacity)
 from .channel import _check_int, _check_positive
 from .relaxation import RelaxedSolution, solve_jcr
@@ -123,6 +126,11 @@ _BATCH_LIMIT = 1 << 18  # evaluated combinations held in memory at once
 _FIRST_PASS = 2048
 _BOUND_SLACK = 1e-9
 _BOUND_CEILING = 996.0
+# packed matrix entries per block of a term table or of its sums
+# (`_GridTerms.scores` and `_RowTerms`): a block stays under 128 KiB of
+# float64, the size from which glibc malloc maps fresh pages on every
+# call, and in cache
+_BLOCK_ENTRIES = 15_000
 
 
 class CombinationCapError(RuntimeError):
@@ -171,16 +179,15 @@ class SelectionResult:
 
 def _quiet():
     """Silences numpy's overflow warnings for one search's pass:
-    `_finite` turns a non-finite maximizer into OverflowError instead."""
+    `_finite` raises OverflowError on a non-finite maximizer instead."""
     return np.errstate(over="ignore", invalid="ignore")
 
 
 def _finite(score):
-    """`score` as a float, or the OverflowError to report if it is NaN or
-    infinite. A search checks its maximizer: np.argmax returns the first
-    NaN if there is one."""
+    """`score` as a float; OverflowError if it is NaN or infinite. A search
+    checks its maximizer: np.argmax returns the first NaN if there is one."""
     if not math.isfinite(score):
-        return OverflowError(f"capacity evaluates to {score}: rho * |g|^2 overflows float64")
+        raise OverflowError(f"capacity evaluates to {score}: rho * |g|^2 overflows float64")
     return float(score)
 
 
@@ -316,15 +323,12 @@ class _RowTerms:
         a block of selections at a time, _BLOCK_ENTRIES floats or one
         selection, its table built and scored by `_antenna_sum`."""
         m_r, _, m_t, _ = self.g.shape
-        m = min(m_r, m_t)
-        iu, ju = _triangle(m)
-        step = max(1, _BLOCK_ENTRIES // (m_r * m_t * m))
+        step = max(1, _BLOCK_ENTRIES // (m_r * m_t * min(m_r, m_t)))
         out = []
         for s0 in range(0, len(self.rx), step):
             rx, tx = self.rx[s0:s0 + step], self.tx[s0:s0 + step]
             h = self.g[np.arange(m_r)[:, None], rx[:, :, None], np.arange(m_t), tx[:, None, :]]
-            v = h if m_t < m_r else h.swapaxes(1, 2)           # (S, K, m)
-            out.append(_antenna_sum(_scaled(_unscaled_terms(v, v[..., iu], v[..., ju]), rhos, m)))
+            out.append(_antenna_sum(_terms(h, rhos)))
         return np.concatenate(out, axis=1)
 
 
@@ -413,15 +417,14 @@ class _AscentTerms:
         """Score of the current selection at each rho."""
         return self._scores(self.summed[:, None] + self.base, self.current[:, None])[:, 0]
 
-    def step(self, side, antenna, live):
-        """Scores, shape (A, N), of the selections that move antenna
-        `antenna` of `side` (0 receive, 1 transmit) to each of its ports,
-        at the A rhos that `live` (an index array or a slice) picks."""
-        rows, base = self.summed[live, None], self.base[live]
+    def step(self, side, antenna):
+        """Scores, shape (rhos, N), of the selections that move antenna
+        `antenna` of `side` (0 receive, 1 transmit) to each of its ports."""
+        rows = self.summed[:, None]
         if side == self.gram_side:
-            return self._scores(rows + base, self.moved[live, antenna, None] + self.shifts[antenna])
-        return self._scores(np.where(self.onehot[antenna], self.summed_ports, rows) + base,
-                            self.current[live, None])
+            return self._scores(rows + self.base, self.moved[:, antenna, None] + self.shifts[antenna])
+        return self._scores(np.where(self.onehot[antenna], self.summed_ports, rows) + self.base,
+                            self.current[:, None])
 
     def commit(self, r, side, antenna, port):
         """Moves antenna `antenna` of `side` to `port` at rhos[r]."""
@@ -439,8 +442,8 @@ def _enumerate_best(grid, rhos):
     the `_GridTerms` grid, which gives receive antenna i a port from
     rx_sets[i] and transmit antenna j one from tx_sets[j] (ascending 0-based
     ports), pruned as the module docstring describes. Returns, per rho,
-    (rx, tx, its score, combinations), or the OverflowError of a rho whose
-    maximizer is NaN or infinite.
+    (rx, tx, its score, combinations); OverflowError once the maximizer of
+    a chunk at any rho is NaN or infinite.
 
     The grid's table at every rho is formed once (`_scaled`) and serves
     the bounds and every score; every scored row is scored at every rho.
@@ -462,7 +465,7 @@ def _enumerate_best(grid, rhos):
     n_gram = grid.cols.shape[1]
     gram_chunk = min(n_gram, max(1, _BATCH_LIMIT // len(rhos)))
     row_chunk = max(1, _BATCH_LIMIT // (len(rhos) * gram_chunk))
-    best = [(-math.inf, 0)] * len(rhos)     # per rho: (score, -flat index) or its error
+    best = [(-math.inf, 0)] * len(rhos)     # per rho: (score, -flat index)
 
     def scan(rows):
         """Updates `best` with the ascending rows against every Gram-side
@@ -473,17 +476,13 @@ def _enumerate_best(grid, rhos):
             for g0 in range(0, n_gram, gram_chunk):
                 caps = grid.scores(table, summed, grid.cols[:, g0:g0 + gram_chunk])
                 for i, c in enumerate(caps):
-                    if isinstance(best[i], OverflowError):
-                        continue
                     if grid.mirrored:       # flat index: row * n_gram + column
                         a, b = divmod(int(c.argmax()), c.shape[1])
                         flat = int(chunk[a]) * n_gram + g0 + b
                     else:                   # column * n_rows + row
                         b, a = divmod(int(c.T.argmax()), c.shape[0])
                         flat = (g0 + b) * n_rows + int(chunk[a])
-                    score = _finite(c[a, b])
-                    best[i] = score if isinstance(score, OverflowError) else max(
-                        best[i], (score, -flat))
+                    best[i] = max(best[i], (_finite(c[a, b]), -flat))
 
     rows = np.arange(n_rows)
     first = max(1, _FIRST_PASS // n_gram)
@@ -496,27 +495,19 @@ def _enumerate_best(grid, rhos):
             top = np.zeros(n_rows, dtype=bool)
             top[np.argpartition(bound, n_rows - first, axis=1)[pruned, n_rows - first:]] = True
             scan(np.flatnonzero(top))
-            floor = [-math.inf if isinstance(found, OverflowError) or not ok
-                     else found[0] - _BOUND_SLACK * max(1.0, found[0])
-                     for found, ok in zip(best, pruned)]
+            floor = [found - _BOUND_SLACK * max(1.0, found) if ok else -math.inf
+                     for (found, _), ok in zip(best, pruned)]
             keep = (bound >= np.array(floor)[:, None]).any(axis=0)
             keep[top] = False
             rows = np.flatnonzero(keep)
     scan(rows)
     out = []
-    for found in best:
-        if not isinstance(found, OverflowError):
-            r, t = divmod(-found[1], combos_t)
-            found = ([s[p] for s, p in zip(rx_sets, np.unravel_index(r, sizes_r))],
-                     [s[p] for s, p in zip(tx_sets, np.unravel_index(t, sizes_t))],
-                     found[0], combos_r * combos_t)
-        out.append(found)
+    for score, flat in best:
+        r, t = divmod(-flat, combos_t)
+        out.append(([s[p] for s, p in zip(rx_sets, np.unravel_index(r, sizes_r))],
+                    [s[p] for s, p in zip(tx_sets, np.unravel_index(t, sizes_t))],
+                    score, combos_r * combos_t))
     return out
-
-
-def _each(found, make):
-    """make(*f) for each rho's f of `found`; an OverflowError stays as it is."""
-    return [f if isinstance(f, OverflowError) else make(*f) for f in found]
 
 
 def exhaustive_search(channel, rho, cap=DEFAULT_EXHAUSTIVE_CAP, realization=None):
@@ -534,9 +525,9 @@ def exhaustive_search(channel, rho, cap=DEFAULT_EXHAUSTIVE_CAP, realization=None
         raise CombinationCapError(combos, cap)
     realization = _realization(channel, realization, rho)
     every = [np.arange(c.n_r)] * c.m_r, [np.arange(c.n_t)] * c.m_t
-    return realization.outcome("exhaustive", rho, lambda rhos: _each(
-        _enumerate_best(_GridTerms(realization.channel, *every), rhos),
-        lambda *found: _result("exhaustive", *found)))
+    return realization.outcome("exhaustive", rho, lambda rhos: [
+        _result("exhaustive", *found)
+        for found in _enumerate_best(_GridTerms(realization.channel, *every), rhos)])
 
 
 def reduced_port_count(n):
@@ -575,13 +566,15 @@ class Realization:
     memo (`_part`): the JCR relaxation, from `solve_jcr` unless given, and
     the outcomes at the SNR factors `rhos` its caller will score. The first
     search at one of them, for an algorithm and its options, scores every
-    rho of `rhos` in one pass and keeps each rho's outcome, its
-    SelectionResult or the OverflowError it raises, for the later searches
-    at the others. A pass builds its search's tables, keep-sets and draws
-    and keeps none of them: a search at a rho not in `rhos` builds them
-    again and scores that rho alone, as a batch of one. Every search takes
-    the realization of the channel it is given, or builds its own when
-    given none. ValueError unless each of `rhos` is finite and >= 0.
+    rho of `rhos` in one pass and keeps each rho's outcome for the later
+    searches at the others. A pass that raises OverflowError is run again
+    for each rho alone, and each rho keeps its SelectionResult or its own
+    OverflowError: this is the one place that isolates the rho that
+    failed. A pass builds its search's tables, keep-sets and draws and
+    keeps none of them: a search at a rho not in `rhos` builds them again
+    and scores that rho alone, as a batch of one. Every search takes the
+    realization of the channel it is given, or builds its own when given
+    none. ValueError unless each of `rhos` is finite and >= 0.
     """
 
     def __init__(self, channel, relaxed=None, rhos=()):
@@ -612,15 +605,14 @@ class Realization:
     def outcome(self, search, rho, run):
         """The SelectionResult at rho of `search` (a key: the algorithm and
         its options), or its OverflowError raised. run(rhos) scores each
-        rho of a tuple in one pass and gives one SelectionResult or
-        OverflowError per rho; for a rho of `rhos` it runs once for all of
-        them, as a part."""
+        rho of a tuple in one pass and gives one SelectionResult per rho,
+        or raises OverflowError; for a rho of `rhos` it runs once for all
+        of them, as a part."""
         if rho in self.rhos:
             found = self._part(("outcome", search),
-                               lambda: tuple(run(self.rhos)))[self.rhos.index(rho)]
+                               lambda: _per_rho(run, self.rhos))[self.rhos.index(rho)]
         else:
-            with _quiet():
-                found = run((rho,))[0]
+            found = _per_rho(run, (rho,))[0]
         if isinstance(found, OverflowError):
             raise OverflowError(*found.args)
         return found
@@ -628,6 +620,20 @@ class Realization:
     def relaxation(self):
         """The channel's RelaxedSolution. It depends only on |entries|^2."""
         return self._part("relaxation", lambda: solve_jcr(self.channel))
+
+
+def _per_rho(run, rhos):
+    """run(rhos) as a tuple, with numpy's overflow warnings silenced. If it
+    raises OverflowError, run((rho,)) for each rho alone instead: each
+    rho's SelectionResult, or the OverflowError it raised (a batch of one
+    keeps its error)."""
+    with _quiet():
+        try:
+            return tuple(run(rhos))
+        except OverflowError as error:
+            if len(rhos) == 1:
+                return (error,)
+    return tuple(_per_rho(run, (rho,))[0] for rho in rhos)
 
 
 def _check_shape(what, given, config):
@@ -665,9 +671,9 @@ def jcr_res(channel, rho, realization=None):
     def run(rhos):
         relaxed = realization.relaxation()
         rx, tx, margin, margin_rel = _kept_ports(relaxed, *keep)
-        return _each(_enumerate_best(_GridTerms(realization.channel, rx, tx), rhos),
-                     lambda *found: _result("jcr-res", *found, relaxation=relaxed,
-                                            score_margin=margin, score_margin_rel=margin_rel))
+        return [_result("jcr-res", *found, relaxation=relaxed, score_margin=margin,
+                        score_margin_rel=margin_rel)
+                for found in _enumerate_best(_GridTerms(realization.channel, rx, tx), rhos)]
     return realization.outcome("jcr-res", rho, run)
 
 
@@ -700,13 +706,15 @@ def jcr_ao(channel, rho, epsilon=1e-3, max_iters=20, realization=None):
 
 def _ascend(realization, rhos, epsilon, max_iters):
     """`jcr_ao`'s coordinate ascent at each of `rhos`, in lockstep: each
-    (side, antenna) step scores the candidates of every rho still
-    ascending in one call. Each rho commits, re-tabulates and stops on its
-    own. Per rho it keeps only its running best and its trace, the score
-    after the rounding and after each sweep: the sweeps are the trace's
-    length less one, and each covered the N candidates of every antenna.
-    The best holds the OverflowError instead once one ends that rho.
-    Returns its SelectionResult or OverflowError per rho."""
+    (side, antenna) step scores the candidates of every rho in one call.
+    Each rho commits, re-tabulates and stops on its own; a rho that has
+    stopped is neither checked, committed nor traced again. Per rho it
+    keeps only its running best and its trace, the score after the
+    rounding and after each sweep: the sweeps are the trace's length less
+    one, and each covered the N candidates of every antenna. Returns a
+    SelectionResult per rho; OverflowError once a score it checks (each
+    start, and each step's maximizer at a rho still ascending) is NaN or
+    infinite."""
     c = realization.channel.config
     relaxed = realization.relaxation()
     rx, tx, margin, margin_rel = _kept_ports(relaxed, 1, 1)    # ao_round's start
@@ -715,44 +723,30 @@ def _ascend(realization, rhos, epsilon, max_iters):
     best = [_finite(score) for score in terms.score()]
     traces = [[score] for score in best]
 
-    def ascending(r):
-        trace = traces[r]
+    def ascending(trace):
         old = trace[-2] if len(trace) > 1 else 0.0
-        return (not isinstance(best[r], OverflowError) and abs(trace[-1] - old) > abs(old) * epsilon
-                and len(trace) - 1 < max_iters)
+        return abs(trace[-1] - old) > abs(old) * epsilon and len(trace) - 1 < max_iters
 
-    def index(live):
-        return slice(None) if len(live) == len(rhos) else np.array(live, dtype=np.intp)
-
-    live = [r for r in range(len(rhos)) if ascending(r)]
-    while live:
-        picked = index(live)
+    live = [ascending(trace) for trace in traces]
+    while any(live):
         for side, antenna, n in steps:
-            vals = terms.step(side, antenna, picked)
-            failed = False
-            for r, row in zip(live, vals):
-                port = n - 1 - int(row[::-1].argmax())
-                score = _finite(row[port])
-                if isinstance(score, OverflowError):
-                    best[r], failed = score, True
-                elif score >= best[r]:
-                    best[r] = score
-                    terms.commit(r, side, antenna, port)
-            if failed:
-                live = [r for r in live if not isinstance(best[r], OverflowError)]
-                if not live:
-                    break
-                picked = index(live)
-        for r in live:
-            traces[r].append(best[r])
-        live = [r for r in live if ascending(r)]
+            for r, row in enumerate(terms.step(side, antenna)):
+                if live[r]:
+                    port = n - 1 - int(row[::-1].argmax())
+                    score = _finite(row[port])
+                    if score >= best[r]:
+                        best[r] = score
+                        terms.commit(r, side, antenna, port)
+        for r in range(len(rhos)):
+            if live[r]:
+                traces[r].append(best[r])
+                live[r] = ascending(traces[r])
     per_sweep = c.m_r * c.n_r + c.m_t * c.n_t
-    return [best[r] if isinstance(best[r], OverflowError) else _result(
-        "jcr-ao", terms.ports[0][r], terms.ports[1][r], best[r],
-        1 + (len(traces[r]) - 1) * per_sweep, iterations=len(traces[r]) - 1,
-        capacity_trace=tuple(traces[r]), relaxation=relaxed, score_margin=margin,
-        score_margin_rel=margin_rel)
-        for r in range(len(rhos))]
+    return [_result("jcr-ao", terms.ports[0][r], terms.ports[1][r], best[r],
+                    1 + (len(traces[r]) - 1) * per_sweep, iterations=len(traces[r]) - 1,
+                    capacity_trace=tuple(traces[r]), relaxation=relaxed, score_margin=margin,
+                    score_margin_rel=margin_rel)
+            for r in range(len(rhos))]
 
 
 def default_random_samples(config):
@@ -763,13 +757,12 @@ def default_random_samples(config):
 
 def _row_best(caps):
     """(index, score) of the first maximum of each row of `caps` (np.argmax,
-    which returns the first NaN if there is one), or the OverflowError of
-    a row whose maximum is NaN or infinite."""
+    which returns the first NaN if there is one); OverflowError if the
+    maximum of a row is NaN or infinite."""
     out = []
     for row in caps:
         best = int(row.argmax())
-        score = _finite(row[best])
-        out.append(score if isinstance(score, OverflowError) else (best, score))
+        out.append((best, _finite(row[best])))
     return out
 
 
@@ -795,8 +788,8 @@ def random_selection(channel, rho, samples=None, seed=0, realization=None):
         rng = np.random.default_rng(seed)
         rx = rng.integers(1, c.n_r + 1, size=(samples, c.m_r)) - 1
         tx = rng.integers(1, c.n_t + 1, size=(samples, c.m_t)) - 1
-        return _each(_row_best(_RowTerms(realization.channel, rx, tx).capacities(rhos)),
-                     lambda best, bits: _result("random", rx[best], tx[best], bits, samples))
+        return [_result("random", rx[best], tx[best], bits, samples)
+                for best, bits in _row_best(_RowTerms(realization.channel, rx, tx).capacities(rhos))]
     return realization.outcome(("random", samples, seed), rho, run)
 
 
@@ -807,6 +800,6 @@ def conventional_mimo(channel, rho, realization=None):
     c = channel.config
     realization = _realization(channel, realization, rho)
     first = np.zeros((1, c.m_r), dtype=np.intp), np.zeros((1, c.m_t), dtype=np.intp)
-    return realization.outcome("conventional", rho, lambda rhos: _each(
-        _row_best(_RowTerms(realization.channel, *first).capacities(rhos)),
-        lambda _, bits: _result("conventional", [0] * c.m_r, [0] * c.m_t, bits, 1)))
+    return realization.outcome("conventional", rho, lambda rhos: [
+        _result("conventional", [0] * c.m_r, [0] * c.m_t, bits, 1)
+        for _, bits in _row_best(_RowTerms(realization.channel, *first).capacities(rhos))])

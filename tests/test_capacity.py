@@ -164,6 +164,14 @@ class TestCapacity:
         finite = [0, 2, 3, 5, 6, 7, 9]
         assert np.array_equal(out[finite], _packed_logdet(b[:, finite]))
 
+    @pytest.mark.parametrize("h", [np.array([[1e154, 1e154]]), np.full((3, 3), 1e154)])
+    def test_overflowing_antenna_sum_warns(self, h):
+        # every term rho |g|^2 = 1e308 is finite and only the antenna sum
+        # overflows, inside the errstate block: the inf used to come back
+        # with no warning at all
+        with pytest.warns(RuntimeWarning, match="^capacity evaluates to inf"):
+            assert capacity(h, 1.0) == np.inf
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             capacity(np.array([[np.nan]]), 1.0)

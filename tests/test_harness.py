@@ -95,6 +95,19 @@ class TestSpecValidation:
             run_sweep(small_spec(**{field: value}))
         assert ran == []
 
+    @pytest.mark.parametrize("variable", ["snr_db", "w"])
+    @pytest.mark.parametrize("values", [(False, True), ("9", "10"), (0.5, None),
+                                        (np.True_, 2.0)])
+    def test_rejects_sweep_values_that_are_no_real_numbers(self, monkeypatch, variable, values):
+        # values=(False, True) ran at 0 and 1, and ("9", "10") wrote the
+        # point '10' before '9'
+        ran = []
+        monkeypatch.setattr(harness, "run_trial", lambda *args: ran.append(args) or [])
+        with pytest.raises(SweepSpecError,
+                           match=f"^each value of a {variable} sweep must be a real number"):
+            run_sweep(small_spec(variable=variable, values=values))
+        assert ran == []
+
     def test_exhaustive_cap_checked_upfront(self):
         spec = small_spec(values=(2, 100), exhaustive_cap=1000)
         with pytest.raises(CombinationCapError, match="10000"):

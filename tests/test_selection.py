@@ -864,7 +864,7 @@ class TestBitwiseScores:
                         candidates[side][:, antenna] = np.arange(n)
                         expected = reference_paired_capacities(ch, *candidates, rho,
                                                                _packed_logdet)
-                        assert np.array_equal(terms.step(side, antenna, [0])[0], expected)
+                        assert np.array_equal(terms.step(side, antenna)[0], expected)
                         terms.commit(0, side, antenna, int(rng.integers(0, n)))
                         assert terms.score()[0] == reference_paired_capacities(
                             ch, ports[0][None], ports[1][None], rho, _packed_logdet)[0]
@@ -1045,6 +1045,23 @@ class TestBatchedRhos:
         _run("jcr-ao", ch, 2.0, batched, epsilon=0.5)
         _run("exhaustive", ch, 3.0, batched)
         assert passes == [("_ascend", rhos), ("_enumerate_best", (3.0,))]
+
+        # |g|^2 ~ 1e300, overflowing at 1e10 alone: the batch pass fails
+        # once, then each rho is scored alone, and no pass runs again
+        ch = generate_channel(FluidMimoConfig(m_r=2, m_t=2, n_r=3, n_t=3), 1)
+        ch = replace(ch, entries=ch.entries * 1e150)
+        rhos = (1e-300, 1e-290, 1e10)
+        batched = Realization(ch, _relaxed([1, 0, 0] * 2, [1, 0, 0] * 2, 2, 3, 2, 3), rhos=rhos)
+        passes.clear()
+        for rho in (*rhos, *rhos):
+            for algorithm in ALGORITHMS:
+                if rho == 1e10:
+                    with pytest.raises(OverflowError, match="overflows"):
+                        _run(algorithm, ch, rho, batched)
+                else:
+                    _run(algorithm, ch, rho, batched)
+        assert passes == [(name, batch) for name in ("_enumerate_best",) * 2 + ("_ascend",)
+                          for batch in (rhos, *((rho,) for rho in rhos))]
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_overflow_at_one_rho_is_raised_by_its_call_alone(self, algorithm, monkeypatch):
