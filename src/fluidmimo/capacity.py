@@ -37,6 +37,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .channel import _check_int, _check_real
+
 _Q_FORM_MAX_ENTRIES = 10 ** 7  # floats in the padded Q form's term table, a test-scale tool
 
 
@@ -56,8 +58,7 @@ class PortSelection:
         for side in ("rx_ports", "tx_ports"):
             ports = tuple(getattr(self, side))
             for p in ports:
-                if not isinstance(p, (int, np.integer)) or isinstance(p, bool):
-                    raise ValueError(f"selection field {side} must hold integers, got {p!r}")
+                _check_int(f"each port of {side}", p, 1)
             object.__setattr__(self, side, tuple(int(p) for p in ports))
         if not self.rx_ports or not self.tx_ports:
             raise ValueError("selection must cover at least one antenna per side")
@@ -95,13 +96,6 @@ def extract_effective(channel, sel):
     return channel.entries[rows[:, None], cols]
 
 
-def _check_rho(rho):
-    """ValueError unless the SNR factor rho is finite and >= 0; a bool is
-    refused, not read as 0 or 1."""
-    if isinstance(rho, (bool, np.bool_)) or not (math.isfinite(rho) and rho >= 0):
-        raise ValueError(f"rho must be finite and >= 0, got {rho}")
-
-
 def capacity(effective, rho):
     """log2 det(I + rho H H^H) in bits/s/Hz: the packed terms of H, one
     table of K m^2 floats built at once (K and m the larger and the smaller
@@ -112,7 +106,7 @@ def capacity(effective, rho):
         raise ValueError(f"effective channel must be 2-D, got shape {h.shape}")
     if not np.isfinite(h).all():
         raise ValueError("effective channel has non-finite entries")
-    _check_rho(rho)
+    _check_real("rho", rho, 0)
     terms = _terms(h[None], (rho,))
     with np.errstate(over="ignore", invalid="ignore"):   # `_packed_logdet` rescues
         bits = float(_antenna_sum(terms)[0, 0])
@@ -239,7 +233,7 @@ def capacity_q_form(channel, sel, rho):
             f"padded Q would have a term table of {entries} entries "
             f"(limit {_Q_FORM_MAX_ENTRIES}); use capacity(extract_effective(...)) instead"
         )
-    _check_rho(rho)
+    _check_real("rho", rho, 0)
     sel.validate(c)
     x, y = sel.to_indicators(c.n_r, c.n_t)
     q = x[:, None] * channel.entries * y[None, :]
@@ -269,7 +263,6 @@ def surrogate_u(channel, x, y):
 
 def capacity_upper_bound(u_value, rho):
     """Capacity bound (rho / ln 2) * U implied by log det B <= tr(B - I)."""
-    if u_value < 0:
-        raise ValueError(f"u_value must be >= 0, got {u_value}")
-    _check_rho(rho)
+    _check_real("u_value", u_value, 0)
+    _check_real("rho", rho, 0)
     return rho * u_value / np.log(2.0)

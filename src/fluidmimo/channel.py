@@ -41,35 +41,46 @@ import numpy as np
 from .bessel import bessel_j0
 
 _GAUSS_SCALE = np.sqrt(0.5)  # component variance 1/2
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 def _check_int(name, value, low):
-    """ValueError naming the field `name` unless value is an integer >= low:
-    a bool or a float is refused, not read as a number."""
+    """ValueError naming the field `name` unless value is an int or a numpy
+    integer scalar >= low: a bool, a float or a str is refused, not read as
+    a number. It and `_check_real` are the library's only scalar rules."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
         kind = "a nonnegative integer" if low == 0 else f"an integer >= {low}"
         raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
+def _check_real(name, value, low=None, strict=False):
+    """ValueError naming the field `name` unless value is a finite int, float,
+    numpy integer or floating scalar, or 0-d array of one, >= low (> low if
+    strict) when low is given: a bool, str, None, complex, Fraction or int
+    beyond float64 is refused, not read as a number."""
+    number = value
+    if type(value) is not float:                # the searches check rho on every call
+        item = value[()] if isinstance(value, np.ndarray) and value.ndim == 0 else value
+        real = isinstance(item, (int, float, np.integer, np.floating)) and type(item) is not bool
+        number = (item if isinstance(item, int) else float(item)) if real else math.nan
+    if not (abs(number) <= _FLOAT_MAX           # False on NaN and on an int beyond float64
+            and (low is None or number > low or (not strict and number == low))):
+        kind = "a real number" if low is None else f"finite and {'>' if strict else '>='} {low}"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
 def _check_profile(n_r, n_t, w, prefix=""):
     """ValueError naming the field unless the port counts n_r, n_t are
-    integers >= 1 and w is a finite real >= 0 (a bool is refused) whose
+    integers >= 1 and w is a real number >= 0 (`_check_real`) whose
     largest J0 argument in `correlation_profile`, 2 pi (N - 1) W / (N - 1)
     formed in its order, is finite. prefix leads each field name."""
     for name, n in (("n_r", n_r), ("n_t", n_t)):
         _check_int(prefix + name, n, 1)
-    if isinstance(w, (bool, np.bool_)):
-        raise ValueError(f"{prefix}w must be a real number, got {w!r}")
+    _check_real(prefix + "w", w, 0)
     top = [2.0 * np.pi * k * float(w) / k for k in (int(n_r) - 1, int(n_t) - 1) if k]
-    if not (np.isfinite(w) and w >= 0 and all(map(math.isfinite, top))):
+    if not all(map(math.isfinite, top)):
         raise ValueError(f"{prefix}w must be finite and >= 0, and 2 pi (N - 1) W finite "
                          f"at n_r = {n_r}, n_t = {n_t}, got {w}")
-
-
-def _check_positive(name, value):
-    """ValueError naming the field `name` unless value is a finite real > 0."""
-    if isinstance(value, (bool, np.bool_)) or not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -93,13 +104,12 @@ class FluidMimoConfig:
         for name in ("m_r", "m_t"):
             _check_int(f"config field {name}", getattr(self, name), 1)
         _check_profile(self.n_r, self.n_t, self.w, "config field ")
-        if isinstance(self.snr_db, (bool, np.bool_)):
-            raise ValueError(f"config field snr_db must be a real number, got {self.snr_db!r}")
+        _check_real("config field snr_db", self.snr_db)
         try:
             linear = self.snr_linear
         except OverflowError:
             linear = np.inf
-        if not (np.isfinite(self.snr_db) and np.isfinite(linear)):
+        if not np.isfinite(linear):
             raise ValueError(f"config field snr_db must be finite, with a finite linear "
                              f"SNR 10^(snr_db/10), got {self.snr_db}")
 
@@ -183,7 +193,7 @@ def generate_channel(config, seed):
     """
     c = config
     _check_int("seed", seed, 0)
-    mu, mix = _mixing(c.n_r, c.n_t, c.w)
+    mu, mix = _mixing(c.n_r, c.n_t, float(c.w))
 
     entries = np.empty((c.rx_dim, c.tx_dim), dtype=np.complex128)
     children = np.random.SeedSequence(seed).spawn(c.m_r * c.m_t)

@@ -26,13 +26,12 @@ building and scoring everything afresh on every run.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .channel import FluidMimoConfig, _check_int, _check_positive, generate_channel
+from .channel import FluidMimoConfig, _check_int, _check_real, generate_channel
 from .selection import (
     ALGORITHMS,
     DEFAULT_EXHAUSTIVE_CAP,
@@ -113,56 +112,45 @@ def derive_seed(master_seed, stream, point_key, trial_index):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _check_field(name, value, low=None):
-    """`channel._check_int` of a spec field, or `channel._check_positive`
-    when low is None, raising SweepSpecError."""
-    try:
-        if low is None:
-            _check_positive(name, value)
-        else:
-            _check_int(name, value, low)
-    except ValueError as exc:
-        raise SweepSpecError(str(exc)) from None
-
-
 def validate_spec(spec):
     """SweepSpecError naming the first invalid field of `spec`, or the
     CombinationCapError of a point beyond the exhaustive-search cap, before
-    any trial runs. The integer fields refuse a bool or a float, and the
-    values of an snr_db or w sweep a bool or anything but a real number."""
-    if spec.variable not in SWEEP_VARIABLES:
-        raise SweepSpecError(f"variable must be one of {SWEEP_VARIABLES}, got {spec.variable!r}")
-    if len(spec.values) == 0:
-        raise SweepSpecError("values must be a nonempty increasing list")
-    for value in spec.values:
-        if spec.variable == "ports":
-            _check_field("each value of a ports sweep", value, 1)
-        elif isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
-            raise SweepSpecError(f"each value of a {spec.variable} sweep must be a real number, "
-                                 f"got {value!r}")
-    vals = [float(v) for v in spec.values]
-    if any(b <= a for a, b in zip(vals, vals[1:])):
-        raise SweepSpecError(f"values must be strictly increasing, got {list(spec.values)}")
-    _check_field("trials", spec.trials, 1)
-    _check_field("master_seed", spec.master_seed, 0)
-    if len(spec.algorithms) == 0:
-        raise SweepSpecError("algorithms must be a nonempty subset of " + ", ".join(ALGORITHMS))
-    unknown = [a for a in spec.algorithms if a not in ALGORITHMS]
-    if unknown:
-        raise SweepSpecError(f"unknown algorithms {unknown}; valid: {', '.join(ALGORITHMS)}")
-    repeated = sorted({a for a in spec.algorithms if spec.algorithms.count(a) > 1})
-    if repeated:
-        raise SweepSpecError(f"algorithms {repeated} are listed more than once")
-    _check_field("ao_epsilon", spec.ao_epsilon)
-    _check_field("ao_max_iters", spec.ao_max_iters, 1)
-    if spec.random_samples is not None:
-        _check_field("random_samples", spec.random_samples, 1)
-    _check_field("exhaustive_cap", spec.exhaustive_cap, 0)
-    for value in spec.values:
-        try:
-            config = config_at(spec, value)
-        except ValueError as exc:
-            raise SweepSpecError(f"values: {exc}") from exc
+    any trial runs. Each scalar passes `channel._check_int` or
+    `channel._check_real`, which refuse a bool or a non-number, and the
+    values pass the checks of the config at each point; their ValueError
+    becomes a SweepSpecError with its message."""
+    try:
+        if spec.variable not in SWEEP_VARIABLES:
+            raise ValueError(f"variable must be one of {SWEEP_VARIABLES}, got {spec.variable!r}")
+        if len(spec.values) == 0:
+            raise ValueError("values must be a nonempty increasing list")
+        for value in spec.values:
+            if spec.variable == "ports":
+                _check_int("each value of a ports sweep", value, 1)
+            else:
+                _check_real(f"each value of a {spec.variable} sweep", value)
+        vals = [float(v) for v in spec.values]
+        if any(b <= a for a, b in zip(vals, vals[1:])):
+            raise ValueError(f"values must be strictly increasing, got {list(spec.values)}")
+        _check_int("trials", spec.trials, 1)
+        _check_int("master_seed", spec.master_seed, 0)
+        if len(spec.algorithms) == 0:
+            raise ValueError("algorithms must be a nonempty subset of " + ", ".join(ALGORITHMS))
+        unknown = [a for a in spec.algorithms if a not in ALGORITHMS]
+        if unknown:
+            raise ValueError(f"unknown algorithms {unknown}; valid: {', '.join(ALGORITHMS)}")
+        repeated = sorted({a for a in spec.algorithms if spec.algorithms.count(a) > 1})
+        if repeated:
+            raise ValueError(f"algorithms {repeated} are listed more than once")
+        _check_real("ao_epsilon", spec.ao_epsilon, 0, strict=True)
+        _check_int("ao_max_iters", spec.ao_max_iters, 1)
+        if spec.random_samples is not None:
+            _check_int("random_samples", spec.random_samples, 1)
+        _check_int("exhaustive_cap", spec.exhaustive_cap, 0)
+        configs = [config_at(spec, value) for value in spec.values]
+    except ValueError as exc:
+        raise SweepSpecError(str(exc)) from None
+    for config in configs:
         combos = combination_count(config)
         if "exhaustive" in spec.algorithms and combos > spec.exhaustive_cap:
             raise CombinationCapError(combos, spec.exhaustive_cap)
@@ -248,11 +236,12 @@ def run_sweep(spec, threads=1):
     """Run the full sweep; returns (records, summaries), both sorted.
 
     Records are deterministic functions of (spec, master_seed) regardless
-    of `threads`; sorting is (point value, trial, algorithm name). With
-    min(threads, tasks) > 1 workers every task runs in a process pool of
-    that many workers and none in this process; with one worker all of
-    them run here, in order.
+    of `threads`, an integer >= 1; sorting is (point value, trial,
+    algorithm name). With min(threads, tasks) > 1 workers every task runs
+    in a process pool of that many workers and none in this process; with
+    one worker all of them run here, in order.
     """
+    _check_int("threads", threads, 1)
     validate_spec(spec)
     points = range(len(spec.values))
     if spec.variable == "snr_db":  # one task per trial: its points share a channel

@@ -67,9 +67,9 @@ score bit-identically, and the tie rules below are exact. Each algorithm
 reports the score that chose its selection and calls no `capacity`.
 Every algorithm ends in `_result`, the one constructor of a
 SelectionResult, which turns 0-based ports into the 1-based selection. A
-negative, NaN, infinite or bool rho raises ValueError before anything is
-built. A maximizer that is NaN or infinite (rho |g|^2 overflows float64)
-raises OverflowError instead of deciding (`_finite`), and ends the pass.
+negative, NaN, infinite, bool or non-number rho raises ValueError before
+anything is built. A NaN or infinite maximizer (I + rho H H^H overflows
+float64) raises OverflowError, not a decision (`_finite`), ending the pass.
 `Realization.outcome` then scores each rho of the failed pass alone, so
 only the calls at a rho that fails on its own raise it. Passes run with
 numpy's overflow warnings silenced, so that error is the one report.
@@ -110,10 +110,9 @@ from typing import Optional
 
 import numpy as np
 
-from .capacity import (PortSelection, _antenna_sum, _check_rho, _packed_logdet, _pair_entries,
-                       _scaled, _terms, _triangle, _unscaled_terms,
-                       capacity)  # noqa: F401 (capacity)
-from .channel import _check_int, _check_positive
+from .capacity import (PortSelection, _antenna_sum, _packed_logdet, _pair_entries, _scaled,
+                       _terms, _triangle, _unscaled_terms, capacity)  # noqa: F401 (capacity)
+from .channel import _check_int, _check_real
 from .relaxation import RelaxedSolution, solve_jcr
 
 ALGORITHMS = ("exhaustive", "jcr-res", "jcr-ao", "random", "conventional")
@@ -187,7 +186,7 @@ def _finite(score):
     """`score` as a float; OverflowError if it is NaN or infinite. A search
     checks its maximizer: np.argmax returns the first NaN if there is one."""
     if not math.isfinite(score):
-        raise OverflowError(f"capacity evaluates to {score}: rho * |g|^2 overflows float64")
+        raise OverflowError(f"capacity evaluates to {score}: I + rho H H^H overflows float64")
     return float(score)
 
 
@@ -574,16 +573,16 @@ class Realization:
     keeps none of them: a search at a rho not in `rhos` builds them again
     and scores that rho alone, as a batch of one. Every search takes the
     realization of the channel it is given, or builds its own when given
-    none. ValueError unless each of `rhos` is finite and >= 0.
+    none. ValueError unless each of `rhos` is a real number >= 0.
     """
 
     def __init__(self, channel, relaxed=None, rhos=()):
         if relaxed is not None:
             _check_shape("relaxation", relaxed, channel.config)
         for rho in rhos:
-            _check_rho(rho)
+            _check_real("rho", rho, 0)
         self.channel = channel
-        self.rhos = tuple(dict.fromkeys(rhos))
+        self.rhos = tuple(dict.fromkeys(float(rho) for rho in rhos))
         self._parts = {} if relaxed is None else {"relaxation": relaxed}
 
     def check(self, channel):
@@ -647,8 +646,8 @@ def _check_shape(what, given, config):
 
 def _realization(channel, realization, rho):
     """`realization`, checked to hold the channel, or a new one when None;
-    first, ValueError unless rho is finite and >= 0."""
-    _check_rho(rho)
+    first, ValueError unless rho is a real number >= 0."""
+    _check_real("rho", rho, 0)
     if realization is None:
         return Realization(channel)
     realization.check(channel)
@@ -697,7 +696,7 @@ def jcr_ao(channel, rho, epsilon=1e-3, max_iters=20, realization=None):
     the last.
     realization: the channel's `Realization`, as for `jcr_res`.
     """
-    _check_positive("epsilon", epsilon)
+    _check_real("epsilon", epsilon, 0, strict=True)
     _check_int("max_iters", max_iters, 1)
     realization = _realization(channel, realization, rho)
     return realization.outcome(("jcr-ao", epsilon, max_iters), rho,

@@ -82,7 +82,8 @@ class TestPortSelection:
         # 1.7 used to become port 1; "2" and True were accepted
         ports = {"rx_ports": (1,), "tx_ports": (2,), side: (1, bad)}
         shown = re.escape(repr(bad))
-        with pytest.raises(ValueError, match=f"{side} must hold integers, got {shown}"):
+        with pytest.raises(ValueError, match=f"^each port of {side} must be an integer >= 1, "
+                                             f"got {shown}$"):
             PortSelection(**ports)
 
 

@@ -106,7 +106,7 @@ class TestCorrelationProfile:
         ((10, 10, 1e308), r"w must be finite and >= 0, .* at n_r = 10, n_t = 10, got 1e\+308"),
         ((2.5, 3, 0.5), r"n_r must be an integer >= 1, got 2\.5"),
         ((3, 0, 0.5), "n_t must be an integer >= 1, got 0"),
-        ((3, 3, True), "w must be a real number, got True"),
+        ((3, 3, True), "w must be finite and >= 0, got True"),
     ])
     def test_refuses_what_the_config_refuses(self, args, message):
         # the config's rule, without its field prefix; before, W = 1e308

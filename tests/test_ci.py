@@ -1,11 +1,12 @@
 """The CI workflow runs the Tier-1 command that ROADMAP.md states, the
 sources parse at the Python floor that pyproject.toml states, and README
-states the CSV headers that a sweep writes."""
+states the CSV headers that a sweep writes and the exit codes of the CLI."""
 
 import ast
 import re
 from pathlib import Path
 
+from fluidmimo import cli
 from fluidmimo.reporting import RECORDS_HEADER, SUMMARY_HEADER
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,3 +60,12 @@ def test_readme_states_the_csv_headers():
     readme = (ROOT / "README.md").read_text().splitlines()
     stated = [line for line in readme if line.startswith("sweep_var,")]
     assert stated == [RECORDS_HEADER, SUMMARY_HEADER]
+
+
+def test_readme_states_the_exit_codes():
+    readme = " ".join((ROOT / "README.md").read_text().split())
+    sentence = re.findall(r"Exit codes: (.*?)\.\s[A-Z]", readme)
+    assert len(sentence) == 1, "README.md has one 'Exit codes:' sentence"
+    stated = [int(code) for code in re.findall(r"`(\d+)`", sentence[0])]
+    assert stated == [cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_CAP, cli.EXIT_SOLVER]
+    assert set(cli._EXIT_CODES.values()) <= set(stated)

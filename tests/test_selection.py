@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fluidmimo import (
     CombinationCapError,
     FluidMimoConfig,
+    OverallChannel,
     PortSelection,
     RelaxedSolution,
     ao_round,
@@ -925,7 +926,7 @@ class TestBitwiseScores:
 
 
 class TestOverflow:
-    """Scores NaN or infinite because rho |g|^2 overflows float64: an
+    """Scores NaN or infinite because I + rho H H^H overflows float64: an
     algorithm raises OverflowError instead of deciding on them."""
 
     @pytest.mark.parametrize("search", [exhaustive_search, jcr_res, jcr_ao, random_selection])
@@ -971,15 +972,26 @@ class TestOverflow:
         start = _relaxed([1, 0, 1, 0], [1, 0, 1, 0], 2, 2, 2, 2)
         with pytest.raises(OverflowError):
             jcr_ao(ch, 1e10, realization=Realization(ch, start))
-        # in lockstep with a rho that ascends on (at 1e-200 the start would
-        # score 0 and no sweep run): that rho alone goes on from the failing
-        # step, and ends as its single-rho call does
+        # batched with a rho that ascends (at 1e-200 the start would score 0
+        # and no sweep run): the batched pass raises, `Realization` scores
+        # each rho alone, and the ascending rho ends as its single-rho call
+        # does
         batched = Realization(ch, start, rhos=(1e-3, 1e10))
         with pytest.raises(OverflowError):
             jcr_ao(ch, 1e10, realization=batched)
         res = jcr_ao(ch, 1e-3, realization=batched)
         assert res.iterations >= 1
         assert res == jcr_ao(ch, 1e-3, realization=Realization(ch, start))   # trace included
+
+    @pytest.mark.parametrize("search", [exhaustive_search, random_selection, conventional_mimo])
+    def test_an_overflowing_antenna_sum_is_named(self, search):
+        # rho |g|^2 = 1e308 is finite in each term; only their sum over the
+        # two transmit antennas overflows
+        ch = OverallChannel(FluidMimoConfig(1, 2, 1, 1),
+                            np.array([[1e154, 1e154]], dtype=complex))
+        with pytest.raises(OverflowError, match=r"^capacity evaluates to inf: I \+ rho H H\^H "
+                                                r"overflows float64$"):
+            search(ch, 1.0)
 
     def test_overflowing_reported_capacity_raises(self):
         ch = make_channel([[1e150]], m_r=1, m_t=1, n_r=1, n_t=1)
